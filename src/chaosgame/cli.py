@@ -100,7 +100,10 @@ def _cmd_recover(args) -> int:
     ifs = _ifs_from_args(args)
     driver = _driver_from_args(args, ifs.alphabet_size)
     cloud = build_cloud(ifs, args.resolution)
-    x0 = np.array([float(t) for t in args.x0.split()])
+    try:
+        x0 = np.array([float(t) for t in args.x0.split()])
+    except ValueError:
+        raise ValidationError(f"--x0: expected numbers, got {args.x0!r}") from None
     record = recovery_time(ifs, driver, x0, args.eps, cloud, cap=args.cap)
     if record.n is None:
         raise CapExceededError(

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .drivers import DriverStream, Word, champernowne
+from .drivers import DriverStream, Word, _pieces, _run, champernowne
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .ifs import AttractorCloud, IfsSystem, fixed_point
 from .metrics import covering_estimate
@@ -368,13 +368,11 @@ def slow_driver(schedule: Schedule, tail: DriverStream | None = None) -> DriverS
 
     def gen():
         for e in schedule.entries:
-            for _ in range(e.p):
-                yield i_star
-            yield from e.sigma.symbols
+            yield from _run(i_star, e.p)
+            yield from _pieces(e.sigma.symbols)
         pos = 0
         while True:
-            chunk = tail.segment(pos, pos + 4096)
-            yield from (int(s) for s in chunk)
+            yield tail.segment(pos, pos + 4096)
             pos += 4096
 
     params = {"i_star": i_star, "blocks": len(schedule.entries),

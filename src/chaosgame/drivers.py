@@ -20,6 +20,7 @@ from .errors import CapExceededError, InternalInvariantError, ValidationError
 
 DEFAULT_WORD_BUDGET = 2 ** 24
 DEFAULT_COVERAGE_CAP = 10 ** 9
+_BLOCK = 1 << 16   # most symbols a driver generator yields at once
 
 
 @dataclass(frozen=True)
@@ -43,8 +44,10 @@ class Word:
 class DriverStream:
     """Single-consumer cursor over an infinite symbol sequence.
 
-    Already-produced symbols are buffered, so indexing into the prefix is
-    stable no matter how far the stream has been advanced.
+    The generator yields int arrays of symbols (single ints are accepted
+    too).  Already-produced symbols are buffered in a growable int64 array,
+    so indexing into the prefix is stable no matter how far the stream has
+    been advanced.
     """
 
     def __init__(self, kind: str, alphabet_size: int, generator_factory, params=None):
@@ -53,47 +56,56 @@ class DriverStream:
         self.params = dict(params or {})
         self._factory = generator_factory
         self._gen = generator_factory()
-        self._buf = []
+        self._buf = np.empty(0, dtype=np.int64)
+        self._len = 0
         self._cursor = 0
 
     def _fill(self, n: int) -> None:
-        while len(self._buf) < n:
+        while self._len < n:
             try:
-                s = next(self._gen)
+                item = next(self._gen)
             except StopIteration:
                 raise CapExceededError(
-                    f"driver '{self.kind}' is exhausted after {len(self._buf)} symbols"
-                )
-            self._buf.append(s)
+                    f"driver '{self.kind}' is exhausted after {self._len} symbols"
+                ) from None
+            block = np.atleast_1d(np.asarray(item, dtype=np.int64))
+            end = self._len + block.size
+            if end > self._buf.size:
+                grown = np.empty(max(end, 2 * self._buf.size), dtype=np.int64)
+                grown[:self._len] = self._buf[:self._len]
+                self._buf = grown
+            self._buf[self._len:end] = block
+            self._len = end
+
+    def _slice(self, start: int, stop: int) -> np.ndarray:
+        self._fill(stop)
+        return self._buf[start:stop].copy()
 
     def symbol(self, n: int) -> int:
         """Symbol at 1-based position n."""
         if n < 1:
             raise ValidationError("driver positions are 1-based")
         self._fill(n)
-        return self._buf[n - 1]
+        return int(self._buf[n - 1])
 
     def prefix(self, n: int) -> np.ndarray:
         """First n symbols, without moving the cursor."""
-        self._fill(n)
-        return np.asarray(self._buf[:n], dtype=np.int64)
+        return self._slice(0, n)
 
     @property
     def buffered(self) -> int:
         """Number of symbols produced so far (grows monotonically)."""
-        return len(self._buf)
+        return self._len
 
     def segment(self, start: int, stop: int) -> np.ndarray:
         """Symbols at 0-based buffer positions [start, stop), cursor untouched."""
         if start < 0 or stop < start:
             raise ValidationError("invalid segment bounds")
-        self._fill(stop)
-        return np.asarray(self._buf[start:stop], dtype=np.int64)
+        return self._slice(start, stop)
 
     def take(self, n: int) -> np.ndarray:
         """Consume and return the next n symbols."""
-        self._fill(self._cursor + n)
-        out = np.asarray(self._buf[self._cursor:self._cursor + n], dtype=np.int64)
+        out = self._slice(self._cursor, self._cursor + n)
         self._cursor += n
         return out
 
@@ -104,10 +116,37 @@ class DriverStream:
         return self.kind
 
 
+def _pieces(symbols):
+    """Yield a finite symbol sequence as int64 arrays of at most _BLOCK symbols."""
+    arr = np.asarray(symbols, dtype=np.int64)
+    for i in range(0, arr.size, _BLOCK):
+        yield arr[i:i + _BLOCK]
+
+
+def _run(symbol: int, count: int):
+    """Yield `count` copies of one symbol as arrays of at most _BLOCK symbols."""
+    while count > 0:
+        size = min(count, _BLOCK)
+        yield np.full(size, symbol, dtype=np.int64)
+        count -= size
+
+
+def _champernowne_blocks(K: int):
+    """All words of length 1, then length 2, ..., each length lexicographic:
+    the length-m block spells the base-K digits of 0..K^m-1, plus one."""
+    for m in itertools.count(1):
+        weights = K ** np.arange(m - 1, -1, -1, dtype=np.int64)
+        words = K ** m
+        per = max(1, _BLOCK // m)
+        for lo in range(0, words, per):
+            codes = np.arange(lo, min(lo + per, words), dtype=np.int64)
+            yield (codes[:, None] // weights % K + 1).ravel()
+
+
 def literal_driver(word: Word) -> DriverStream:
     """Finite driver; consuming past the end raises CapExceededError."""
     def gen():
-        yield from word.symbols
+        yield from _pieces(word.symbols)
 
     return DriverStream("literal", word.alphabet_size, gen, {"length": len(word)})
 
@@ -117,12 +156,7 @@ def champernowne(K: int) -> DriverStream:
     if K < 2:
         raise ValidationError("Champernowne driver needs alphabet size >= 2")
 
-    def gen():
-        for m in itertools.count(1):
-            for w in itertools.product(range(1, K + 1), repeat=m):
-                yield from w
-
-    return DriverStream("champernowne", K, gen, {"K": K})
+    return DriverStream("champernowne", K, lambda: _champernowne_blocks(K), {"K": K})
 
 
 def _euler_circuit_symbols(K: int, m: int) -> list:
@@ -167,16 +201,11 @@ def is_de_bruijn(word: Word, m: int) -> bool:
     K = word.alphabet_size
     if len(word) != K ** m + m - 1:
         return False
-    seen = set()
-    code = 0
-    mod = K ** m
-    for i, s in enumerate(word.symbols):
-        code = (code * K + (s - 1)) % mod
-        if i >= m - 1:
-            if code in seen:
-                return False
-            seen.add(code)
-    return len(seen) == K ** m
+    digits = np.asarray(word.symbols, dtype=np.int64) - 1
+    codes = np.zeros(K ** m, dtype=np.int64)   # one code per length-m factor
+    for j in range(m):
+        codes = codes * K + digits[j:j + K ** m]
+    return bool((np.bincount(codes, minlength=K ** m) == 1).all())
 
 
 def infer_order(word: Word) -> int:
@@ -210,12 +239,15 @@ def _complete_trail(K, V, used, end, start, pref):
     def walk(v):
         syms = []
         while True:
-            s = next((s for s in order if not used[v * K + s]), None)
-            if s is None:
+            base = v * K
+            for s in order:
+                if not used[base + s]:
+                    break
+            else:
                 return syms, v
-            used[v * K + s] = 1
+            used[base + s] = 1
             syms.append(s + 1)
-            v = (v * K + s) % V
+            v = (base + s) % V
 
     tail, stuck = walk(end)
     if stuck != start:
@@ -225,7 +257,7 @@ def _complete_trail(K, V, used, end, start, pref):
         node = end
         spliced = False
         for i in range(len(tail) + 1):
-            if any(not used[node * K + s] for s in range(K)):
+            if 0 in used[node * K:node * K + K]:
                 cyc, back = walk(node)
                 if back != node or not cyc:
                     return None
@@ -300,18 +332,16 @@ def infinite_de_bruijn(K: int, budget: int = DEFAULT_WORD_BUDGET) -> DriverStrea
 
     def gen():
         w = de_bruijn_word(K, 1 if K >= 3 else 2)
-        yield from w.symbols
+        yield from _pieces(w.symbols)
         while True:
             order = infer_order(w) + alpha(K)
             if K ** order > budget:
                 break
             w2 = extend_de_bruijn(w, K, budget=budget)
-            yield from w2.symbols[len(w):]
+            yield from _pieces(w2.symbols[len(w):])
             w = w2
         # Disjunctive tail beyond the realized orders.
-        for m in itertools.count(1):
-            for u in itertools.product(range(1, K + 1), repeat=m):
-                yield from u
+        yield from _champernowne_blocks(K)
 
     return DriverStream("de_bruijn_infinite", K, gen, {"K": K})
 
@@ -355,20 +385,16 @@ def example4_driver(z: float) -> DriverStream:
     def gen():
         k = 2 * k0
         start = example4_block_start(k, z)
-        n = 1
+        n = 1   # position of the next symbol
         while True:
-            if n < start:
-                yield 2
-            elif n < start + k:
-                yield 1
-            else:
-                k += 1
-                nxt = example4_block_start(k, z)
-                if nxt <= start + k - 1:
-                    raise InternalInvariantError("block overlap in block driver")
-                start = nxt
-                continue
-            n += 1
+            yield from _run(2, start - n)
+            yield from _run(1, k)
+            n = start + k
+            k += 1
+            nxt = example4_block_start(k, z)
+            if nxt <= start + k - 1:
+                raise InternalInvariantError("block overlap in block driver")
+            start = nxt
 
     return DriverStream("example4", 2, gen, {"z": z, "k0": k0})
 
@@ -381,8 +407,7 @@ def random_driver(K: int, seed: int) -> DriverStream:
     def gen():
         rng = np.random.default_rng(seed)
         while True:
-            for s in rng.integers(1, K + 1, size=4096):
-                yield int(s)
+            yield rng.integers(1, K + 1, size=4096)
 
     return DriverStream("random", K, gen, {"K": K, "seed": seed})
 
@@ -416,10 +441,9 @@ def word_coverage(driver: DriverStream, m: int, cap: int = DEFAULT_COVERAGE_CAP,
     pos = 0
     while pos < cap:
         take = min(chunk, cap - pos)
-        syms = driver.prefix(pos + take)[pos:pos + take]
-        for s in syms:
+        for s in driver.segment(pos, pos + take).tolist():
             pos += 1
-            code = (code * K + (int(s) - 1)) % total
+            code = (code * K + (s - 1)) % total
             if pos >= m and not seen[code]:
                 seen[code] = 1
                 found += 1

@@ -147,6 +147,19 @@ def _parse_floats(text: str, what: str, errors: list) -> tuple:
         return ()
 
 
+def _parse_float(raw: str, what: str, errors: list):
+    """A finite float, or None after recording why not."""
+    try:
+        value = float(raw)
+    except ValueError:
+        errors.append(f"{what}: expected a number, got {raw!r}")
+        return None
+    if not math.isfinite(value):
+        errors.append(f"{what}: expected a finite number, got {raw!r}")
+        return None
+    return value
+
+
 def _parse_int(raw: str, what: str, errors: list, default=None):
     if raw is None:
         if default is not None:
@@ -262,10 +275,7 @@ def parse_config(text: str) -> ExperimentConfig:
             if raw is None:
                 errors.append("[driver] example4 requires z")
             else:
-                try:
-                    dparams["z"] = float(raw)
-                except ValueError:
-                    errors.append(f"[driver] z: expected a number, got {raw!r}")
+                dparams["z"] = _parse_float(raw, "[driver] z", errors)
         if kind == "literal":
             raw = get("driver", "symbols")
             if raw is None:
@@ -286,7 +296,7 @@ def parse_config(text: str) -> ExperimentConfig:
                     if raw is None:
                         errors.append("[driver] slow psi=power requires z")
                     else:
-                        dparams["z"] = float(raw)
+                        dparams["z"] = _parse_float(raw, "[driver] z", errors)
                 else:
                     dparams["order"] = _parse_int(get("driver", "order"),
                                                   "[driver] order", errors)
@@ -321,10 +331,11 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append("[eps] geometric form requires a, r, m_lo, m_hi")
             eps_schedule = ("list",)
         else:
-            a, r = float(a_raw), float(r_raw)
-            if not 0.0 < r < 1.0:
+            a = _parse_float(a_raw, "[eps] a", errors)
+            r = _parse_float(r_raw, "[eps] r", errors)
+            if r is not None and not 0.0 < r < 1.0:
                 errors.append("[eps] r must lie in (0, 1)")
-            if a <= 0:
+            if a is not None and a <= 0:
                 errors.append("[eps] a must be positive")
             if lo > hi:
                 errors.append("[eps] m_lo must be <= m_hi")
@@ -384,6 +395,8 @@ def parse_config(text: str) -> ExperimentConfig:
             ifs = cfg.build_ifs()
             if any(len(p) != ifs.dim for p in cfg.x0):
                 errors.append(f"[run] x0 points must be {ifs.dim}-dimensional")
+            if not all(math.isfinite(c) for p in cfg.x0 for c in p):
+                errors.append(f"[run] x0 coordinates must be finite, got {x0_raw!r}")
             if kind in ("example4",) and ifs.alphabet_size != 2:
                 errors.append("[driver] example4 requires a 2-map system")
             if exact and not _is_halving(ifs):

@@ -20,14 +20,17 @@ from .errors import CapExceededError, ValidationError
 
 _MAGIC = b"IFSC"
 _FORMAT_VERSION = 1
+_HEADER = struct.Struct("<IIQdI")   # version, dim, count, resolution, depth
 
 DEFAULT_POINT_BUDGET = 2 ** 24
 
 
-def _as_vector(x, dim):
+def _as_vector(x, dim, what="point"):
     v = np.atleast_1d(np.asarray(x, dtype=float))
     if v.shape != (dim,):
-        raise ValidationError(f"expected a {dim}-vector, got shape {v.shape}")
+        raise ValidationError(f"{what}: expected a {dim}-vector, got shape {v.shape}")
+    if not np.isfinite(v).all():
+        raise ValidationError(f"{what}: coordinates must be finite, got {v.tolist()}")
     return v
 
 
@@ -165,7 +168,7 @@ def run_orbit(ifs: IfsSystem, driver, x0, n: int) -> Orbit:
     """Run the deterministic chaos game for n steps, consuming n symbols."""
     if n < 0:
         raise ValidationError("orbit length must be >= 0")
-    x0 = _as_vector(x0, ifs.dim)
+    x0 = _as_vector(x0, ifs.dim, "x0")
     symbols = np.asarray(driver.take(n), dtype=np.int64)
     pts = np.empty((n + 1, ifs.dim))
     pts[0] = x0
@@ -352,22 +355,36 @@ def write_cloud(path, cloud: AttractorCloud) -> None:
     Little-endian throughout; identical clouds serialize byte-identically.
     """
     pts = np.ascontiguousarray(cloud.points, dtype="<f8")
-    header = _MAGIC + struct.pack(
-        "<IIQdI", _FORMAT_VERSION, pts.shape[1], pts.shape[0],
-        cloud.resolution, cloud.depth,
-    )
+    header = _MAGIC + _HEADER.pack(_FORMAT_VERSION, pts.shape[1], pts.shape[0],
+                                   cloud.resolution, cloud.depth)
     with open(path, "wb") as fh:
         fh.write(header)
         fh.write(pts.tobytes(order="C"))
 
 
 def read_cloud(path) -> AttractorCloud:
+    """Inverse of write_cloud; a malformed or truncated file raises
+    ValidationError naming the file."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
-            raise ValidationError(f"bad cloud cache magic {magic!r}")
-        version, dim, count, resolution, depth = struct.unpack("<IIQdI", fh.read(28))
+            raise ValidationError(f"{path}: bad cloud cache magic {magic!r}")
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise ValidationError(
+                f"{path}: truncated cloud cache header ({len(header)} of "
+                f"{_HEADER.size} bytes)")
+        version, dim, count, resolution, depth = _HEADER.unpack(header)
         if version != _FORMAT_VERSION:
-            raise ValidationError(f"unsupported cloud cache version {version}")
-        data = np.frombuffer(fh.read(count * dim * 8), dtype="<f8").reshape(count, dim)
+            raise ValidationError(f"{path}: unsupported cloud cache version {version}")
+        if dim < 1 or count < 1:
+            raise ValidationError(f"{path}: cloud cache holds {count} points "
+                                  f"of dimension {dim}")
+        size = count * dim * 8
+        payload = fh.read(size)
+        if len(payload) != size:
+            raise ValidationError(
+                f"{path}: truncated cloud cache payload ({len(payload)} of "
+                f"{size} bytes)")
+    data = np.frombuffer(payload, dtype="<f8").reshape(count, dim)
     return AttractorCloud.from_points(data.copy(), resolution=resolution, depth=depth)

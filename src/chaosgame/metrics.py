@@ -11,6 +11,8 @@ are recoverable.
 
 from __future__ import annotations
 
+import bisect
+import functools
 import math
 from dataclasses import dataclass
 
@@ -63,7 +65,6 @@ class DimensionEstimate:
     samples: tuple                # CoverEstimate per kept radius b_m
     rates_lower: tuple            # ln(lower)/ln(1/b_m) per kept radius
     rates_upper: tuple            # ln(upper)/ln(1/b_m) per kept radius
-    liminf_proxy: float
 
     @property
     def bracket_width(self) -> float:
@@ -74,47 +75,48 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
                   cloud: AttractorCloud, cap: int = DEFAULT_ORBIT_CAP) -> RecoveryRecord:
     """Least n with every cloud point within eps of some orbit point x_0..x_n.
 
-    The orbit is generated incrementally; coverage flags are maintained with
-    a spatial index over the still-uncovered cloud points, so the returned n
-    is the exact deterministic minimum.  Does not consume the driver cursor.
+    The orbit is generated in chunks of _CHUNK symbols read with
+    driver.segment, so the driver cursor is not consumed.  Each chunk is
+    checked against the still-uncovered cloud points, and the returned n is
+    the exact deterministic minimum.
+
+    In 1-d an orbit point y covers a cloud point p when abs(y - p) <= eps in
+    floating point.  A cKDTree ball query applies the same test as long as
+    eps**2 is a normal float (eps above about 1.5e-154); below that it
+    compares rounded subnormal squares.  The orbit is stepped in plain
+    floats one run of equal symbols at a time; once a*x + b == x bit for bit
+    the rest of the run repeats x and is filled without stepping.  A chunk's
+    orbit points are stably sorted; each uncovered cloud point's window of
+    orbit points within eps comes from searchsorted with its edges settled
+    by the exact test, and a range minimum (sparse table) over the sorted
+    order gives the first orbit point in the window.  In d dimensions a
+    cKDTree over the uncovered cloud points answers one ball query per orbit
+    point.
     """
-    if eps <= cloud.resolution:
+    if not eps > cloud.resolution:
         raise ValidationError(
             f"eps={eps:g} must exceed the cloud resolution {cloud.resolution:g} "
             "for coverage to be certifiable"
         )
     if cap < 0:
         raise ValidationError("orbit cap must be >= 0")
-    x0 = _as_vector(x0, ifs.dim)
-    covered = np.zeros(cloud.size, dtype=bool)
+    x0 = _as_vector(x0, ifs.dim, "x0")
+    if ifs.dim == 1:
+        x, step = float(x0[0]), _line_stepper(ifs)
+        cover = _LineCover(cloud.points[:, 0], eps)
+    else:
+        x, step = x0, _map_stepper(ifs)
+        cover = _TreeCover(cloud.points, eps)
 
-    # 1-d fast path: plain-float recurrence keeps long orbits cheap.
-    scalar = ifs.dim == 1
-    if scalar:
-        coeffs = [(float(m.matrix[0, 0]), float(m.offset[0])) for m in ifs.maps]
+    def record(n):
+        return RecoveryRecord(eps=float(eps), n=n, x0=x0, driver=driver.describe(),
+                              guard=cloud.resolution, cap=cap)
 
-    label = driver.describe()
-    x = x0.copy()
     pos = 0          # index of the orbit point currently stored in x
-    pending = [x0]   # orbit points not yet checked against the cloud
-
-    def flush(first_pos: int) -> int | None:
-        """Mark coverage for pending points; return the minimal covering n."""
-        uncov_idx = np.flatnonzero(~covered)
-        tree = cKDTree(cloud.points[uncov_idx])
-        hits = tree.query_ball_point(np.asarray(pending), eps)
-        for off, hit in enumerate(hits):
-            if hit:
-                covered[uncov_idx[hit]] = True
-                if covered.all():
-                    return first_pos + off
-        return None
-
-    n = flush(0)
+    n = cover(x0[None, :] if ifs.dim > 1 else x0, 0)
     while n is None:
         if pos >= cap:
-            return RecoveryRecord(eps=float(eps), n=None, x0=x0,
-                                  driver=label, guard=cloud.resolution, cap=cap)
+            return record(None)
         stop = min(pos + _CHUNK, cap)
         try:
             symbols = driver.segment(pos, stop)
@@ -122,25 +124,136 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
             # Finite driver ran out before covering the cloud.
             symbols = driver.segment(pos, driver.buffered)
             if len(symbols) == 0:
-                return RecoveryRecord(eps=float(eps), n=None, x0=x0,
-                                      driver=label, guard=cloud.resolution, cap=cap)
+                return record(None)
             stop = pos + len(symbols)
-        pending = []
-        if scalar:
-            xv = float(x[0])
-            for s in symbols:
-                a, b = coeffs[s - 1]
-                xv = a * xv + b
-                pending.append((xv,))
-            x = np.array([xv])
-        else:
-            for s in symbols:
-                x = ifs.map_for(int(s))(x)
-                pending.append(x)
-        n = flush(pos + 1)
+        points, x = step(x, symbols)
+        n = cover(points, pos + 1)
         pos = stop
-    return RecoveryRecord(eps=float(eps), n=int(n), x0=x0,
-                          driver=label, guard=cloud.resolution, cap=cap)
+    return record(int(n))
+
+
+def _line_stepper(ifs: IfsSystem):
+    """Step a 1-d orbit in plain floats, run by run, skipping fixed points."""
+    coeffs = [(float(m.matrix[0, 0]), float(m.offset[0])) for m in ifs.maps]
+
+    def step(x: float, symbols: np.ndarray):
+        if symbols.min() < 1 or symbols.max() > len(coeffs):
+            raise ValidationError(
+                f"invalid symbol in driver chunk, alphabet is 1..{len(coeffs)}")
+        bounds = [0, *(np.flatnonzero(np.diff(symbols)) + 1).tolist(), len(symbols)]
+        runs = symbols[bounds[:-1]].tolist()
+        out: list = []
+        for s, lo, hi in zip(runs, bounds, bounds[1:]):
+            a, b = coeffs[s - 1]
+            for i in range(lo, hi):
+                y = a * x + b
+                if y == x:
+                    out.extend([x] * (hi - i))
+                    break
+                x = y
+                out.append(x)
+        return np.array(out), x
+
+    return step
+
+
+def _map_stepper(ifs: IfsSystem):
+    """Step a d-dim orbit one affine map at a time."""
+    def step(x: np.ndarray, symbols: np.ndarray):
+        points = []
+        for s in symbols.tolist():
+            x = ifs.map_for(s)(x)
+            points.append(x)
+        return np.asarray(points), x
+
+    return step
+
+
+class _LineCover:
+    """Coverage of a 1-d cloud, chunk by chunk, without per-hit lists.
+
+    Calling it with a chunk of orbit points whose first one is orbit point
+    first_pos marks the cloud points they cover, and returns the least n at
+    which every cloud point is covered, or None.
+    """
+
+    def __init__(self, values: np.ndarray, eps: float):
+        self.eps = eps
+        self.uncovered = np.sort(values)
+
+    def __call__(self, ys: np.ndarray, first_pos: int):
+        eps, p = self.eps, self.uncovered
+        order = np.argsort(ys, kind="stable")
+        srt = ys[order]
+        # Only cloud points within eps of the chunk's range can be hit.
+        lowest, highest = srt[0], srt[-1]
+        a = _settle(p, np.searchsorted(p, [lowest - eps], "left"),
+                    lambda v, q: lowest - v > eps)[0]
+        b = _settle(p, np.searchsorted(p, [highest + eps], "right"),
+                    lambda v, q: v - highest <= eps)[0]
+        near = p[a:b]
+        lo = _settle(srt, np.searchsorted(srt, near - eps, "left"),
+                     lambda y, q: y - near[q] < -eps)
+        hi = _settle(srt, np.searchsorted(srt, near + eps, "right"),
+                     lambda y, q: y - near[q] <= eps)
+        hit = lo < hi
+        if hit.all() and near.size == p.size:
+            return first_pos + int(_range_min(order, lo, hi).max())
+        self.uncovered = np.concatenate([p[:a], near[~hit], p[b:]])
+        return None
+
+
+def _settle(srt: np.ndarray, guess: np.ndarray, below) -> np.ndarray:
+    """Per query q, the least j such that below(srt[j], q) is false.
+
+    below(., q) must hold on a prefix of the ascending array srt.  Each
+    guess moves one block of equal values at a time, never past the answer.
+    """
+    g = guess
+    q = np.arange(g.size)
+    while q.size:
+        gq = g[q]
+        back = gq > 0
+        back[back] = ~below(srt[gq[back] - 1], q[back])
+        fwd = ~back & (gq < srt.size)
+        fwd[fwd] = below(srt[gq[fwd]], q[fwd])
+        g[q[back]] = np.searchsorted(srt, srt[gq[back] - 1], "left")
+        g[q[fwd]] = np.searchsorted(srt, srt[gq[fwd]], "right")
+        q = q[back | fwd]
+    return g
+
+
+def _range_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
+    """min(values[lo:hi]) per window (every lo < hi), from a sparse table
+    whose row j holds the minima of the windows of length 2**j."""
+    k = np.frexp(hi - lo)[1] - 1          # floor(log2(hi - lo))
+    table = np.zeros((int(k.max()) + 1, values.size), dtype=values.dtype)
+    table[0] = values
+    for j in range(1, table.shape[0]):
+        half = 1 << (j - 1)
+        table[j, :-half] = np.minimum(table[j - 1, :-half], table[j - 1, half:])
+    return np.minimum(table[k, lo], table[k, hi - (1 << k)])
+
+
+class _TreeCover:
+    """Coverage of a d-dim cloud: per chunk, a cKDTree over the uncovered
+    points and one ball query per orbit point."""
+
+    def __init__(self, points: np.ndarray, eps: float):
+        self.eps = eps
+        self.points = points
+        self.covered = np.zeros(points.shape[0], dtype=bool)
+
+    def __call__(self, pending: np.ndarray, first_pos: int):
+        uncov_idx = np.flatnonzero(~self.covered)
+        tree = cKDTree(self.points[uncov_idx])
+        hits = tree.query_ball_point(pending, self.eps)
+        for off, hit in enumerate(hits):
+            if hit:
+                self.covered[uncov_idx[hit]] = True
+                if self.covered.all():
+                    return first_pos + off
+        return None
 
 
 def coverage_holds(ifs: IfsSystem, driver, x0, eps: float,
@@ -160,38 +273,56 @@ def covering_estimate(points, eps: float) -> CoverEstimate:
     canonical order) uncovered point.  lower: greedy maximal 2*eps-separated
     subset; no eps-ball can contain two such points, so the true covering
     number is at least its size.
+
+    A ball of radius r centred at c holds p when abs(p - c) <= r in floating
+    point (in d dimensions, by the Euclidean distance cKDTree computes; in
+    1-d the two tests agree while r**2 is a normal float).  For ascending
+    1-d input the greedy jumps from centre to centre: after centre c the
+    first uncovered point is the first p with p - c > r, found by bisection
+    and settled by that exact test.  Other input is greedy over ball queries
+    on a cKDTree.
     """
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValidationError("covering estimate needs a nonempty point set")
     if eps <= 0:
         raise ValidationError("covering radius must be positive")
-    tree = cKDTree(pts)
-    n = pts.shape[0]
+    if pts.shape[1] == 1 and (pts[1:, 0] >= pts[:-1, 0]).all():
+        greedy = functools.partial(_line_greedy, pts[:, 0].tolist())
+    else:
+        greedy = functools.partial(_tree_greedy, cKDTree(pts), pts)
+    return CoverEstimate(eps=float(eps), lower=greedy(2.0 * eps), upper=greedy(eps))
 
+
+def _line_greedy(values: list, r: float) -> int:
+    """Greedy count of closed r-balls centred at the first uncovered point,
+    for ascending values."""
+    count, i, n = 0, 0, len(values)
+    while i < n:
+        c = values[i]
+        count += 1
+        j = bisect.bisect_right(values, c + r, i)
+        while j < n and values[j] - c <= r:
+            j += 1
+        while values[j - 1] - c > r:
+            j -= 1
+        i = j
+    return count
+
+
+def _tree_greedy(tree: cKDTree, pts: np.ndarray, r: float) -> int:
+    """Greedy count of closed r-balls centred at the first uncovered point."""
+    n = pts.shape[0]
     covered = np.zeros(n, dtype=bool)
-    upper = 0
+    count = 0
     cursor = 0
     while True:
         while cursor < n and covered[cursor]:
             cursor += 1
         if cursor == n:
-            break
-        covered[tree.query_ball_point(pts[cursor], eps)] = True
-        upper += 1
-
-    excluded = np.zeros(n, dtype=bool)
-    lower = 0
-    cursor = 0
-    while True:
-        while cursor < n and excluded[cursor]:
-            cursor += 1
-        if cursor == n:
-            break
-        excluded[tree.query_ball_point(pts[cursor], 2.0 * eps)] = True
-        lower += 1
-
-    return CoverEstimate(eps=float(eps), lower=lower, upper=upper)
+            return count
+        covered[tree.query_ball_point(pts[cursor], r)] = True
+        count += 1
 
 
 def box_dimension(cloud: AttractorCloud, a: float, r: float,
@@ -224,7 +355,7 @@ def box_dimension(cloud: AttractorCloud, a: float, r: float,
     value = min(ru)
     return DimensionEstimate(value=value, schedule=(a, r, (m_lo, m_hi)),
                              samples=tuple(samples), rates_lower=tuple(rl),
-                             rates_upper=tuple(ru), liminf_proxy=value)
+                             rates_upper=tuple(ru))
 
 
 def log_rate(n: int, eps: float) -> float | None:

@@ -116,3 +116,62 @@ class TestExperiment:
         code, _, err = run(capsys, "experiment", "run", str(path))
         assert code == 2
         assert "schema_version" in err
+
+
+class TestBadInputExit2:
+    """Bad values exit with code 2 and a message naming the input."""
+
+    @pytest.fixture
+    def config(self, tmp_path):
+        from tests.test_harness import MINIMAL
+
+        def write(*edits):
+            text = MINIMAL
+            for old, new in edits:
+                assert old in text
+                text = text.replace(old, new)
+            path = tmp_path / "cfg.ini"
+            path.write_text(text)
+            return str(path)
+        return write
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_config_x0_not_finite(self, capsys, config, value):
+        code, _, err = run(capsys, "experiment", "run",
+                           config(("x0 = 0; 1", f"x0 = 0; {value}")))
+        assert code == 2
+        assert "[run] x0" in err and "finite" in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "one"])
+    def test_recover_x0_not_finite(self, capsys, value):
+        code, _, err = run(capsys, "recover", "--ifs", "cantor",
+                           "--driver", "champernowne", "--x0", value,
+                           "--eps", "0.1", "--resolution", "0.001")
+        assert code == 2
+        assert "x0" in err
+
+    @pytest.mark.parametrize("key,old", [("a", "a = 1"),
+                                         ("r", "r = 0.33333333333333331")])
+    def test_eps_not_a_number(self, capsys, config, key, old):
+        code, _, err = run(capsys, "experiment", "run",
+                           config((old, f"{key} = one")))
+        assert code == 2
+        assert f"[eps] {key}" in err and "'one'" in err
+
+    def test_slow_z_not_a_number(self, capsys, config):
+        path = config(("kind = champernowne", "kind = slow\npsi = power\nz = one"),
+                      ("[eps]\na = 1\nr = 0.33333333333333331\nm_lo = 3\n"
+                       "m_hi = 5\n\n", ""))
+        code, _, err = run(capsys, "experiment", "run", path)
+        assert code == 2
+        assert "[driver] z" in err and "'one'" in err
+
+    @pytest.mark.parametrize("keep,part", [(10, "header"), (80, "payload")])
+    def test_truncated_cloud_cache(self, capsys, config, tmp_path, keep, part):
+        path, cache = config(), tmp_path / "cache"
+        assert run(capsys, "experiment", "run", path, "--cache", str(cache))[0] == 0
+        (cloud_file,) = cache.glob("*.ifsc")
+        cloud_file.write_bytes(cloud_file.read_bytes()[:keep])
+        code, _, err = run(capsys, "experiment", "run", path, "--cache", str(cache))
+        assert code == 2
+        assert str(cloud_file) in err and f"truncated cloud cache {part}" in err

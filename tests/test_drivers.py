@@ -1,5 +1,7 @@
 """Symbol drivers: Champernowne, de Bruijn, block drivers, word coverage."""
 
+import hashlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -215,3 +217,58 @@ class TestWordCoverage:
     def test_champernowne_bound_property(self, m):
         n_i = cg.word_coverage(cg.champernowne(2), m).n_of_m
         assert n_i <= cg.champernowne_coverage_bound(2, m)
+
+
+def _slow_driver():
+    cantor = cg.cantor_ifs()
+    cloud = cg.build_cloud(cantor, 1e-5)
+    base = cg.choose_base_map(cantor, cloud)
+    schedule = cg.build_schedule(cantor, cloud, cg.power_rate(1.0), base,
+                                 k_max=2, step_cap=100000)
+    return cg.slow_driver(schedule)   # 3171 scheduled symbols, then the tail
+
+
+# Each hash is hashlib.sha256 over the first n symbols written one byte per
+# symbol, np.asarray(driver.prefix(n), dtype=np.uint8).tobytes(), as
+# produced by the drivers that generated one Python int per symbol and
+# buffered them in a list.  The array-producing drivers must match them.
+PREFIX_SHA256 = [
+    ("champernowne K=2", lambda: cg.champernowne(2), 2 ** 20,
+     "6a28a1208a6d9629e13950e8dbbe6565a77d9907e7ed702ef0821a116a3e80ad"),
+    ("champernowne K=3", lambda: cg.champernowne(3), 2 ** 20,
+     "fcef2a2ba775504b79e56df7b9ad1bfa5d2f6da2a7ec3a629e6c9877083264f2"),
+    ("debruijn K=2", lambda: cg.infinite_de_bruijn(2), 2 ** 20,
+     "696fbba24f18a2a6160901b81d46d8a040141960ba33bec211cb7996b3ffe2cc"),
+    ("debruijn K=3", lambda: cg.infinite_de_bruijn(3), 2 ** 20,
+     "3503e43d832865ab80938f3f314ee8955ff24d13366abbe17de8e251c1bd2af2"),
+    ("example4 z=1", lambda: cg.example4_driver(1.0), 2 ** 20,
+     "2c74738242f9c0d4bf5b708557e956fa711d54510952dd9589927a5e1a98f964"),
+    ("example4 z=0.5", lambda: cg.example4_driver(0.5), 2 ** 20,
+     "92dce1b0f7409782c1f64dc1881f4c09cb43a1b982b81881951353792c591d5f"),
+    ("random K=2 seed=7", lambda: cg.random_driver(2, 7), 2 ** 20,
+     "8a282012a2d48e0f7eaa77818dbf1dec0312a8aa628c50d0681ee9587100677b"),
+    ("random K=3 seed=11", lambda: cg.random_driver(3, 11), 2 ** 20,
+     "a6cdc15e9a87bb396048f675ebd35099cecc9a469c8d992b387ad77a7d8cb398"),
+    ("literal de Bruijn word K=2 m=12",
+     lambda: cg.literal_driver(cg.de_bruijn_word(2, 12)), 2 ** 12 + 11,
+     "5332aebdc2e37c895632a7a6af1c307abc02b287e7911a88e32aa4b1d61b0c1a"),
+    ("slow cantor power z=1 k_max=2", _slow_driver, 2 ** 20,
+     "9645cdcee0f32660677d162d8839036d146e1abaf097d9edc71fb99d7a755e70"),
+]
+
+
+@pytest.mark.parametrize("make,n,expected",
+                         [case[1:] for case in PREFIX_SHA256],
+                         ids=[case[0] for case in PREFIX_SHA256])
+def test_prefix_unchanged(make, n, expected):
+    symbols = make().prefix(n)
+    assert symbols.dtype == np.int64 and symbols.shape == (n,)
+    assert hashlib.sha256(symbols.astype(np.uint8).tobytes()).hexdigest() == expected
+
+
+def test_segments_agree_with_prefix():
+    # Chunked reads in any order see the same buffered symbols.
+    d = cg.champernowne(3)
+    whole = cg.champernowne(3).prefix(200000)
+    for start, stop in [(150000, 200000), (0, 7), (7, 150000), (3, 3)]:
+        assert np.array_equal(d.segment(start, stop), whole[start:stop])

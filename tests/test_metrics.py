@@ -4,8 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import chaosgame as cg
+from chaosgame import metrics
 from chaosgame.errors import CapExceededError, ValidationError
 
 
@@ -175,3 +179,129 @@ class TestKeyInequality:
             rec = cg.recovery_time(cantor, cg.champernowne(2), [x0], eps,
                                    cantor_cloud)
             assert cg.key_inequality_check(rec, cover)
+
+
+# Scalar contractions with exact and drawn coefficients; a = 0 and b = 0
+# give maps whose runs reach their fixed point bit for bit (a = 0 at once,
+# b = 0 by underflow to 0 after several hundred steps).
+_COEFF_A = st.sampled_from([0.5, 1 / 3, -0.5, 0.0, 0.25]) | st.floats(-0.9, 0.9)
+_COEFF_B = st.sampled_from([0.0, 1.0, 2 / 3, -0.25]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _line_recovery_case(draw):
+    K = draw(st.integers(1, 3))
+    ifs = cg.IfsSystem.create([cg.scalar_map(draw(_COEFF_A), draw(_COEFF_B))
+                               for _ in range(K)])
+    # A cloud of attractor points: an orbit from the first map's fixed point.
+    start = cg.fixed_point(ifs.maps[0])
+    pts = cg.run_orbit(ifs, cg.random_driver(K, draw(st.integers(0, 99))),
+                       start, draw(st.integers(0, 60))).points
+    cloud = cg.AttractorCloud.from_points(pts, resolution=0.0)
+    if draw(st.booleans()):
+        runs = draw(st.lists(st.tuples(st.integers(1, K),
+                                       st.sampled_from([1, 2, 3, 70, 1200])),
+                             min_size=1, max_size=12))
+        word = tuple(s for sym, length in runs for s in [sym] * length)
+        make = lambda: cg.literal_driver(cg.Word(word, K))   # noqa: E731
+    else:
+        seed = draw(st.integers(0, 10 ** 6))
+        make = lambda: cg.random_driver(K, seed)   # noqa: E731
+    x0 = draw(st.sampled_from([0.0, 1.0]) | st.floats(-3.0, 3.0))
+    return ifs, make, x0, cloud
+
+
+class TestLineRecoveryEngine:
+    """The 1-d engine against from-scratch orbits and a cKDTree
+    (coverage_holds), which do not go through the engine."""
+
+    def _check(self, ifs, make, x0, cloud, eps, cap=3000):
+        rec = cg.recovery_time(ifs, make(), [x0], eps, cloud, cap=cap)
+        if rec.n is None:
+            try:
+                assert not cg.coverage_holds(ifs, make(), [x0], eps, cloud, cap)
+            except CapExceededError:     # a finite word ran out first
+                pass
+            return None
+        assert cg.coverage_holds(ifs, make(), [x0], eps, cloud, rec.n)
+        if rec.n > 0:
+            assert not cg.coverage_holds(ifs, make(), [x0], eps, cloud, rec.n - 1)
+        return rec.n
+
+    @given(case=_line_recovery_case(), eps=st.floats(1e-9, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_minimal_at_drawn_eps(self, case, eps):
+        self._check(*case, eps)
+
+    @given(case=_line_recovery_case(), pick=st.integers(0, 10 ** 6),
+           length=st.integers(0, 400))
+    @settings(max_examples=60, deadline=None)
+    def test_minimal_at_exact_distance(self, case, pick, length):
+        # eps equal to the distance from a cloud point to its nearest orbit
+        # point puts that cloud point exactly on the ball's boundary.  The
+        # tree squares distances, so below 1e-150 (squares near the
+        # subnormal range) its distances are rounded and it is no oracle.
+        ifs, make, x0, cloud = case
+        try:
+            orbit = cg.run_orbit(ifs, make(), [x0], length).points
+        except CapExceededError:
+            return
+        dist = cKDTree(orbit).query(cloud.points)[0]
+        eps = float(dist[pick % dist.size])
+        if eps > 1e-150:
+            self._check(ifs, make, x0, cloud, eps)
+
+    def test_fixed_point_run_is_filled(self, cantor, cantor_cloud_coarse):
+        # Each run of 5000 first Cantor maps pins the orbit at 0 bit for bit
+        # after about 680 steps.  At eps = 0.05 only the periodic tail after
+        # the second run completes the cover, two chunks in.
+        word = (1,) * 5000 + (2,) * 3 + (1,) * 5000 + (2, 1, 2, 2) * 200
+        make = lambda: cg.literal_driver(cg.Word(word, 2))   # noqa: E731
+        n = self._check(cantor, make, 0.9, cantor_cloud_coarse, 0.05, cap=20000)
+        assert n is not None and n > 10000
+
+    def test_oracles_do_not_use_the_engine(self, monkeypatch, cantor,
+                                           cantor_cloud_coarse):
+        def unavailable(*args, **kwargs):
+            raise AssertionError("oracle routed through the recovery engine")
+
+        for name in ("_line_stepper", "_map_stepper", "_LineCover", "_TreeCover"):
+            monkeypatch.setattr(metrics, name, unavailable)
+        orbit = cg.run_orbit(cantor, cg.champernowne(2), [0.0], 3)
+        assert np.allclose(orbit.points.ravel(), [0.0, 0.0, 2 / 3, 2 / 9])
+        assert cg.coverage_holds(cantor, cg.champernowne(2), [0.0], 0.5,
+                                 cantor_cloud_coarse, 2)
+
+
+def _tree_greedy(points, r):
+    """Reference: greedy ball cover over cKDTree ball queries, in index order."""
+    tree = cKDTree(points)
+    covered = np.zeros(points.shape[0], dtype=bool)
+    count = 0
+    for i in range(points.shape[0]):
+        if not covered[i]:
+            covered[tree.query_ball_point(points[i], r)] = True
+            count += 1
+    return count
+
+
+class TestLineCoveringJump:
+    @given(eps=st.sampled_from([0.1, 1 / 3, 2.0 ** -7, 0.3]) | st.floats(1e-6, 1.0),
+           steps=st.lists(st.sampled_from([0, 1, 2, 3]), min_size=1, max_size=80),
+           jitter=st.lists(st.floats(0.0, 1.0), max_size=20))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_tree_greedy(self, eps, steps, jitter):
+        # Points at multiples of eps: duplicates (step 0) and gaps of
+        # exactly eps and 2*eps as floating point computes them.
+        grid = np.cumsum(steps) * eps
+        values = np.sort(np.concatenate([grid, np.asarray(jitter, dtype=float)]))
+        pts = values[:, None]
+        est = cg.covering_estimate(pts, eps)
+        assert est.upper == _tree_greedy(pts, eps)
+        assert est.lower == _tree_greedy(pts, 2.0 * eps)
+
+    def test_unsorted_input_uses_the_tree(self):
+        pts = np.array([[0.5], [0.0], [1.0], [0.55]])
+        est = cg.covering_estimate(pts, 0.3)
+        assert (est.lower, est.upper) == (_tree_greedy(pts, 0.6),
+                                           _tree_greedy(pts, 0.3))
