@@ -122,9 +122,12 @@ class ExperimentConfig:
 
     def build_ifs(self) -> IfsSystem:
         maps = []
-        for flat, offset in self.ifs_maps:
+        for idx, (flat, offset) in enumerate(self.ifs_maps, start=1):
             d = len(offset)
-            maps.append(AffineMap.create(np.array(flat).reshape(d, d), list(offset)))
+            try:
+                maps.append(AffineMap.create(np.array(flat).reshape(d, d), list(offset)))
+            except ValidationError as exc:
+                raise ValidationError(f"[ifs] map{idx}: {exc}") from None
         return IfsSystem.create(maps)
 
     def eps_values(self) -> tuple:

@@ -48,6 +48,10 @@ class AffineMap:
         offset = np.atleast_1d(np.asarray(offset, dtype=float))
         if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != offset.shape[0]:
             raise ValidationError("matrix must be d x d and offset a d-vector")
+        for name, coeffs in (("matrix", matrix), ("offset", offset)):
+            if not np.isfinite(coeffs).all():
+                raise ValidationError(
+                    f"{name} coefficients must be finite, got {coeffs.ravel().tolist()}")
         # Operator 2-norm (largest singular value) is an exact Lipschitz
         # constant for an affine map; bump it by one ulp so it is a
         # certified upper bound under floating point.

@@ -166,6 +166,15 @@ class TestBadInputExit2:
         assert code == 2
         assert "[driver] z" in err and "'one'" in err
 
+    def test_map_offset_not_finite(self, capsys, config):
+        # Without the check a nan offset deepened the cloud to the point
+        # budget and exited 3 ("resolution infeasible").
+        code, _, err = run(capsys, "experiment", "run", config(
+            ("preset = cantor", "map1.matrix = 0.5\nmap1.offset = 0\n"
+                                "map2.matrix = 0.5\nmap2.offset = nan")))
+        assert code == 2
+        assert "[ifs] map2" in err and "offset" in err and "finite" in err
+
     @pytest.mark.parametrize("keep,part", [(10, "header"), (80, "payload")])
     def test_truncated_cloud_cache(self, capsys, config, tmp_path, keep, part):
         path, cache = config(), tmp_path / "cache"

@@ -16,6 +16,14 @@ class TestAffineMap:
         with pytest.raises(ValidationError, match="not a contraction"):
             cg.AffineMap.create([[0.9, 0.5], [0.0, 0.9]], [0.0, 0.0])
 
+    @pytest.mark.parametrize("a,b,bad", [(0.5, float("nan"), "offset"),
+                                         (0.5, float("inf"), "offset"),
+                                         (float("nan"), 0.0, "matrix"),
+                                         (-float("inf"), 0.0, "matrix")])
+    def test_coefficients_must_be_finite(self, a, b, bad):
+        with pytest.raises(ValidationError, match=f"{bad} coefficients must be finite"):
+            cg.scalar_map(a, b)
+
     def test_lip_is_certified_upper_bound(self):
         rng = np.random.default_rng(7)
         m = cg.AffineMap.create([[0.3, 0.2], [-0.1, 0.4]], [1.0, -1.0])

@@ -208,30 +208,34 @@ def _line_recovery_case(draw):
         seed = draw(st.integers(0, 10 ** 6))
         make = lambda: cg.random_driver(K, seed)   # noqa: E731
     x0 = draw(st.sampled_from([0.0, 1.0]) | st.floats(-3.0, 3.0))
-    return ifs, make, x0, cloud
+    return ifs, make, [x0], cloud
+
+
+def _check_minimal(ifs, make, x0, cloud, eps, cap=3000):
+    """recovery_time's n against from-scratch orbits and a cKDTree
+    (coverage_holds), which do not go through the engine: coverage holds
+    at n and fails at n - 1."""
+    rec = cg.recovery_time(ifs, make(), x0, eps, cloud, cap=cap)
+    if rec.n is None:
+        try:
+            assert not cg.coverage_holds(ifs, make(), x0, eps, cloud, cap)
+        except CapExceededError:     # a finite word ran out first
+            pass
+        return None
+    assert cg.coverage_holds(ifs, make(), x0, eps, cloud, rec.n)
+    if rec.n > 0:
+        assert not cg.coverage_holds(ifs, make(), x0, eps, cloud, rec.n - 1)
+    return rec.n
 
 
 class TestLineRecoveryEngine:
     """The 1-d engine against from-scratch orbits and a cKDTree
     (coverage_holds), which do not go through the engine."""
 
-    def _check(self, ifs, make, x0, cloud, eps, cap=3000):
-        rec = cg.recovery_time(ifs, make(), [x0], eps, cloud, cap=cap)
-        if rec.n is None:
-            try:
-                assert not cg.coverage_holds(ifs, make(), [x0], eps, cloud, cap)
-            except CapExceededError:     # a finite word ran out first
-                pass
-            return None
-        assert cg.coverage_holds(ifs, make(), [x0], eps, cloud, rec.n)
-        if rec.n > 0:
-            assert not cg.coverage_holds(ifs, make(), [x0], eps, cloud, rec.n - 1)
-        return rec.n
-
     @given(case=_line_recovery_case(), eps=st.floats(1e-9, 2.0))
     @settings(max_examples=60, deadline=None)
     def test_minimal_at_drawn_eps(self, case, eps):
-        self._check(*case, eps)
+        _check_minimal(*case, eps)
 
     @given(case=_line_recovery_case(), pick=st.integers(0, 10 ** 6),
            length=st.integers(0, 400))
@@ -243,21 +247,21 @@ class TestLineRecoveryEngine:
         # subnormal range) its distances are rounded and it is no oracle.
         ifs, make, x0, cloud = case
         try:
-            orbit = cg.run_orbit(ifs, make(), [x0], length).points
+            orbit = cg.run_orbit(ifs, make(), x0, length).points
         except CapExceededError:
             return
         dist = cKDTree(orbit).query(cloud.points)[0]
         eps = float(dist[pick % dist.size])
         if eps > 1e-150:
-            self._check(ifs, make, x0, cloud, eps)
+            _check_minimal(ifs, make, x0, cloud, eps)
 
     def test_fixed_point_run_is_filled(self, cantor, cantor_cloud_coarse):
         # Each run of 5000 first Cantor maps pins the orbit at 0 bit for bit
         # after about 680 steps.  At eps = 0.05 only the periodic tail after
-        # the second run completes the cover, two chunks in.
+        # the second run completes the cover, more than 10,000 steps in.
         word = (1,) * 5000 + (2,) * 3 + (1,) * 5000 + (2, 1, 2, 2) * 200
         make = lambda: cg.literal_driver(cg.Word(word, 2))   # noqa: E731
-        n = self._check(cantor, make, 0.9, cantor_cloud_coarse, 0.05, cap=20000)
+        n = _check_minimal(cantor, make, [0.9], cantor_cloud_coarse, 0.05, cap=20000)
         assert n is not None and n > 10000
 
     def test_oracles_do_not_use_the_engine(self, monkeypatch, cantor,
@@ -265,12 +269,91 @@ class TestLineRecoveryEngine:
         def unavailable(*args, **kwargs):
             raise AssertionError("oracle routed through the recovery engine")
 
-        for name in ("_line_stepper", "_map_stepper", "_LineCover", "_TreeCover"):
+        for name in ("_line_stepper", "_map_stepper", "_LineCover", "_PairCover"):
             monkeypatch.setattr(metrics, name, unavailable)
         orbit = cg.run_orbit(cantor, cg.champernowne(2), [0.0], 3)
         assert np.allclose(orbit.points.ravel(), [0.0, 0.0, 2 / 3, 2 / 9])
         assert cg.coverage_holds(cantor, cg.champernowne(2), [0.0], 0.5,
                                  cantor_cloud_coarse, 2)
+
+
+# Planar contractions: diagonal entries within 0.5 and off-diagonal ones
+# within 0.45 keep the operator norm below the Frobenius norm, at most
+# 0.96; the off-diagonal entries are never zero, so each map mixes the
+# coordinates.
+_DIAGONAL = st.sampled_from([0.0, 0.5, -0.25]) | st.floats(-0.5, 0.5)
+_OFF_DIAGONAL = (st.sampled_from([0.25, -0.125]) | st.floats(0.01, 0.45)
+                 | st.floats(-0.45, -0.01))
+_OFFSET = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-1.0, 1.0)
+# Runs around the edges of the growing chunks (orbit points 1..128,
+# 129..384, 385..896, ...), so first hits land on either side of them.
+_RUN = st.sampled_from([1, 2, 3, 127, 128, 129, 255, 256, 257, 511, 512, 700])
+
+
+@st.composite
+def _plane_recovery_case(draw):
+    K = draw(st.integers(1, 3))
+    ifs = cg.IfsSystem.create([
+        cg.AffineMap.create([[draw(_DIAGONAL), draw(_OFF_DIAGONAL)],
+                             [draw(_OFF_DIAGONAL), draw(_DIAGONAL)]],
+                            [draw(_OFFSET), draw(_OFFSET)])
+        for _ in range(K)])
+    start = cg.fixed_point(ifs.maps[0])
+    pts = cg.run_orbit(ifs, cg.random_driver(K, draw(st.integers(0, 99))),
+                       start, draw(st.integers(0, 40))).points
+    cloud = cg.AttractorCloud.from_points(pts, resolution=0.0)
+    if draw(st.booleans()):
+        runs = draw(st.lists(st.tuples(st.integers(1, K), _RUN),
+                             min_size=1, max_size=10))
+        word = tuple(s for sym, length in runs for s in [sym] * length)
+        make = lambda: cg.literal_driver(cg.Word(word, K))   # noqa: E731
+    else:
+        seed = draw(st.integers(0, 10 ** 6))
+        make = lambda: cg.random_driver(K, seed)   # noqa: E731
+    x0 = draw(st.sampled_from([(0.0, 0.0), (1.0, -1.0)])
+              | st.tuples(st.floats(-3.0, 3.0), st.floats(-3.0, 3.0)))
+    return ifs, make, list(x0), cloud
+
+
+class TestPlaneRecoveryEngine:
+    """The d-dim engine (pairs from the cloud's kd-tree) against
+    from-scratch orbits and coverage_holds."""
+
+    @given(case=_plane_recovery_case(), eps=st.floats(1e-6, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_minimal_at_drawn_eps(self, case, eps):
+        _check_minimal(*case, eps)
+
+    @given(case=_plane_recovery_case(), pick=st.integers(0, 10 ** 6),
+           length=st.integers(0, 1000))
+    @settings(max_examples=60, deadline=None)
+    def test_minimal_at_exact_distance(self, case, pick, length):
+        # eps equal to the distance from a cloud point to its nearest orbit
+        # point; eps**2 rounds to either side of that pair's squared
+        # distance, so both sides of the ball's boundary are exercised.
+        ifs, make, x0, cloud = case
+        try:
+            orbit = cg.run_orbit(ifs, make(), x0, length).points
+        except CapExceededError:
+            return
+        dist = cKDTree(orbit).query(cloud.points)[0]
+        eps = float(dist[pick % dist.size])
+        if eps > 1e-150:
+            _check_minimal(ifs, make, x0, cloud, eps)
+
+    @pytest.mark.parametrize("last", [127, 128, 129, 384, 385, 896, 897])
+    def test_last_hit_at_chunk_edges(self, last):
+        # A run of the first map pulls the orbit to its fixed point 0; the
+        # one second-map step at orbit point `last` is the first to reach
+        # f2(0) = (1, 0), the cloud's other point.
+        rot = [[0.5, 0.25], [-0.25, 0.5]]
+        ifs = cg.IfsSystem.create([cg.AffineMap.create(rot, [0.0, 0.0]),
+                                   cg.AffineMap.create(rot, [1.0, 0.0])])
+        cloud = cg.AttractorCloud.from_points([[0.0, 0.0], [1.0, 0.0]],
+                                              resolution=0.0)
+        word = (1,) * (last - 1) + (2,) + (1,) * 10
+        make = lambda: cg.literal_driver(cg.Word(word, 2))   # noqa: E731
+        assert _check_minimal(ifs, make, [0.1, 0.1], cloud, 0.01) == last
 
 
 def _tree_greedy(points, r):
