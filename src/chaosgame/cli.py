@@ -25,14 +25,10 @@ from .construct import (build_schedule, choose_base_map, iterexp_rate,
                         power_rate, slow_driver)
 from .errors import (CapExceededError, ChaosGameError, InternalInvariantError,
                      ValidationError)
-from .harness import (PRESETS, load_preset, make_driver, parse_config,
+from .harness import (PRESETS, _fmt, load_preset, make_driver, parse_config,
                       run_experiment)
 from .ifs import build_cloud, read_cloud, write_cloud
 from .metrics import box_dimension, log_rate, recovery_time
-
-
-def _fmt(v: float) -> str:
-    return f"{float(v):.17g}"
 
 
 def _ifs_from_args(args):

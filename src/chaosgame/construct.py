@@ -11,7 +11,7 @@ runs of a single map pin the orbit at a fixed point (delaying recovery to
 
 from __future__ import annotations
 
-import itertools
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -20,11 +20,13 @@ from scipy.spatial import cKDTree
 
 from .drivers import DriverStream, Word, _pieces, _run, champernowne
 from .errors import CapExceededError, InternalInvariantError, ValidationError
-from .ifs import AttractorCloud, IfsSystem, fixed_point
-from .metrics import covering_estimate
+from .ifs import AttractorCloud, IfsSystem, _hutchinson_points, fixed_point
+from .metrics import _greedy_walk, covering_estimate
 
 DEFAULT_ADDRESS_BUDGET = 2 ** 24
 _EXP_OVERFLOW = 700.0  # exp argument beyond which float64 overflows
+# Each run rebuilds its covering words; equal ones share one tuple (8 bytes a symbol).
+_shared_word = functools.lru_cache(maxsize=8)(Word)
 
 
 @dataclass(frozen=True)
@@ -191,24 +193,6 @@ def choose_base_map(ifs: IfsSystem, cloud: AttractorCloud,
     )
 
 
-def _addressed_points(ifs: IfsSystem, m: int, budget: int):
-    """All depth-m composition points with their address words.
-
-    Word (a_1, ..., a_m) addresses f_{a_1} o ... o f_{a_m} applied to the
-    fixed point of the first map; enumeration is lexicographic in the word.
-    """
-    K = ifs.alphabet_size
-    if K ** m > budget:
-        raise CapExceededError(
-            f"depth {m} needs {K ** m} address points, budget is {budget}"
-        )
-    pts = fixed_point(ifs.maps[0])[None, :]
-    for _ in range(m):
-        pts = np.concatenate([mp(pts) for mp in ifs.maps], axis=0)
-    words = list(itertools.product(range(1, K + 1), repeat=m))
-    return pts, words
-
-
 def build_sigma(ifs: IfsSystem, cloud: AttractorCloud, d: float, m: int,
                 budget: int = DEFAULT_ADDRESS_BUDGET) -> Word:
     """Covering word: a greedy d-cover of the cloud by depth-m address points,
@@ -219,39 +203,39 @@ def build_sigma(ifs: IfsSystem, cloud: AttractorCloud, d: float, m: int,
     addressed by (a_1, ..., a_m).  Running the result from any x0 with
     d(x0, A) <= 1 therefore visits each cover center to within
     L^m * (diam A + 1), covering the cloud at radius 3*C_m.
+
+    One batched k-nearest query gives each cloud point its address point
+    (in _hutchinson_points order): the lowest index within a relative 1e-12
+    of the nearest distance.  metrics._greedy_walk, which covering_estimate
+    shares, centres each target's d-ball there, holding p when
+    abs(p - c) <= d in 1-d (as in recovery_time, cKDTree agrees while d**2
+    is a normal float, d above about 1.5e-154) and sum((p - c)**2) <= d**2
+    on cloud.grid in d dimensions.  A target's reversed word is its address
+    index in base K, least significant digit first.
     """
     if d <= 0:
         raise ValidationError("cover radius d must be positive")
     if m < 1:
         raise ValidationError("address depth m must be >= 1")
-    pts, words = _addressed_points(ifs, m, budget)
-    addr_tree = cKDTree(pts)
-    covered = np.zeros(cloud.size, dtype=bool)
-    cursor = 0
-    symbols: list = []
-    while True:
-        while cursor < cloud.size and covered[cursor]:
-            cursor += 1
-        if cursor == cloud.size:
-            break
-        target = cloud.points[cursor]
-        # Nearest address point, lowest index on (near-)ties.
-        k = min(8, len(words))
-        dist, idx = addr_tree.query(target, k=k)
-        dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
-        best = int(idx[dist <= dist[0] * (1.0 + 1e-12)].min())
-        hits = cloud.grid.query_ball_point(pts[best], d)
-        if cursor not in hits:
-            raise ValidationError(
-                f"cover radius d={d:g} is too small for depth m={m}: the nearest "
-                "address point cannot cover its own cylinder"
-            )
-        covered[hits] = True
-        symbols.extend(reversed(words[best]))
-    return Word(tuple(int(s) for s in symbols), ifs.alphabet_size)
+    K = ifs.alphabet_size
+    if K ** m > budget:
+        raise CapExceededError(
+            f"depth {m} needs {K ** m} address points, budget is {budget}"
+        )
+    addr = _hutchinson_points(ifs, m)
+    dist, idx = cKDTree(addr).query(cloud.points, k=range(1, min(8, K ** m) + 1))
+    chosen = np.where(dist <= dist[:, :1] * (1.0 + 1e-12), idx, K ** m).min(axis=1)
+    try:
+        targets = _greedy_walk(cloud.points, cloud.grid)(d, addr[chosen])
+    except ValidationError:
+        raise ValidationError(
+            f"cover radius d={d:g} is too small for depth m={m}: the nearest "
+            "address point cannot cover its own cylinder") from None
+    digits = chosen[targets][:, None] // K ** np.arange(m) % K + 1
+    return _shared_word(tuple(digits.ravel().tolist()), K)
 
 
-def _packing_lower(points: np.ndarray, eps: float) -> int:
+def _packing_lower(points, eps: float) -> int:
     return covering_estimate(points, eps).lower
 
 
@@ -291,7 +275,7 @@ def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
         denom = psi(3.0 * C_of(m))
         if math.isinf(denom):
             break
-        num = m * covering_estimate(cloud.points, C_of(m)).upper
+        num = m * covering_estimate(cloud, C_of(m)).upper
         ratios.append(num / denom)
         m += 1
     if len(ratios) >= 3 and ratios[-1] >= ratios[0]:
@@ -322,7 +306,7 @@ def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
                 if ifs.alphabet_size ** m > budget:
                     truncated = True
                     break
-                ok_d = _packing_lower(cloud.points, C_of(m)) > v
+                ok_d = _packing_lower(cloud, C_of(m)) > v
                 ok_c = _packing_lower(outside_pts, 3.0 * C_of(m)) > v + m1
                 if ok_d and ok_c:
                     break

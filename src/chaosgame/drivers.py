@@ -31,7 +31,8 @@ class Word:
     alphabet_size: int
 
     def __post_init__(self):
-        if any(not 1 <= s <= self.alphabet_size for s in self.symbols):
+        if self.symbols and not (1 <= min(self.symbols)
+                                 <= max(self.symbols) <= self.alphabet_size):
             raise ValidationError("word symbol out of alphabet range")
 
     def __len__(self):

@@ -48,6 +48,7 @@ at once.  emit_config produces the canonical form (maps expanded, floats at
 from __future__ import annotations
 
 import configparser
+import functools
 import hashlib
 import io
 import math
@@ -70,11 +71,11 @@ from .metrics import (CoverEstimate, DimensionEstimate, RecoveryRecord,
 
 SCHEMA_VERSION = 1
 
-_IFS_FACTORIES = {
-    "cantor": cantor_ifs,
-    "segment": segment_ifs,
-    "halving": halving_ifs,
-    "sierpinski": sierpinski_ifs,
+_IFS_FACTORIES = {   # cached: building a system takes an SVD per map
+    "cantor": functools.cache(cantor_ifs),
+    "segment": functools.cache(segment_ifs),
+    "halving": functools.cache(halving_ifs),
+    "sierpinski": functools.cache(sierpinski_ifs),
 }
 
 _DRIVER_KINDS = ("champernowne", "debruijn", "example4", "random", "literal", "slow")
@@ -121,14 +122,8 @@ class ExperimentConfig:
     exact_attractor: bool
 
     def build_ifs(self) -> IfsSystem:
-        maps = []
-        for idx, (flat, offset) in enumerate(self.ifs_maps, start=1):
-            d = len(offset)
-            try:
-                maps.append(AffineMap.create(np.array(flat).reshape(d, d), list(offset)))
-            except ValidationError as exc:
-                raise ValidationError(f"[ifs] map{idx}: {exc}") from None
-        return IfsSystem.create(maps)
+        # Built once per set of maps; the repr tells -0.0 from 0.0, == does not.
+        return _build_ifs(repr(self.ifs_maps), self.ifs_maps)
 
     def eps_values(self) -> tuple:
         if self.eps_schedule[0] == "geom":
@@ -140,6 +135,18 @@ class ExperimentConfig:
 
     def param(self, key, default=None):
         return dict(self.driver_params).get(key, default)
+
+
+@functools.lru_cache(maxsize=256)
+def _build_ifs(key: str, ifs_maps: tuple) -> IfsSystem:
+    maps = []
+    for idx, (flat, offset) in enumerate(ifs_maps, start=1):
+        d = len(offset)
+        try:
+            maps.append(AffineMap.create(np.array(flat).reshape(d, d), list(offset)))
+        except ValidationError as exc:
+            raise ValidationError(f"[ifs] map{idx}: {exc}") from None
+    return IfsSystem.create(maps)
 
 
 def _parse_floats(text: str, what: str, errors: list) -> tuple:
@@ -572,7 +579,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
     timings["recovery"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    covers = tuple(covering_estimate(cloud.points, eps) for eps in eps_values)
+    covers = tuple(covering_estimate(cloud, eps) for eps in eps_values)
     dimension = None
     if cfg.dimension:
         _, a, r, lo, hi = cfg.eps_schedule
@@ -609,23 +616,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
                 for k, e in enumerate(schedule.entries, start=1)]
         artifacts["schedule.csv"] = "k,m_k,p_k,N_hat_k,v_k\n" + \
             "".join(row + "\n" for row in rows)
-        psi = schedule.psi
-        ratio_rows = []
-        for rec in records:
-            if rec.n is not None:
-                ratio_rows.append(f"{_x0_field(rec.x0)},{_fmt(rec.eps)},{rec.n},"
-                                  f"{_fmt(rate_ratio(rec.n, psi, rec.eps))}")
-        artifacts["ratio.csv"] = "x0,eps,n,ratio\n" + \
-            "".join(row + "\n" for row in ratio_rows)
-    elif cfg.driver_kind == "example4":
-        psi = power_rate(cfg.param("z"))
-        ratio_rows = []
-        for rec in records:
-            if rec.n is not None:
-                ratio_rows.append(f"{_x0_field(rec.x0)},{_fmt(rec.eps)},{rec.n},"
-                                  f"{_fmt(rate_ratio(rec.n, psi, rec.eps))}")
-        artifacts["ratio.csv"] = "x0,eps,n,ratio\n" + \
-            "".join(row + "\n" for row in ratio_rows)
+    psi = (schedule.psi if schedule is not None else
+           power_rate(cfg.param("z")) if cfg.driver_kind == "example4" else None)
+    if psi is not None:
+        artifacts["ratio.csv"] = "x0,eps,n,ratio\n" + "".join(
+            f"{_x0_field(rec.x0)},{_fmt(rec.eps)},{rec.n},"
+            f"{_fmt(rate_ratio(rec.n, psi, rec.eps))}\n"
+            for rec in records if rec.n is not None)
 
     # gnuplot-friendly twins: same rows, whitespace-separated, '#' headers.
     for name in list(artifacts):

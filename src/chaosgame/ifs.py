@@ -10,6 +10,7 @@ point.
 
 from __future__ import annotations
 
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -44,10 +45,13 @@ class AffineMap:
 
     @classmethod
     def create(cls, matrix, offset) -> "AffineMap":
-        matrix = np.atleast_2d(np.asarray(matrix, dtype=float))
-        offset = np.atleast_1d(np.asarray(offset, dtype=float))
-        if matrix.shape[0] != matrix.shape[1] or matrix.shape[0] != offset.shape[0]:
-            raise ValidationError("matrix must be d x d and offset a d-vector")
+        try:
+            matrix = np.atleast_2d(np.array(matrix, dtype=float))
+            offset = np.atleast_1d(np.array(offset, dtype=float))
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"map coefficients must be numbers: {exc}") from None
+        if offset.ndim != 1 or offset.size < 1 or matrix.shape != (offset.size,) * 2:
+            raise ValidationError("matrix must be d x d and offset a d-vector, d >= 1")
         for name, coeffs in (("matrix", matrix), ("offset", offset)):
             if not np.isfinite(coeffs).all():
                 raise ValidationError(
@@ -56,10 +60,11 @@ class AffineMap:
         # constant for an affine map; bump it by one ulp so it is a
         # certified upper bound under floating point.
         lip = float(np.linalg.norm(matrix, 2)) * (1.0 + 1e-12)
-        if lip >= 1.0:
+        if not lip < 1.0:
             raise ValidationError(
                 f"not a contraction: Lipschitz constant {lip:.6g} >= 1"
             )
+        matrix.flags.writeable = offset.flags.writeable = False   # shared, never mutated
         return cls(matrix=matrix, offset=offset, lip=lip)
 
     @property
@@ -385,10 +390,11 @@ def read_cloud(path) -> AttractorCloud:
             raise ValidationError(f"{path}: cloud cache holds {count} points "
                                   f"of dimension {dim}")
         size = count * dim * 8
-        payload = fh.read(size)
-        if len(payload) != size:
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if left < size:
             raise ValidationError(
-                f"{path}: truncated cloud cache payload ({len(payload)} of "
-                f"{size} bytes)")
-    data = np.frombuffer(payload, dtype="<f8").reshape(count, dim)
+                f"{path}: truncated cloud cache payload ({left} of {size} bytes)")
+        data = np.frombuffer(fh.read(size), dtype="<f8").reshape(count, dim)
+    if not (resolution >= 0.0 and np.isfinite(resolution) and np.isfinite(data).all()):
+        raise ValidationError(f"{path}: cloud cache holds non-finite or negative values")
     return AttractorCloud.from_points(data.copy(), resolution=resolution, depth=depth)

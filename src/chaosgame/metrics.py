@@ -308,57 +308,72 @@ def covering_estimate(points, eps: float) -> CoverEstimate:
     upper: greedy — repeatedly center a closed eps-ball at the first (in
     canonical order) uncovered point.  lower: greedy maximal 2*eps-separated
     subset; no eps-ball can contain two such points, so the true covering
-    number is at least its size.
-
-    A ball of radius r centred at c holds p when abs(p - c) <= r in floating
-    point (in d dimensions, by the Euclidean distance cKDTree computes; in
-    1-d the two tests agree while r**2 is a normal float).  For ascending
-    1-d input the greedy jumps from centre to centre: after centre c the
-    first uncovered point is the first p with p - c > r, found by bisection
-    and settled by that exact test.  Other input is greedy over ball queries
-    on a cKDTree.
+    number is at least its size.  points is an (n, d) array or an
+    AttractorCloud, whose kd-tree (cloud.grid) is reused.  Both counts come
+    from _greedy_walk, shared with build_sigma: a ball at c holds p when
+    abs(p - c) <= r in 1-d, and sum((p - c)**2) <= r**2, cKDTree's test, in
+    d dimensions.  As in recovery_time, cKDTree applies the 1-d test too as
+    long as r**2 is a normal float (r above about 1.5e-154).
     """
+    grid = None
+    if isinstance(points, AttractorCloud):
+        points, grid = points.points, points.grid
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     if pts.shape[0] == 0:
         raise ValidationError("covering estimate needs a nonempty point set")
     if eps <= 0:
         raise ValidationError("covering radius must be positive")
+    walk = _greedy_walk(pts, grid)
+    return CoverEstimate(eps=float(eps), lower=len(walk(2.0 * eps)),
+                         upper=len(walk(eps)))
+
+
+def _greedy_walk(pts: np.ndarray, grid: cKDTree | None = None):
+    """walk(r, centres=None) -> the targets of the greedy r-cover of pts in
+    order: each is the first uncovered point, its ball is centred at
+    centres[target] (default: the target), and one outside its own ball
+    raises ValidationError.  On ascending 1-d input the covered points form
+    a prefix, so the next target is the first p with p - c > r: bisection
+    settled by the exact test.  Other input ball-queries grid (built over
+    pts when None) and skips covered runs in numpy slices."""
     if pts.shape[1] == 1 and (pts[1:, 0] >= pts[:-1, 0]).all():
-        greedy = functools.partial(_line_greedy, pts[:, 0].tolist())
-    else:
-        greedy = functools.partial(_tree_greedy, cKDTree(pts), pts)
-    return CoverEstimate(eps=float(eps), lower=greedy(2.0 * eps), upper=greedy(eps))
+        return functools.partial(_line_walk, pts[:, 0].tolist())
+    return functools.partial(_tree_walk, cKDTree(pts) if grid is None else grid, pts)
 
 
-def _line_greedy(values: list, r: float) -> int:
-    """Greedy count of closed r-balls centred at the first uncovered point,
-    for ascending values."""
-    count, i, n = 0, 0, len(values)
+def _line_walk(values: list, r: float, centres=None) -> list:
+    own = centres is None
+    centres = values if own else centres[:, 0].tolist()
+    targets, i, n = [], 0, len(values)
     while i < n:
-        c = values[i]
-        count += 1
-        j = bisect.bisect_right(values, c + r, i)
+        c = centres[i]
+        targets.append(i)
+        j = bisect.bisect_right(values, c + r, i + 1)
         while j < n and values[j] - c <= r:
             j += 1
-        while values[j - 1] - c > r:
+        while values[j - 1] - c > r and j > i + 1:   # j > i + 1 only for a stray
             j -= 1
         i = j
-    return count
+    if not own and any(abs(values[t] - centres[t]) > r for t in targets):
+        raise ValidationError(f"a target lies outside its own r={r:g} ball")
+    return targets
 
 
-def _tree_greedy(tree: cKDTree, pts: np.ndarray, r: float) -> int:
-    """Greedy count of closed r-balls centred at the first uncovered point."""
-    n = pts.shape[0]
-    covered = np.zeros(n, dtype=bool)
-    count = 0
-    cursor = 0
-    while True:
-        while cursor < n and covered[cursor]:
-            cursor += 1
-        if cursor == n:
-            return count
-        covered[tree.query_ball_point(pts[cursor], r)] = True
-        count += 1
+def _tree_walk(tree: cKDTree, pts: np.ndarray, r: float, centres=None) -> list:
+    centres = pts if centres is None else centres
+    targets, i, covered = [], 0, np.zeros(pts.shape[0], dtype=bool)
+    while i < covered.size:
+        covered[tree.query_ball_point(centres[i], r, return_sorted=False)] = True
+        if not covered[i]:
+            raise ValidationError(f"point {i} lies outside its own r={r:g} ball")
+        targets.append(i)
+        width = 64
+        while i < covered.size and covered[i]:
+            window = covered[i:i + width]
+            k = int(window.argmin())
+            i += window.size if window[k] else k
+            width *= 2
+    return targets
 
 
 def box_dimension(cloud: AttractorCloud, a: float, r: float,
@@ -379,7 +394,7 @@ def box_dimension(cloud: AttractorCloud, a: float, r: float,
         b = a * r ** m
         if b <= 2.0 * cloud.resolution or b >= 1.0:
             continue
-        est = covering_estimate(cloud.points, b)
+        est = covering_estimate(cloud, b)
         denom = math.log(1.0 / b)
         samples.append(est)
         rl.append(math.log(est.lower) / denom)

@@ -1,9 +1,13 @@
 """Rate functions, base-map choice, covering words, slow-driver schedules."""
 
+import hashlib
+import itertools
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import chaosgame as cg
@@ -103,6 +107,124 @@ class TestBuildSigma:
     def test_budget(self, cantor, cantor_cloud_coarse):
         with pytest.raises(CapExceededError):
             cg.build_sigma(cantor, cantor_cloud_coarse, 0.01, 10, budget=100)
+
+    def test_radius_too_small_line(self, cantor, cantor_cloud_coarse):
+        # Depth 1 has address points 0 and 2/3; the first cloud point past
+        # the ball at 0 is 1/27 away from it, and d is far smaller.
+        with pytest.raises(ValidationError,
+                           match="cover radius d=0.001 is too small for depth m=1"):
+            cg.build_sigma(cantor, cantor_cloud_coarse, 0.001, 1)
+        with pytest.raises(ValidationError, match="too small"):
+            _sigma_oracle(cantor, cantor_cloud_coarse, 0.001, 1)
+
+    def test_radius_too_small_plane(self):
+        ifs = cg.sierpinski_ifs()
+        cloud = cg.cloud_at_depth(ifs, 5)
+        with pytest.raises(ValidationError,
+                           match="cover radius d=0.01 is too small for depth m=2"):
+            cg.build_sigma(ifs, cloud, 0.01, 2)
+        with pytest.raises(ValidationError, match="too small"):
+            _sigma_oracle(ifs, cloud, 0.01, 2)
+
+    def test_slow_preset_sigma_pinned(self):
+        # sha256 of the slow-power-z1 preset's sigma words, one byte per
+        # symbol, block after block, recorded from the per-centre loop that
+        # _sigma_oracle keeps.
+        cfg = cg.load_preset("slow-power-z1")
+        ifs = cfg.build_ifs()
+        cloud = cg.build_cloud(ifs, cfg.resolution, cfg.point_budget)
+        schedule = cg.build_schedule(
+            ifs, cloud, cg.power_rate(cfg.param("z")), cg.choose_base_map(ifs, cloud),
+            k_max=cfg.param("k_max"), step_cap=cfg.param("step_cap"),
+            budget=cfg.point_budget)
+        words = [e.sigma.symbols for e in schedule.entries]
+        assert [len(w) for w in words] == [24, 2048, 245760]
+        digest = hashlib.sha256(b"".join(bytes(w) for w in words)).hexdigest()
+        assert digest == "4543cd9c3a48e27ad833e649843d6ea115dea33081ac4dcf1666e5bf2749ca65"
+
+
+def _sigma_oracle(ifs, cloud, d, m, budget=2 ** 24):
+    """Reference covering word: the greedy loop with one nearest-address
+    query and one cloud ball query per centre, words from itertools.product."""
+    K = ifs.alphabet_size
+    if K ** m > budget:
+        raise CapExceededError("address budget")
+    pts = cg.fixed_point(ifs.maps[0])[None, :]
+    for _ in range(m):
+        pts = np.concatenate([mp(pts) for mp in ifs.maps], axis=0)
+    words = list(itertools.product(range(1, K + 1), repeat=m))
+    addr_tree = cKDTree(pts)
+    covered = np.zeros(cloud.size, dtype=bool)
+    cursor = 0
+    symbols = []
+    while True:
+        while cursor < cloud.size and covered[cursor]:
+            cursor += 1
+        if cursor == cloud.size:
+            break
+        dist, idx = addr_tree.query(cloud.points[cursor], k=min(8, len(words)))
+        dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
+        best = int(idx[dist <= dist[0] * (1.0 + 1e-12)].min())
+        hits = cloud.grid.query_ball_point(pts[best], d)
+        if cursor not in hits:
+            raise ValidationError("cover radius is too small")
+        covered[hits] = True
+        symbols.extend(reversed(words[best]))
+    return tuple(symbols)
+
+
+# Coefficients from small sets make exact ties: coinciding address points
+# (constant maps, a = 0), cloud points halfway between two address points
+# (dyadic maps) and duplicate cloud points.
+_COEF = st.sampled_from([0.0, 0.5, -0.5, 1 / 3, 0.25]) | st.floats(-0.6, 0.6)
+_OFFSET = st.sampled_from([0.0, 0.5, 1.0, 2 / 3, -1.0]) | st.floats(-2.0, 2.0)
+
+
+@st.composite
+def _sigma_case(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    K = draw(st.integers(2, 3))
+    maps = []
+    for _ in range(K):
+        if dim == 1:
+            maps.append(cg.scalar_map(draw(_COEF), draw(_OFFSET)))
+        else:
+            a, b = draw(_COEF), draw(_COEF) / 2
+            maps.append(cg.AffineMap.create([[a, -b], [b, a]],
+                                            [draw(_OFFSET), draw(_OFFSET)]))
+    ifs = cg.IfsSystem.create(maps)
+    depth = draw(st.integers(2, 6 if K == 2 else 4))
+    pts = cg.ifs._hutchinson_points(ifs, depth)
+    if draw(st.booleans()):
+        pts = np.unique(pts, axis=0)
+    repeat = draw(st.lists(st.integers(0, pts.shape[0] - 1), max_size=5))
+    cloud = cg.AttractorCloud.from_points(np.concatenate([pts, pts[repeat]]),
+                                          resolution=0.0)
+    m = draw(st.integers(1, 5 if K == 2 else 3))
+    scale = max(ifs.lip_max, 0.05) ** m * (cloud.diam_lower + 1.0)
+    d = draw(st.sampled_from([1.0, 0.5, 0.25, 2.0]) | st.floats(0.05, 3.0)) * scale
+    return ifs, cloud, d, m
+
+
+class TestBuildSigmaOracle:
+    @given(case=_sigma_case())
+    @settings(max_examples=150, deadline=None)
+    def test_matches_per_centre_loop(self, case):
+        ifs, cloud, d, m = case
+        try:
+            expected = _sigma_oracle(ifs, cloud, d, m)
+        except ValidationError:
+            with pytest.raises(ValidationError, match="is too small for depth"):
+                cg.build_sigma(ifs, cloud, d, m)
+            return
+        assert cg.build_sigma(ifs, cloud, d, m).symbols == expected
+
+    @pytest.mark.parametrize("depth,m", [(7, 2), (7, 5), (9, 3), (9, 8)])
+    def test_sierpinski_clouds(self, depth, m):
+        ifs = cg.sierpinski_ifs()
+        cloud = cg.cloud_at_depth(ifs, depth)
+        d = ifs.lip_max ** m * (cloud.diam_upper + 1.0)
+        assert cg.build_sigma(ifs, cloud, d, m).symbols == _sigma_oracle(ifs, cloud, d, m)
 
 
 @pytest.fixture(scope="module")

@@ -95,6 +95,27 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="exact_attractor"):
             parse_config(bad)
 
+    def test_maps_built_once_and_read_only(self):
+        cfg = parse_config(MINIMAL)
+        ifs = cfg.build_ifs()
+        assert parse_config(MINIMAL).build_ifs() is ifs
+        for m in ifs.maps:
+            with pytest.raises(ValueError, match="read-only"):
+                m.matrix[0, 0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                m.offset[0] = 0.0
+
+    def test_signed_zero_maps_are_not_shared(self):
+        def maps(zero):
+            return MINIMAL.replace("preset = cantor", "map1.matrix = 0.5\n"
+                                   f"map1.offset = {zero}\nmap2.matrix = 0.5\n"
+                                   "map2.offset = 0.5")
+        plus = parse_config(maps("0")).build_ifs()
+        minus = parse_config(maps("-0")).build_ifs()
+        assert minus is not plus
+        assert str(minus.maps[0].offset[0]) == "-0.0"
+        assert str(plus.maps[0].offset[0]) == "0.0"
+
 
 class TestEmitConfig:
     def test_round_trip_idempotent(self):

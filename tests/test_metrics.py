@@ -388,3 +388,28 @@ class TestLineCoveringJump:
         est = cg.covering_estimate(pts, 0.3)
         assert (est.lower, est.upper) == (_tree_greedy(pts, 0.6),
                                            _tree_greedy(pts, 0.3))
+
+
+class TestPlaneCovering:
+    @given(pts=st.lists(st.tuples(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(0, 1),
+                                  st.sampled_from([0.0, 0.25, 0.5]) | st.floats(0, 1)),
+                        min_size=1, max_size=300),
+           eps=st.sampled_from([0.25, 0.125, 0.5]) | st.floats(0.01, 1.0))
+    @settings(max_examples=120, deadline=None)
+    def test_matches_tree_greedy(self, pts, eps):
+        # Runs of covered points longer and shorter than the 64-point first
+        # window of the skip, duplicates, and distances of exactly eps.
+        pts = np.array(pts)
+        est = cg.covering_estimate(pts, eps)
+        assert est.upper == _tree_greedy(pts, eps)
+        assert est.lower == _tree_greedy(pts, 2.0 * eps)
+
+    def test_cloud_reuses_its_tree(self, monkeypatch):
+        cloud = cg.cloud_at_depth(cg.sierpinski_ifs(), 7)
+        expected = [cg.covering_estimate(cloud.points, 2.0 ** -k) for k in (2, 5, 8)]
+
+        def no_new_tree(*args, **kwargs):
+            raise AssertionError("covering_estimate built a kd-tree")
+
+        monkeypatch.setattr(metrics, "cKDTree", no_new_tree)
+        assert [cg.covering_estimate(cloud, 2.0 ** -k) for k in (2, 5, 8)] == expected
