@@ -14,7 +14,7 @@ def main() -> None:
     K = 2
     champ = cg.champernowne(K)
     print("Concatenation driver, first 30 symbols:")
-    print("  " + "".join(str(s) for s in champ.prefix(30)))
+    print("  " + "".join(str(s) for s in champ.segment(0, 30)))
 
     print("\nPrefix length n_i(m) needed to see every m-word (K=2):")
     print("  m   concat  bound   de Bruijn  floor K^m+m-1")
@@ -31,7 +31,7 @@ def main() -> None:
 
     print("\nBlock driver (z=1): symbol 1 appears only in sparse runs")
     d = cg.example4_driver(1.0)
-    prefix = list(d.prefix(60))
+    prefix = list(d.segment(0, 60))
     print("  " + "".join(str(s) for s in prefix))
     ones = [i + 1 for i, s in enumerate(prefix) if s == 1]
     print(f"  positions of symbol 1: {ones}")

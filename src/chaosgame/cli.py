@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -25,15 +26,13 @@ from .construct import (build_schedule, choose_base_map, iterexp_rate,
                         power_rate, slow_driver)
 from .errors import (CapExceededError, ChaosGameError, InternalInvariantError,
                      ValidationError)
-from .harness import (PRESETS, _fmt, load_preset, make_driver, parse_config,
+from .harness import (_IFS_FACTORIES, PRESETS, _fmt, load_preset, parse_config,
                       run_experiment)
 from .ifs import build_cloud, read_cloud, write_cloud
 from .metrics import box_dimension, log_rate, recovery_time
 
 
 def _ifs_from_args(args):
-    from .harness import _IFS_FACTORIES
-
     if args.ifs in _IFS_FACTORIES:
         return _IFS_FACTORIES[args.ifs]()
     raise ValidationError(
@@ -41,20 +40,13 @@ def _ifs_from_args(args):
     )
 
 
-def _driver_from_args(args, K):
-    kind = args.driver
-    if kind == "champernowne":
-        return drv.champernowne(K)
-    if kind == "debruijn":
-        return drv.infinite_de_bruijn(K)
-    if kind == "example4":
-        return drv.example4_driver(args.z)
-    if kind == "random":
-        return drv.random_driver(K, args.seed)
-    raise ValidationError(
-        f"unknown driver kind {kind!r}; known: champernowne, debruijn, "
-        "example4, random"
-    )
+# The driver kinds the CLI can build: the literal one needs a word.
+_CLI_DRIVERS = [kind for kind in drv.DRIVER_KINDS if kind != "literal"]
+
+
+def _print_symbols(symbols, K: int) -> None:
+    """Digits run together for K <= 9, comma separated above."""
+    print(("" if K <= 9 else ",").join(str(int(s)) for s in symbols))
 
 
 def _cmd_cloud(args) -> int:
@@ -76,13 +68,9 @@ def _cmd_cloud(args) -> int:
 
 def _cmd_driver(args) -> int:
     K = args.alphabet
-    stream = _driver_from_args(args, K)
+    stream = drv.DRIVER_KINDS[args.driver](K, vars(args))
     if args.driver_cmd == "emit":
-        symbols = stream.prefix(args.count)
-        if K <= 9:
-            print("".join(str(int(s)) for s in symbols))
-        else:
-            print(",".join(str(int(s)) for s in symbols))
+        _print_symbols(stream.segment(0, args.count), K)
         return 0
     print("m,n_i_m")
     for m in range(1, args.stats + 1):
@@ -94,7 +82,7 @@ def _cmd_driver(args) -> int:
 
 def _cmd_recover(args) -> int:
     ifs = _ifs_from_args(args)
-    driver = _driver_from_args(args, ifs.alphabet_size)
+    driver = drv.DRIVER_KINDS[args.driver](ifs.alphabet_size, vars(args))
     cloud = build_cloud(ifs, args.resolution)
     try:
         x0 = np.array([float(t) for t in args.x0.split()])
@@ -138,11 +126,7 @@ def _cmd_schedule(args) -> int:
     if schedule.truncated:
         print("# truncated at the step cap", file=sys.stderr)
     if args.emit:
-        symbols = slow_driver(schedule).prefix(args.emit)
-        if ifs.alphabet_size <= 9:
-            print("".join(str(int(s)) for s in symbols))
-        else:
-            print(",".join(str(int(s)) for s in symbols))
+        _print_symbols(slow_driver(schedule).segment(0, args.emit), ifs.alphabet_size)
     return 0
 
 
@@ -158,10 +142,10 @@ def _cmd_experiment(args) -> int:
             )
         cfg = parse_config(path.read_text())
     if args.cap is not None:
-        from dataclasses import replace
         cfg = replace(cfg, orbit_cap=args.cap)
     if args.seed is not None:
-        from dataclasses import replace
+        if args.seed < 0:
+            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
         cfg = replace(cfg, seed=args.seed)
     report = run_experiment(cfg, out_dir=args.out, cache_dir=args.cache)
     sys.stdout.write(report.artifacts["summary.txt"])
@@ -193,8 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     driver_sub = p_driver.add_subparsers(dest="driver_cmd", required=True)
     for name in ("emit", "stats"):
         p = driver_sub.add_parser(name)
-        p.add_argument("driver",
-                       choices=["champernowne", "debruijn", "example4", "random"])
+        p.add_argument("driver", choices=_CLI_DRIVERS)
         p.add_argument("--alphabet", type=int, default=2)
         p.add_argument("--z", type=float, default=1.0)
         p.add_argument("--seed", type=int, default=0)
@@ -207,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rec = sub.add_parser("recover", help="one recovery-time measurement")
     p_rec.add_argument("--ifs", required=True)
-    p_rec.add_argument("--driver", required=True)
+    p_rec.add_argument("--driver", required=True, choices=_CLI_DRIVERS)
     p_rec.add_argument("--x0", required=True,
                        help="coordinates, space separated")
     p_rec.add_argument("--eps", type=float, required=True)

@@ -235,10 +235,6 @@ def build_sigma(ifs: IfsSystem, cloud: AttractorCloud, d: float, m: int,
     return _shared_word(tuple(digits.ravel().tolist()), K)
 
 
-def _packing_lower(points, eps: float) -> int:
-    return covering_estimate(points, eps).lower
-
-
 def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
                    base: BaseMapChoice, k_max: int,
                    step_cap: int = 5 * 10 ** 6,
@@ -306,8 +302,8 @@ def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
                 if ifs.alphabet_size ** m > budget:
                     truncated = True
                     break
-                ok_d = _packing_lower(cloud, C_of(m)) > v
-                ok_c = _packing_lower(outside_pts, 3.0 * C_of(m)) > v + m1
+                ok_d = covering_estimate(cloud, C_of(m)).lower > v
+                ok_c = covering_estimate(outside_pts, 3.0 * C_of(m)).lower > v + m1
                 if ok_d and ok_c:
                     break
                 m += 1

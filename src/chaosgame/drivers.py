@@ -6,7 +6,9 @@ de Bruijn sequences built by extending noncyclic de Bruijn words, the
 two-map block driver with prescribed recovery exponents, and a seeded
 random baseline.
 
-Positions are 1-based: symbol(n) is the symbol applied at orbit step n.
+A driver is read by position: segment(start, stop) gives the symbols at
+0-based positions start..stop-1, and the symbol at position k drives orbit
+step k + 1.
 """
 
 from __future__ import annotations
@@ -43,23 +45,20 @@ class Word:
 
 
 class DriverStream:
-    """Single-consumer cursor over an infinite symbol sequence.
+    """An infinite symbol sequence, read by position with segment.
 
     The generator yields int arrays of symbols (single ints are accepted
     too).  Already-produced symbols are buffered in a growable int64 array,
-    so indexing into the prefix is stable no matter how far the stream has
-    been advanced.
+    so every read of a position gives the same symbol.
     """
 
     def __init__(self, kind: str, alphabet_size: int, generator_factory, params=None):
         self.kind = kind
         self.alphabet_size = alphabet_size
         self.params = dict(params or {})
-        self._factory = generator_factory
         self._gen = generator_factory()
         self._buf = np.empty(0, dtype=np.int64)
         self._len = 0
-        self._cursor = 0
 
     def _fill(self, n: int) -> None:
         while self._len < n:
@@ -78,37 +77,18 @@ class DriverStream:
             self._buf[self._len:end] = block
             self._len = end
 
-    def _slice(self, start: int, stop: int) -> np.ndarray:
-        self._fill(stop)
-        return self._buf[start:stop].copy()
-
-    def symbol(self, n: int) -> int:
-        """Symbol at 1-based position n."""
-        if n < 1:
-            raise ValidationError("driver positions are 1-based")
-        self._fill(n)
-        return int(self._buf[n - 1])
-
-    def prefix(self, n: int) -> np.ndarray:
-        """First n symbols, without moving the cursor."""
-        return self._slice(0, n)
-
     @property
     def buffered(self) -> int:
         """Number of symbols produced so far (grows monotonically)."""
         return self._len
 
     def segment(self, start: int, stop: int) -> np.ndarray:
-        """Symbols at 0-based buffer positions [start, stop), cursor untouched."""
+        """Symbols at 0-based positions [start, stop)."""
         if start < 0 or stop < start:
-            raise ValidationError("invalid segment bounds")
-        return self._slice(start, stop)
-
-    def take(self, n: int) -> np.ndarray:
-        """Consume and return the next n symbols."""
-        out = self._slice(self._cursor, self._cursor + n)
-        self._cursor += n
-        return out
+            raise ValidationError(
+                f"invalid driver segment [{start}, {stop}): need 0 <= start <= stop")
+        self._fill(stop)
+        return self._buf[start:stop].copy()
 
     def describe(self) -> str:
         if self.params:
@@ -145,7 +125,7 @@ def _champernowne_blocks(K: int):
 
 
 def literal_driver(word: Word) -> DriverStream:
-    """Finite driver; consuming past the end raises CapExceededError."""
+    """Finite driver; reading past the end raises CapExceededError."""
     def gen():
         yield from _pieces(word.symbols)
 
@@ -404,6 +384,8 @@ def random_driver(K: int, seed: int) -> DriverStream:
     """IID uniform symbols from a seeded PCG64 generator."""
     if K < 1:
         raise ValidationError("alphabet size must be >= 1")
+    if seed < 0:
+        raise ValidationError(f"random driver seed must be >= 0, got {seed}")
 
     def gen():
         rng = np.random.default_rng(seed)
@@ -411,6 +393,17 @@ def random_driver(K: int, seed: int) -> DriverStream:
             yield rng.integers(1, K + 1, size=4096)
 
     return DriverStream("random", K, gen, {"K": K, "seed": seed})
+
+
+# kind -> constructor(K, params); params supply z (example4), seed (random)
+# or symbols (literal).
+DRIVER_KINDS = {
+    "champernowne": lambda K, p: champernowne(K),
+    "debruijn": lambda K, p: infinite_de_bruijn(K),
+    "example4": lambda K, p: example4_driver(p["z"]),
+    "random": lambda K, p: random_driver(K, p["seed"]),
+    "literal": lambda K, p: literal_driver(Word(p["symbols"], K)),
+}
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ Config grammar (INI-style, plain-text key/value with sections):
     [experiment]
     schema_version = 1            # required, must be 1
     name = my-run                 # required
-    seed = 0                      # optional, used by the random driver
+    seed = 0                      # optional, >= 0, used by the random driver
 
     [ifs]                         # either a named preset...
     preset = cantor               # cantor | segment | halving | sierpinski
@@ -78,24 +78,10 @@ _IFS_FACTORIES = {   # cached: building a system takes an SVD per map
     "sierpinski": functools.cache(sierpinski_ifs),
 }
 
-_DRIVER_KINDS = ("champernowne", "debruijn", "example4", "random", "literal", "slow")
-
-_KNOWN_KEYS = {
-    "experiment": {"schema_version", "name", "seed"},
-    "ifs": None,    # validated specially (preset or mapN.*)
-    "driver": {"kind", "z", "symbols", "psi", "order", "k_max", "step_cap"},
-    "eps": {"a", "r", "m_lo", "m_hi", "list"},
-    "run": {"x0", "resolution", "orbit_cap", "point_budget", "dimension",
-            "exact_attractor"},
-}
-
-_DRIVER_KEYS_BY_KIND = {
-    "champernowne": set(),
-    "debruijn": set(),
-    "example4": {"z"},
-    "random": set(),
-    "literal": {"symbols"},
-    "slow": {"psi", "z", "order", "k_max", "step_cap"},
+_DRIVER_KEYS_BY_KIND = {   # the [driver] keys each kind takes besides kind
+    **dict.fromkeys(drv.DRIVER_KINDS, ()),
+    "example4": ("z",), "literal": ("symbols",),
+    "slow": ("psi", "z", "order", "k_max", "step_cap"),
 }
 
 
@@ -149,49 +135,78 @@ def _build_ifs(key: str, ifs_maps: tuple) -> IfsSystem:
     return IfsSystem.create(maps)
 
 
-def _parse_floats(text: str, what: str, errors: list) -> tuple:
-    try:
-        return tuple(float(t) for t in text.split())
-    except ValueError:
-        errors.append(f"{what}: expected whitespace-separated numbers, got {text!r}")
-        return ()
+def _numbers(raw: str) -> tuple:
+    """Whitespace-separated finite numbers: the reader of every config float."""
+    values = tuple(float(t) for t in raw.split())
+    if not all(map(math.isfinite, values)):
+        raise ValueError(raw)
+    return values
 
 
-def _parse_float(raw: str, what: str, errors: list):
-    """A finite float, or None after recording why not."""
-    try:
-        value = float(raw)
-    except ValueError:
-        errors.append(f"{what}: expected a number, got {raw!r}")
-        return None
-    if not math.isfinite(value):
-        errors.append(f"{what}: expected a finite number, got {raw!r}")
-        return None
+def _number(raw: str) -> float:
+    (value,) = _numbers(raw)
     return value
 
 
-def _parse_int(raw: str, what: str, errors: list, default=None):
-    if raw is None:
-        if default is not None:
-            return default
-        errors.append(f"missing required field {what}")
-        return 0
-    try:
-        return int(raw)
-    except ValueError:
-        errors.append(f"{what}: expected an integer, got {raw!r}")
-        return 0
+def _where(reader, holds):
+    """reader, failing on values for which holds(value) is false."""
+    def read(raw: str):
+        value = reader(raw)
+        if not holds(value):
+            raise ValueError(raw)
+        return value
+    return read
 
 
-def _parse_bool(raw: str, what: str, errors: list, default=False):
-    if raw is None:
-        return default
-    if raw.lower() in ("true", "yes", "1"):
-        return True
-    if raw.lower() in ("false", "no", "0"):
-        return False
-    errors.append(f"{what}: expected true/false, got {raw!r}")
-    return default
+_REQUIRED = object()
+_BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
+_INT = (int, "an integer")
+_POSITIVE = (_where(_number, lambda v: v > 0), "a positive finite number")
+_BOOL = (lambda raw: _BOOLS[raw.lower()], "true/false")
+
+# section -> key -> (reader, expected, default).  A reader raises ValueError
+# or KeyError on a bad value; the default _REQUIRED marks a key that must be
+# given, and None one whose absence the checks after the table judge.
+# [ifs] also takes map1.matrix, map1.offset, map2.matrix, ..., read with
+# _numbers.
+_FIELDS = {
+    "experiment": {
+        "schema_version": (_where(int, lambda v: v == SCHEMA_VERSION),
+                           f"{SCHEMA_VERSION}", _REQUIRED),
+        "name": (_where(str, bool), "a name", _REQUIRED),
+        "seed": (_where(int, lambda v: v >= 0), "an integer >= 0", 0),
+    },
+    "ifs": {"preset": (str, "a preset name", None)},
+    "driver": {
+        "kind": (str, "a driver kind", _REQUIRED),
+        "z": (_number, "a finite number", None),
+        "symbols": (lambda raw: tuple(int(t) for t in raw.split()), "integers", None),
+        "psi": (_where(str, lambda v: v in ("power", "iterexp")),
+                "power | iterexp", None),
+        "order": (*_INT, None),
+        "k_max": (*_INT, 3),
+        "step_cap": (*_INT, 5 * 10 ** 6),
+    },
+    "eps": {
+        "a": (*_POSITIVE, None),
+        "r": (_where(_number, lambda v: 0.0 < v < 1.0), "a finite number in (0, 1)",
+              None),
+        "m_lo": (*_INT, None),
+        "m_hi": (*_INT, None),
+        "list": (_where(_numbers, lambda vs: all(v > 0 for v in vs) and
+                        all(b < a for a, b in zip(vs, vs[1:]))),
+                 "strictly decreasing positive finite numbers", None),
+    },
+    "run": {
+        "x0": (_where(lambda raw: tuple(p for p in map(_numbers, raw.split(";")) if p),
+                      bool), "finite numbers, ';' between points", _REQUIRED),
+        "resolution": (*_POSITIVE, None),
+        "orbit_cap": (*_INT, 10 ** 6),
+        "point_budget": (*_INT, 2 ** 24),
+        "dimension": (*_BOOL, False),
+        "exact_attractor": (*_BOOL, False),
+    },
+}
 
 
 def parse_config(text: str) -> ExperimentConfig:
@@ -203,40 +218,39 @@ def parse_config(text: str) -> ExperimentConfig:
         raise ValidationError(f"config syntax error: {exc}") from exc
 
     errors: list = []
+
+    def read(where, raw, reader, expected):
+        try:
+            return reader(raw)
+        except (ValueError, KeyError):
+            errors.append(f"{where}: expected {expected}, got {raw!r}")
+            return None
+
     for section in cp.sections():
-        if section not in _KNOWN_KEYS:
+        if section not in _FIELDS:
             errors.append(f"unknown section [{section}]")
-
-    def get(section, key, default=None):
-        return cp.get(section, key, fallback=default)
-
-    for section, keys in _KNOWN_KEYS.items():
-        if keys is None or not cp.has_section(section):
-            continue
-        for key in cp.options(section):
-            if key not in keys:
-                errors.append(f"unknown key '{key}' in [{section}]")
-
-    # [experiment]
-    if not cp.has_section("experiment"):
-        errors.append("missing required section [experiment]")
-    sv = _parse_int(get("experiment", "schema_version"),
-                    "[experiment] schema_version", errors)
-    if sv != SCHEMA_VERSION and not any("schema_version" in e for e in errors):
-        errors.append(f"unsupported schema_version {sv}, expected {SCHEMA_VERSION}")
-    name = get("experiment", "name")
-    if not name:
-        errors.append("missing required field [experiment] name")
-        name = ""
-    seed = _parse_int(get("experiment", "seed"), "[experiment] seed", errors, default=0)
+    given = {s: dict(cp.items(s)) if cp.has_section(s) else {} for s in _FIELDS}
+    val: dict = {}
+    for section, fields in _FIELDS.items():
+        if not cp.has_section(section) and section != "eps":   # eps: by kind, below
+            errors.append(f"missing required section [{section}]")
+        if section != "ifs":     # map keys are judged below
+            errors.extend(f"unknown key '{key}' in [{section}]"
+                          for key in given[section] if key not in fields)
+        for key, (reader, expected, default) in fields.items():
+            if key in given[section]:
+                val[key] = read(f"[{section}] {key}", given[section][key],
+                                reader, expected)
+            else:
+                if default is _REQUIRED:
+                    errors.append(f"missing required field [{section}] {key}")
+                val[key] = None if default is _REQUIRED else default
 
     # [ifs]
     ifs_maps: list = []
-    if not cp.has_section("ifs"):
-        errors.append("missing required section [ifs]")
-    else:
-        keys = set(cp.options("ifs"))
-        preset = get("ifs", "preset")
+    if cp.has_section("ifs"):
+        keys = set(given["ifs"])
+        preset = val["preset"]
         if preset is not None:
             extra = keys - {"preset"}
             if extra:
@@ -250,18 +264,18 @@ def parse_config(text: str) -> ExperimentConfig:
         else:
             idx = 1
             while f"map{idx}.offset" in keys or f"map{idx}.matrix" in keys:
-                mat = _parse_floats(get("ifs", f"map{idx}.matrix", ""),
-                                    f"[ifs] map{idx}.matrix", errors)
-                off = _parse_floats(get("ifs", f"map{idx}.offset", ""),
-                                    f"[ifs] map{idx}.offset", errors)
-                d = len(off)
-                if d == 0 or len(mat) != d * d:
-                    errors.append(f"[ifs] map{idx}: matrix must have d*d entries "
-                                  f"for a d-vector offset (got {len(mat)} and {d})")
-                else:
-                    ifs_maps.append((mat, off))
-                keys.discard(f"map{idx}.matrix")
-                keys.discard(f"map{idx}.offset")
+                mat, off = (read(f"[ifs] map{idx}.{part}",
+                                 given["ifs"].get(f"map{idx}.{part}", ""),
+                                 _numbers, "finite numbers")
+                            for part in ("matrix", "offset"))
+                if mat is not None and off is not None:
+                    d = len(off)
+                    if d == 0 or len(mat) != d * d:
+                        errors.append(f"[ifs] map{idx}: matrix must have d*d entries "
+                                      f"for a d-vector offset (got {len(mat)} and {d})")
+                    else:
+                        ifs_maps.append((mat, off))
+                keys -= {f"map{idx}.matrix", f"map{idx}.offset"}
                 idx += 1
             if keys:
                 errors.append(f"unknown key(s) {sorted(keys)} in [ifs]")
@@ -269,52 +283,23 @@ def parse_config(text: str) -> ExperimentConfig:
                 errors.append("[ifs] needs a preset or map1.matrix/map1.offset")
 
     # [driver]
-    kind = get("driver", "kind")
+    kind = val["kind"]
     dparams: dict = {}
-    if not cp.has_section("driver"):
-        errors.append("missing required section [driver]")
-    elif kind not in _DRIVER_KINDS:
-        errors.append(f"unknown driver kind {kind!r}; known: {list(_DRIVER_KINDS)}")
-    else:
-        allowed = _DRIVER_KEYS_BY_KIND[kind]
-        for key in cp.options("driver"):
-            if key != "kind" and key not in allowed:
+    if kind is not None and kind not in _DRIVER_KEYS_BY_KIND:
+        errors.append(f"unknown driver kind {kind!r}; "
+                      f"known: {list(_DRIVER_KEYS_BY_KIND)}")
+    elif kind is not None:
+        for key in given["driver"]:
+            if key != "kind" and key not in _DRIVER_KEYS_BY_KIND[kind]:
                 errors.append(f"key '{key}' in [driver] does not apply to kind {kind}")
-        if kind == "example4":
-            raw = get("driver", "z")
-            if raw is None:
-                errors.append("[driver] example4 requires z")
-            else:
-                dparams["z"] = _parse_float(raw, "[driver] z", errors)
-        if kind == "literal":
-            raw = get("driver", "symbols")
-            if raw is None:
-                errors.append("[driver] literal requires symbols")
-            else:
-                try:
-                    dparams["symbols"] = tuple(int(t) for t in raw.split())
-                except ValueError:
-                    errors.append(f"[driver] symbols: expected integers, got {raw!r}")
-        if kind == "slow":
-            psi = get("driver", "psi")
-            if psi not in ("power", "iterexp"):
-                errors.append("[driver] slow requires psi = power | iterexp")
-            else:
-                dparams["psi"] = psi
-                if psi == "power":
-                    raw = get("driver", "z")
-                    if raw is None:
-                        errors.append("[driver] slow psi=power requires z")
-                    else:
-                        dparams["z"] = _parse_float(raw, "[driver] z", errors)
-                else:
-                    dparams["order"] = _parse_int(get("driver", "order"),
-                                                  "[driver] order", errors)
-            dparams["k_max"] = _parse_int(get("driver", "k_max"),
-                                          "[driver] k_max", errors, default=3)
-            dparams["step_cap"] = _parse_int(get("driver", "step_cap"),
-                                             "[driver] step_cap", errors,
-                                             default=5 * 10 ** 6)
+        wanted = _DRIVER_KEYS_BY_KIND[kind]
+        if kind == "slow":   # z or order, as psi says
+            wanted = ["psi", "k_max", "step_cap",
+                      *{"power": ["z"], "iterexp": ["order"]}.get(val["psi"], [])]
+        for key in wanted:
+            if val[key] is None and key not in given["driver"]:
+                errors.append(f"[driver] {kind} requires {key}")
+            dparams[key] = val[key]
 
     # [eps]
     if kind == "slow":
@@ -325,77 +310,34 @@ def parse_config(text: str) -> ExperimentConfig:
     elif not cp.has_section("eps"):
         errors.append("missing required section [eps]")
         eps_schedule = ("list",)
-    elif get("eps", "list") is not None:
-        extra = set(cp.options("eps")) - {"list"}
+    elif "list" in given["eps"]:
+        extra = set(given["eps"]) - {"list"}
         if extra:
             errors.append(f"[eps] list excludes other keys, found {sorted(extra)}")
-        values = _parse_floats(get("eps", "list"), "[eps] list", errors)
-        if values and not all(b < a for a, b in zip(values, values[1:])):
-            errors.append("[eps] list must be strictly decreasing")
-        eps_schedule = ("list",) + values
+        eps_schedule = ("list",) + (val["list"] or ())
     else:
-        a_raw, r_raw = get("eps", "a"), get("eps", "r")
-        lo = _parse_int(get("eps", "m_lo"), "[eps] m_lo", errors)
-        hi = _parse_int(get("eps", "m_hi"), "[eps] m_hi", errors)
-        if a_raw is None or r_raw is None:
+        if not all(key in given["eps"] for key in ("a", "r", "m_lo", "m_hi")):
             errors.append("[eps] geometric form requires a, r, m_lo, m_hi")
-            eps_schedule = ("list",)
-        else:
-            a = _parse_float(a_raw, "[eps] a", errors)
-            r = _parse_float(r_raw, "[eps] r", errors)
-            if r is not None and not 0.0 < r < 1.0:
-                errors.append("[eps] r must lie in (0, 1)")
-            if a is not None and a <= 0:
-                errors.append("[eps] a must be positive")
-            if lo > hi:
-                errors.append("[eps] m_lo must be <= m_hi")
-            eps_schedule = ("geom", a, r, lo, hi)
+        a, r, lo, hi = (val[key] for key in ("a", "r", "m_lo", "m_hi"))
+        if lo is not None and hi is not None and lo > hi:
+            errors.append("[eps] m_lo must be <= m_hi")
+        eps_schedule = ("geom", a, r, lo, hi)
 
     # [run]
-    if not cp.has_section("run"):
-        errors.append("missing required section [run]")
-    x0_raw = get("run", "x0")
-    x0: tuple = ()
-    if x0_raw is None:
-        errors.append("missing required field [run] x0")
-    else:
-        pts = []
-        for part in x0_raw.split(";"):
-            coords = _parse_floats(part, "[run] x0", errors)
-            if coords:
-                pts.append(coords)
-        if not pts:
-            errors.append("[run] x0 must list at least one start point")
-        x0 = tuple(pts)
-    exact = _parse_bool(get("run", "exact_attractor"),
-                        "[run] exact_attractor", errors)
-    res_raw = get("run", "resolution")
-    resolution = None
-    if res_raw is not None:
-        try:
-            resolution = float(res_raw)
-            if resolution <= 0:
-                errors.append("[run] resolution must be positive")
-        except ValueError:
-            errors.append(f"[run] resolution: expected a number, got {res_raw!r}")
-    elif not exact:
+    exact, resolution = val["exact_attractor"], val["resolution"]
+    if "resolution" not in given["run"] and not exact:
         errors.append("missing required field [run] resolution "
                       "(or set exact_attractor = true)")
-    orbit_cap = _parse_int(get("run", "orbit_cap"), "[run] orbit_cap", errors,
-                           default=10 ** 6)
-    point_budget = _parse_int(get("run", "point_budget"), "[run] point_budget",
-                              errors, default=2 ** 24)
-    dimension = _parse_bool(get("run", "dimension"), "[run] dimension", errors)
-    if dimension and eps_schedule and eps_schedule[0] != "geom":
+    if val["dimension"] and eps_schedule[0] != "geom":
         errors.append("[run] dimension = true requires the geometric [eps] form")
 
     cfg = ExperimentConfig(
-        schema_version=SCHEMA_VERSION, name=name, seed=seed,
+        schema_version=SCHEMA_VERSION, name=val["name"] or "", seed=val["seed"],
         ifs_maps=tuple(ifs_maps), driver_kind=kind or "",
-        driver_params=tuple(sorted(dparams.items())), x0=x0,
+        driver_params=tuple(sorted(dparams.items())), x0=val["x0"] or (),
         eps_schedule=eps_schedule, resolution=resolution,
-        orbit_cap=orbit_cap, point_budget=point_budget,
-        dimension=dimension, exact_attractor=exact,
+        orbit_cap=val["orbit_cap"], point_budget=val["point_budget"],
+        dimension=val["dimension"], exact_attractor=exact,
     )
 
     if not errors:
@@ -405,8 +347,6 @@ def parse_config(text: str) -> ExperimentConfig:
             ifs = cfg.build_ifs()
             if any(len(p) != ifs.dim for p in cfg.x0):
                 errors.append(f"[run] x0 points must be {ifs.dim}-dimensional")
-            if not all(math.isfinite(c) for p in cfg.x0 for c in p):
-                errors.append(f"[run] x0 coordinates must be finite, got {x0_raw!r}")
             if kind in ("example4",) and ifs.alphabet_size != 2:
                 errors.append("[driver] example4 requires a 2-map system")
             if exact and not _is_halving(ifs):
@@ -516,23 +456,12 @@ def _obtain_cloud(cfg: ExperimentConfig, ifs: IfsSystem, cache_dir) -> Attractor
 def make_driver(cfg: ExperimentConfig, ifs: IfsSystem,
                 schedule: Schedule | None = None):
     """Fresh driver stream for the configured kind."""
-    K = ifs.alphabet_size
-    kind = cfg.driver_kind
-    if kind == "champernowne":
-        return drv.champernowne(K)
-    if kind == "debruijn":
-        return drv.infinite_de_bruijn(K)
-    if kind == "example4":
-        return drv.example4_driver(cfg.param("z"))
-    if kind == "random":
-        return drv.random_driver(K, cfg.seed)
-    if kind == "literal":
-        return drv.literal_driver(drv.Word(cfg.param("symbols"), K))
-    if kind == "slow":
+    if cfg.driver_kind == "slow":
         if schedule is None:
             raise ValidationError("slow driver needs a built schedule")
         return slow_driver(schedule)
-    raise ValidationError(f"unknown driver kind {kind!r}")
+    return drv.DRIVER_KINDS[cfg.driver_kind](
+        ifs.alphabet_size, {"seed": cfg.seed, **dict(cfg.driver_params)})
 
 
 def _schedule_psi(cfg: ExperimentConfig) -> RateFunction:

@@ -10,6 +10,7 @@ point.
 
 from __future__ import annotations
 
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -141,20 +142,9 @@ def sierpinski_ifs() -> IfsSystem:
 
 
 def fixed_point(m: AffineMap) -> np.ndarray:
-    """Unique fixed point of a contraction; linear solve with iterative fallback."""
-    eye = np.eye(m.dim)
-    try:
-        x = np.linalg.solve(eye - m.matrix, m.offset)
-    except np.linalg.LinAlgError:
-        x = np.zeros(m.dim)
-        for _ in range(10 ** 6):
-            nxt = m(x)
-            if np.linalg.norm(nxt - x) <= 1e-14 * (1.0 + np.linalg.norm(nxt)):
-                x = nxt
-                break
-            x = nxt
-        else:
-            raise ValidationError("no contraction: fixed-point iteration did not converge")
+    """Unique fixed point of a contraction: AffineMap.create certifies
+    ||M||_2 < 1, so I - M is nonsingular."""
+    x = np.linalg.solve(np.eye(m.dim) - m.matrix, m.offset)
     resid = np.linalg.norm(m(x) - x)
     if resid > 1e-10 * (1.0 + np.linalg.norm(x)):
         raise ValidationError(f"fixed point residual too large: {resid:.3g}")
@@ -167,18 +157,19 @@ class Orbit:
 
     start: np.ndarray
     points: np.ndarray          # (n+1, d)
-    driver_prefix: np.ndarray   # (n,) symbols actually consumed
+    driver_prefix: np.ndarray   # (n,) the driver's first n symbols
 
     def __len__(self):
         return self.points.shape[0]
 
 
 def run_orbit(ifs: IfsSystem, driver, x0, n: int) -> Orbit:
-    """Run the deterministic chaos game for n steps, consuming n symbols."""
+    """Run the deterministic chaos game for n steps on the driver's first
+    n symbols."""
     if n < 0:
         raise ValidationError("orbit length must be >= 0")
     x0 = _as_vector(x0, ifs.dim, "x0")
-    symbols = np.asarray(driver.take(n), dtype=np.int64)
+    symbols = np.asarray(driver.segment(0, n), dtype=np.int64)
     pts = np.empty((n + 1, ifs.dim))
     pts[0] = x0
     x = x0
@@ -251,8 +242,6 @@ class AttractorCloud:
     def from_points(cls, points, resolution: float, depth: int = 0,
                     diam_upper: float | None = None) -> "AttractorCloud":
         points = np.atleast_2d(np.asarray(points, dtype=float))
-        if points.ndim == 1:
-            points = points[:, None]
         points = _lexsort_points(points)
         diam_lower = _diameter(points)
         if diam_upper is None:
@@ -275,78 +264,71 @@ def _hutchinson_points(ifs: IfsSystem, depth: int) -> np.ndarray:
     return pts
 
 
-def build_cloud(ifs: IfsSystem, target_resolution: float,
-                point_budget: int = DEFAULT_POINT_BUDGET) -> AttractorCloud:
-    """Smallest-depth cloud whose certified resolution meets the target.
+def _check_budget(ifs: IfsSystem, depth: int, point_budget: int) -> None:
+    K = ifs.alphabet_size
+    if K ** depth > point_budget:
+        raise CapExceededError(f"resolution infeasible: depth {depth} needs "
+                               f"{K ** depth} points, budget is {point_budget}")
+
+
+def _certified_cloud(ifs: IfsSystem, pts: np.ndarray, depth: int,
+                     target: float = math.inf) -> AttractorCloud | None:
+    """Cloud of the depth-m composition points pts, or None while 2 L^m >= 1
+    or the certified resolution misses the target.
 
     The certificate: every point of A is within L^m * diam A of some
     depth-m composition point, and diam A <= diam_lower / (1 - 2 L^m)
     once 2 L^m < 1 (each attractor point is within L^m diam A of the
     cloud, so the cloud's spread can undershoot by at most twice that).
     """
-    if target_resolution <= 0:
-        raise ValidationError("target resolution must be positive")
-    L = ifs.lip_max
-    K = ifs.alphabet_size
+    shrink = ifs.lip_max ** depth
+    if 2.0 * shrink >= 1.0:
+        return None
+    diam_lower = _diameter(pts)
+    diam_upper = diam_lower / (1.0 - 2.0 * shrink)
+    resolution = shrink * diam_upper
+    if resolution > target and diam_upper != 0.0:
+        return None
+    pts = _dedupe(_lexsort_points(pts), resolution / 4.0)
+    return AttractorCloud(points=pts, resolution=resolution, depth=depth,
+                          diam_lower=diam_lower, diam_upper=diam_upper,
+                          grid=cKDTree(pts))
+
+
+def build_cloud(ifs: IfsSystem, target_resolution: float,
+                point_budget: int = DEFAULT_POINT_BUDGET) -> AttractorCloud:
+    """Smallest-depth cloud whose certified resolution meets the target."""
+    if not 0.0 < target_resolution < math.inf:
+        raise ValidationError(
+            f"target resolution must be positive and finite, got {target_resolution!r}")
     depth = 0
     pts = _hutchinson_points(ifs, 0)
     while True:
         depth += 1
-        if K ** depth > point_budget:
-            raise CapExceededError(
-                f"resolution infeasible: depth {depth} needs {K ** depth} points, "
-                f"budget is {point_budget}"
-            )
+        _check_budget(ifs, depth, point_budget)
         pts = np.concatenate([m(pts) for m in ifs.maps], axis=0)
-        shrink = L ** depth
-        if 2.0 * shrink >= 1.0:
-            continue
-        diam_lower = _diameter(pts)
-        diam_upper = diam_lower / (1.0 - 2.0 * shrink)
-        resolution = shrink * diam_upper
-        if resolution <= target_resolution or diam_upper == 0.0:
-            break
-    pts = _lexsort_points(pts)
-    pts = _dedupe(pts, resolution / 4.0)
-    return AttractorCloud(points=pts, resolution=resolution, depth=depth,
-                          diam_lower=diam_lower, diam_upper=diam_upper,
-                          grid=cKDTree(pts))
+        cloud = _certified_cloud(ifs, pts, depth, target_resolution)
+        if cloud is not None:
+            return cloud
 
 
 def cloud_at_depth(ifs: IfsSystem, depth: int,
-                   point_budget: int = DEFAULT_POINT_BUDGET,
-                   dedupe: bool = True) -> AttractorCloud:
+                   point_budget: int = DEFAULT_POINT_BUDGET) -> AttractorCloud:
     """Cloud from all depth-m compositions, with the same certificate."""
-    K = ifs.alphabet_size
-    if K ** depth > point_budget:
-        raise CapExceededError("resolution infeasible: point budget exceeded")
-    L = ifs.lip_max
-    pts = _lexsort_points(_hutchinson_points(ifs, depth))
-    diam_lower = _diameter(pts)
-    shrink = L ** depth
-    if 2.0 * shrink >= 1.0:
+    _check_budget(ifs, depth, point_budget)
+    cloud = _certified_cloud(ifs, _hutchinson_points(ifs, depth), depth)
+    if cloud is None:
         raise ValidationError(f"depth {depth} too shallow to certify a diameter bound")
-    diam_upper = diam_lower / (1.0 - 2.0 * shrink)
-    resolution = shrink * diam_upper
-    if dedupe:
-        pts = _dedupe(pts, resolution / 4.0)
-    return AttractorCloud(points=pts, resolution=resolution, depth=depth,
-                          diam_lower=diam_lower, diam_upper=diam_upper,
-                          grid=cKDTree(pts))
+    return cloud
 
 
-def hausdorff_distance(set_a, set_b, grid_b: cKDTree | None = None) -> float:
+def hausdorff_distance(set_a, set_b) -> float:
     """Symmetric Hausdorff distance between two finite point sets."""
     a = np.atleast_2d(np.asarray(set_a, dtype=float))
     b = np.atleast_2d(np.asarray(set_b, dtype=float))
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
     if a.shape[0] == 0 or b.shape[0] == 0:
         raise ValidationError("Hausdorff distance needs nonempty sets")
-    tree_b = grid_b if grid_b is not None else cKDTree(b)
-    d_ab = tree_b.query(a)[0].max()
+    d_ab = cKDTree(b).query(a)[0].max()
     d_ba = cKDTree(a).query(b)[0].max()
     return float(max(d_ab, d_ba))
 
@@ -397,4 +379,8 @@ def read_cloud(path) -> AttractorCloud:
         data = np.frombuffer(fh.read(size), dtype="<f8").reshape(count, dim)
     if not (resolution >= 0.0 and np.isfinite(resolution) and np.isfinite(data).all()):
         raise ValidationError(f"{path}: cloud cache holds non-finite or negative values")
-    return AttractorCloud.from_points(data.copy(), resolution=resolution, depth=depth)
+    with np.errstate(over="ignore"):   # an overflowing diameter is rejected below
+        cloud = AttractorCloud.from_points(data.copy(), resolution=resolution, depth=depth)
+    if not np.isfinite(cloud.diam_upper):
+        raise ValidationError(f"{path}: cloud cache diameter is not finite")
+    return cloud

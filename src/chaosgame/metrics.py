@@ -76,11 +76,10 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
                   cloud: AttractorCloud, cap: int = DEFAULT_ORBIT_CAP) -> RecoveryRecord:
     """Least n with every cloud point within eps of some orbit point x_0..x_n.
 
-    The orbit is generated in chunks read with driver.segment, so the driver
-    cursor is not consumed.  Chunks grow from _FIRST_CHUNK to _CHUNK symbols,
-    so a small n steps few points.  Each chunk is checked against the
-    still-uncovered cloud points, and the returned n is the exact
-    deterministic minimum.
+    The orbit is generated in chunks read with driver.segment.  Chunks grow
+    from _FIRST_CHUNK to _CHUNK symbols, so a small n steps few points.
+    Each chunk is checked against the still-uncovered cloud points, and the
+    returned n is the exact deterministic minimum.
 
     In 1-d an orbit point y covers a cloud point p when abs(y - p) <= eps in
     floating point.  A cKDTree ball query applies the same test as long as

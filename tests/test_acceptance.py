@@ -115,11 +115,11 @@ def test_criterion_03_de_bruijn_optimality_and_extension():
         realized = []
         for m in orders:
             n = K ** m + m - 1
-            prefix = tuple(int(s) for s in d.prefix(n))
+            prefix = tuple(int(s) for s in d.segment(0, n))
             ok = ok and cg.is_de_bruijn(cg.Word(prefix, K), m)
             realized.append((n, prefix))
         for n, prefix in realized:
-            ok = ok and tuple(int(s) for s in d.prefix(n)) == prefix
+            ok = ok and tuple(int(s) for s in d.segment(0, n)) == prefix
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0
     report(ok, "de Bruijn words have optimal length with exact factor counts "

@@ -184,3 +184,60 @@ class TestBadInputExit2:
         code, _, err = run(capsys, "experiment", "run", path, "--cache", str(cache))
         assert code == 2
         assert str(cloud_file) in err and f"truncated cloud cache {part}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("driver", "emit", "random", "--seed", "-1", "-n", "5"),
+        ("recover", "--ifs", "cantor", "--driver", "random", "--seed", "-1",
+         "--x0", "0", "--eps", "0.1", "--resolution", "0.001"),
+        ("experiment", "run", "cantor-champernowne", "--seed", "-1"),
+    ], ids=["emit", "recover", "experiment"])
+    def test_negative_seed(self, capsys, argv):
+        # numpy's ValueError for a negative seed used to escape as a
+        # traceback, and an overriding --seed -1 was written into the
+        # canonical config, which then no longer parsed.
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "seed" in err and "-1" in err
+
+    def test_config_negative_seed(self, capsys, config):
+        code, _, err = run(capsys, "experiment", "run", config(("seed = 0", "seed = -1")))
+        assert code == 2
+        assert "[experiment] seed" in err and "'-1'" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("driver", "emit", "champernowne", "-n", "-5"),
+        ("schedule", "--ifs", "cantor", "--k-max", "1", "--step-cap", "100000",
+         "--resolution", "1e-05", "--emit", "-3"),
+    ], ids=["emit", "schedule"])
+    def test_negative_count(self, capsys, argv):
+        # A negative count used to slice from the end of the driver's buffer
+        # and print an empty line with exit code 0.
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "invalid driver segment" in err
+
+    @pytest.mark.parametrize("edit,where", [
+        (("resolution = 0.001", "resolution = nan"), "[run] resolution"),
+        (("resolution = 0.001", "resolution = inf"), "[run] resolution"),
+        (("a = 1\nr = 0.33333333333333331\nm_lo = 3\nm_hi = 5",
+          "list = inf 0.5"), "[eps] list"),
+        (("a = 1\nr = 0.33333333333333331\nm_lo = 3\nm_hi = 5",
+          "list = 0.5 -0.1"), "[eps] list"),
+        (("a = 1\nr = 0.33333333333333331\nm_lo = 3\nm_hi = 5",
+          "list = 0.5 0"), "[eps] list"),
+    ], ids=["resolution-nan", "resolution-inf", "list-inf", "list-negative",
+            "list-zero"])
+    def test_config_value_out_of_range(self, capsys, config, edit, where):
+        # resolution = nan used to deepen the cloud to the point budget and
+        # exit 3; list = inf wrote an "inf,1,1" cover row; a negative list
+        # value failed only after the cloud was built.
+        code, _, err = run(capsys, "experiment", "run", config(edit))
+        assert code == 2
+        assert where in err
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_cli_resolution_out_of_range(self, capsys, tmp_path, value):
+        code, _, err = run(capsys, "cloud", "build", "--ifs", "cantor", "--resolution",
+                           value, "--out", str(tmp_path / "c.ifsc"))
+        assert code == 2
+        assert "target resolution must be positive and finite" in err

@@ -287,7 +287,7 @@ class TestSlowDriver:
     def test_block_structure(self, schedule):
         d = cg.slow_driver(schedule)
         e1 = schedule.entries[0]
-        prefix = list(d.prefix(e1.v))
+        prefix = list(d.segment(0, e1.v))
         assert all(s == schedule.base.i_star for s in prefix[:e1.p])
         assert prefix[e1.v - 1] == e1.sigma.symbols[-1]
         assert tuple(prefix[e1.p:e1.v]) == e1.sigma.symbols

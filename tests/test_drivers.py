@@ -21,10 +21,10 @@ class TestWord:
 
 class TestChampernowne:
     def test_first_symbols_k2(self):
-        assert list(cg.champernowne(2).prefix(10)) == [1, 2, 1, 1, 1, 2, 2, 1, 2, 2]
+        assert list(cg.champernowne(2).segment(0, 10)) == [1, 2, 1, 1, 1, 2, 2, 1, 2, 2]
 
     def test_first_symbols_k3(self):
-        assert list(cg.champernowne(3).prefix(3)) == [1, 2, 3]
+        assert list(cg.champernowne(3).segment(0, 3)) == [1, 2, 3]
 
     def test_k_must_be_at_least_two(self):
         with pytest.raises(ValidationError):
@@ -105,21 +105,21 @@ class TestInfiniteDeBruijn:
         d = cg.infinite_de_bruijn(3)
         for m in (1, 2, 3):
             n = 3 ** m + m - 1
-            w = cg.Word(tuple(int(s) for s in d.prefix(n)), 3)
+            w = cg.Word(tuple(int(s) for s in d.segment(0, n)), 3)
             assert cg.is_de_bruijn(w, m)
 
     def test_k2_even_orders(self):
         d = cg.infinite_de_bruijn(2)
         for m in (2, 4, 6):
             n = 2 ** m + m - 1
-            w = cg.Word(tuple(int(s) for s in d.prefix(n)), 2)
+            w = cg.Word(tuple(int(s) for s in d.segment(0, n)), 2)
             assert cg.is_de_bruijn(w, m)
 
     def test_prefix_stability(self):
         d = cg.infinite_de_bruijn(2)
-        early = list(d.prefix(19))
-        d.prefix(2 ** 8 + 8 - 1)   # force later extension orders
-        assert list(d.prefix(19)) == early
+        early = list(d.segment(0, 19))
+        d.segment(0, 2 ** 8 + 8 - 1)   # force later extension orders
+        assert list(d.segment(0, 19)) == early
 
     def test_k2_odd_order_bound(self):
         # n_i(3) <= 2^4 + 3 (the prefix realizing order 4 covers order 3)
@@ -134,14 +134,14 @@ class TestExample4:
 
     def test_block_positions_z1(self):
         d = cg.example4_driver(1.0)
-        prefix = list(d.prefix(30))
+        prefix = list(d.segment(0, 30))
         ones = {n for n in range(1, 31) if prefix[n - 1] == 1}
         assert ones == {8, 9, 24, 25, 26}
 
     def test_block_structure_z1(self):
         # position n carries 1 iff it falls inside the k-block for some k >= 2
         d = cg.example4_driver(1.0)
-        prefix = list(d.prefix(3000))
+        prefix = list(d.segment(0, 3000))
         expected = set()
         for k in range(2, 10):
             start = cg.example4_block_start(k, 1.0)
@@ -163,15 +163,15 @@ class TestExample4:
 
 class TestRandomDriver:
     def test_determinism(self):
-        a = list(cg.random_driver(2, 42).prefix(500))
-        b = list(cg.random_driver(2, 42).prefix(500))
+        a = list(cg.random_driver(2, 42).segment(0, 500))
+        b = list(cg.random_driver(2, 42).segment(0, 500))
         assert a == b
 
     def test_k1_constant(self):
-        assert set(cg.random_driver(1, 0).prefix(50)) == {1}
+        assert set(cg.random_driver(1, 0).segment(0, 50)) == {1}
 
     def test_frequency(self):
-        symbols = cg.random_driver(2, 123).prefix(10 ** 6)
+        symbols = cg.random_driver(2, 123).segment(0, 10 ** 6)
         freq = float(np.mean(symbols == 1))
         assert abs(freq - 0.5) < 0.01
 
@@ -179,22 +179,21 @@ class TestRandomDriver:
 class TestDriverStream:
     def test_literal_exhaustion(self):
         d = cg.literal_driver(cg.Word((1, 2, 1), 2))
-        assert list(d.take(3)) == [1, 2, 1]
+        assert list(d.segment(0, 3)) == [1, 2, 1]
         with pytest.raises(CapExceededError, match="exhausted"):
-            d.take(1)
+            d.segment(3, 4)
 
-    def test_one_based_indexing(self):
+    def test_segment_bounds_checked(self):
         d = cg.champernowne(2)
-        assert d.symbol(1) == 1
-        assert d.symbol(2) == 2
-        with pytest.raises(ValidationError):
-            d.symbol(0)
+        for start, stop in [(-1, 2), (0, -5), (3, 2)]:
+            with pytest.raises(ValidationError, match="invalid driver segment"):
+                d.segment(start, stop)
 
     def test_segment_does_not_consume(self):
         d = cg.champernowne(2)
         seg = list(d.segment(2, 5))
         assert seg == [1, 1, 1]
-        assert list(d.take(3)) == [1, 2, 1]
+        assert list(d.segment(0, 3)) == [1, 2, 1]
 
 
 class TestWordCoverage:
@@ -229,7 +228,7 @@ def _slow_driver():
 
 
 # Each hash is hashlib.sha256 over the first n symbols written one byte per
-# symbol, np.asarray(driver.prefix(n), dtype=np.uint8).tobytes(), as
+# symbol, np.asarray(driver.segment(0, n), dtype=np.uint8).tobytes(), as
 # produced by the drivers that generated one Python int per symbol and
 # buffered them in a list.  The array-producing drivers must match them.
 PREFIX_SHA256 = [
@@ -261,7 +260,7 @@ PREFIX_SHA256 = [
                          [case[1:] for case in PREFIX_SHA256],
                          ids=[case[0] for case in PREFIX_SHA256])
 def test_prefix_unchanged(make, n, expected):
-    symbols = make().prefix(n)
+    symbols = make().segment(0, n)
     assert symbols.dtype == np.int64 and symbols.shape == (n,)
     assert hashlib.sha256(symbols.astype(np.uint8).tobytes()).hexdigest() == expected
 
@@ -269,6 +268,6 @@ def test_prefix_unchanged(make, n, expected):
 def test_segments_agree_with_prefix():
     # Chunked reads in any order see the same buffered symbols.
     d = cg.champernowne(3)
-    whole = cg.champernowne(3).prefix(200000)
+    whole = cg.champernowne(3).segment(0, 200000)
     for start, stop in [(150000, 200000), (0, 7), (7, 150000), (3, 3)]:
         assert np.array_equal(d.segment(start, stop), whole[start:stop])

@@ -109,6 +109,7 @@ def test_read_cloud_raises_only_package_errors(dim, data):
         except ChaosGameError:
             return
     assert np.isfinite(cloud.points).all() and cloud.resolution >= 0.0
+    assert np.isfinite(cloud.diam_upper)
 
 
 _ENTRY = (st.floats(allow_nan=True, allow_infinity=True) | st.integers(-10, 10)

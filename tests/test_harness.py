@@ -1,5 +1,7 @@
 """Config parsing/emission, presets, experiment runs, cloud caching."""
 
+import hashlib
+
 import pytest
 
 import chaosgame as cg
@@ -30,6 +32,21 @@ x0 = 0; 1
 resolution = 0.001
 orbit_cap = 100000
 """
+
+
+# sha256 over each preset's artifacts, name NUL content NUL in name order,
+# from a run without a cache.  They pin every byte a preset writes, so a
+# refactor that moves any number fails here.  The 2-d preset's digest also
+# depends on the BLAS kernel that numpy picks at run time (see ROADMAP).
+PRESET_SHA256 = {
+    "cantor-champernowne": "aacdf67806296517bc6d236e2e9fe1ee41c8c40e5d7c39453c24143525ab7ddc",
+    "cantor-debruijn": "1f47bfd874e0eafa099fe894eab5be22ac2c26d7b456786407932f78254fc297",
+    "sierpinski-debruijn": "66e3c084d8556cd050c01dae76492ceada11671f22bc667bafe17382369baa60",
+    "example4-z1": "c56c202294fd035eec10ee2f83424e730e50c459574c5e753c77dd6a84125301",
+    "example4-z05": "b5c353fcf8fcd107eff22c4f41c1fb3febfd2191543618fc5ceca6b6865cc25f",
+    "slow-power-z1": "aee2fa2608943e0af7376960886333bae994287208e68d5bb154978f0f385d15",
+    "segment-dimension": "c0483f5a938aa1c5c1e7b87a70ada0b88658751cc83b34a1a8aa9c6a2a2205c3",
+}
 
 
 class TestParseConfig:
@@ -140,6 +157,15 @@ class TestPresets:
     def test_unknown_preset(self):
         with pytest.raises(ValidationError, match="unknown preset"):
             load_preset("nope")
+
+    @pytest.mark.parametrize("name", sorted(PRESET_SHA256))
+    def test_artifacts_pinned(self, name):
+        assert set(PRESET_SHA256) == set(PRESETS)
+        artifacts = run_experiment(load_preset(name)).artifacts
+        h = hashlib.sha256()
+        for fname in sorted(artifacts):
+            h.update(f"{fname}\0{artifacts[fname]}\0".encode())
+        assert h.hexdigest() == PRESET_SHA256[name]
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,9 @@
 """Affine maps, orbits, attractor clouds, Hausdorff distance, cloud cache."""
 
+import dataclasses
+import re
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,7 +76,7 @@ class TestOrbit:
         driver = cg.champernowne(2)
         orbit = cg.run_orbit(cantor, cg.champernowne(2), [0.0], 10)
         x = 0.0
-        for k, s in enumerate(driver.prefix(10), start=1):
+        for k, s in enumerate(driver.segment(0, 10), start=1):
             x = x * (1 / 3) if s == 1 else x * (1 / 3) + 2 / 3
             assert orbit.points[k, 0] == pytest.approx(x, rel=1e-15, abs=1e-15)
         assert len(orbit) == 11
@@ -100,7 +104,7 @@ class TestOrbit:
 
 class TestCloud:
     def test_depth_one_and_two_points(self, cantor):
-        c1 = cg.cloud_at_depth(cantor, 3, dedupe=False)
+        c1 = cg.cloud_at_depth(cantor, 3)
         assert {round(v, 12) for v in c1.points.ravel()} >= {0.0, round(2 / 9, 12),
                                                              round(2 / 3, 12),
                                                              round(8 / 9, 12)}
@@ -178,3 +182,17 @@ class TestCloudCache:
         path.write_bytes(b"NOPE" + b"\x00" * 40)
         with pytest.raises(ValidationError, match="magic"):
             cg.read_cloud(path)
+
+    @pytest.mark.parametrize("coords", [[[-1e308], [1e308]],
+                                        [[0.0, 0.0], [1e200, -1e200]]],
+                                       ids=["1d", "2d"])
+    def test_overflowing_diameter_rejected(self, tmp_path, coords):
+        # Finite coordinates whose diameter overflows to inf used to load, with
+        # an overflow RuntimeWarning from the diameter computation.
+        cloud = cg.AttractorCloud.from_points(np.zeros((2, len(coords[0]))), 0.0)
+        path = tmp_path / "huge.ifsc"
+        cg.write_cloud(path, dataclasses.replace(cloud, points=np.array(coords)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValidationError, match=re.escape(f"{path}: cloud cache diameter is not finite")):
+                cg.read_cloud(path)

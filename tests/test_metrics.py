@@ -58,7 +58,7 @@ class TestRecoveryTime:
     def test_does_not_consume_driver(self, cantor, cantor_cloud_coarse):
         d = cg.champernowne(2)
         cg.recovery_time(cantor, d, [0.0], 0.1, cantor_cloud_coarse)
-        assert list(d.take(2)) == [1, 2]
+        assert list(d.segment(0, 2)) == [1, 2]
 
 
 class TestCoveringEstimate:
