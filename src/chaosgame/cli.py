@@ -22,26 +22,22 @@ from pathlib import Path
 import numpy as np
 
 from . import drivers as drv
-from .construct import (build_schedule, choose_base_map, iterexp_rate,
-                        power_rate, slow_driver)
+from .construct import RATE_KINDS, build_schedule, choose_base_map, slow_driver
 from .errors import (CapExceededError, ChaosGameError, InternalInvariantError,
                      ValidationError)
-from .harness import (_IFS_FACTORIES, PRESETS, _fmt, load_preset, parse_config,
-                      run_experiment)
+from .harness import (_IFS_FACTORIES, PRESETS, _dimension_csv, _fmt, _schedule_csv,
+                      load_preset, parse_config, run_experiment)
 from .ifs import build_cloud, read_cloud, write_cloud
 from .metrics import box_dimension, log_rate, recovery_time
 
-
-def _ifs_from_args(args):
-    if args.ifs in _IFS_FACTORIES:
-        return _IFS_FACTORIES[args.ifs]()
-    raise ValidationError(
-        f"unknown ifs preset {args.ifs!r}; known: {sorted(_IFS_FACTORIES)}"
-    )
-
-
 # The driver kinds the CLI can build: the literal one needs a word.
 _CLI_DRIVERS = [kind for kind in drv.DRIVER_KINDS if kind != "literal"]
+
+
+def _least(flag: str, value: int, least: int) -> int:
+    if value < least:
+        raise ValidationError(f"{flag} must be >= {least}, got {value}")
+    return value
 
 
 def _print_symbols(symbols, K: int) -> None:
@@ -51,8 +47,8 @@ def _print_symbols(symbols, K: int) -> None:
 
 def _cmd_cloud(args) -> int:
     if args.cloud_cmd == "build":
-        ifs = _ifs_from_args(args)
-        cloud = build_cloud(ifs, args.resolution, args.cap)
+        cap = _least("--cap", args.cap, 1)
+        cloud = build_cloud(_IFS_FACTORIES[args.ifs](), args.resolution, cap)
         write_cloud(args.out, cloud)
         print(f"wrote {cloud.size} points to {args.out} "
               f"(resolution {_fmt(cloud.resolution)}, depth {cloud.depth})")
@@ -72,16 +68,17 @@ def _cmd_driver(args) -> int:
     if args.driver_cmd == "emit":
         _print_symbols(stream.segment(0, args.count), K)
         return 0
+    cap = _least("--cap", args.cap, 0)
     print("m,n_i_m")
     for m in range(1, args.stats + 1):
-        stat = drv.word_coverage(stream, m, cap=args.cap)
+        stat = drv.word_coverage(stream, m, cap=cap)
         value = "exceeded" if stat.exceeded else str(stat.n_of_m)
         print(f"{m},{value}")
     return 0
 
 
 def _cmd_recover(args) -> int:
-    ifs = _ifs_from_args(args)
+    ifs = _IFS_FACTORIES[args.ifs]()
     driver = drv.DRIVER_KINDS[args.driver](ifs.alphabet_size, vars(args))
     cloud = build_cloud(ifs, args.resolution)
     try:
@@ -102,27 +99,21 @@ def _cmd_recover(args) -> int:
 
 
 def _cmd_dim(args) -> int:
-    ifs = _ifs_from_args(args)
-    cloud = build_cloud(ifs, args.resolution)
+    cloud = build_cloud(_IFS_FACTORIES[args.ifs](), args.resolution)
     est = box_dimension(cloud, args.a, args.r, args.m_lo, args.m_hi)
-    print("b_m,lower,upper,rate_lower,rate_upper")
-    for sample, rl, ru in zip(est.samples, est.rates_lower, est.rates_upper):
-        print(f"{_fmt(sample.eps)},{sample.lower},{sample.upper},"
-              f"{_fmt(rl)},{_fmt(ru)}")
+    sys.stdout.write(_dimension_csv(est))
     print(f"# value {_fmt(est.value)}")
     return 0
 
 
 def _cmd_schedule(args) -> int:
-    ifs = _ifs_from_args(args)
+    drv.check_segment(0, args.emit)
+    psi = RATE_KINDS[args.psi](vars(args))
+    ifs = _IFS_FACTORIES[args.ifs]()
     cloud = build_cloud(ifs, args.resolution)
-    psi = power_rate(args.z) if args.psi == "power" else iterexp_rate(args.order)
-    base = choose_base_map(ifs, cloud)
-    schedule = build_schedule(ifs, cloud, psi, base, k_max=args.k_max,
-                              step_cap=args.step_cap)
-    print("k,m_k,p_k,N_hat_k,v_k")
-    for k, entry in enumerate(schedule.entries, start=1):
-        print(f"{k},{entry.m},{entry.p},{entry.N_hat},{entry.v}")
+    schedule = build_schedule(ifs, cloud, psi, choose_base_map(ifs, cloud),
+                              k_max=args.k_max, step_cap=args.step_cap)
+    sys.stdout.write(_schedule_csv(schedule))
     if schedule.truncated:
         print("# truncated at the step cap", file=sys.stderr)
     if args.emit:
@@ -142,11 +133,9 @@ def _cmd_experiment(args) -> int:
             )
         cfg = parse_config(path.read_text())
     if args.cap is not None:
-        cfg = replace(cfg, orbit_cap=args.cap)
+        cfg = replace(cfg, orbit_cap=_least("--cap", args.cap, 0))
     if args.seed is not None:
-        if args.seed < 0:
-            raise ValidationError(f"--seed must be >= 0, got {args.seed}")
-        cfg = replace(cfg, seed=args.seed)
+        cfg = replace(cfg, seed=_least("--seed", args.seed, 0))
     report = run_experiment(cfg, out_dir=args.out, cache_dir=args.cache)
     sys.stdout.write(report.artifacts["summary.txt"])
     if args.out:
@@ -165,7 +154,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cloud = sub.add_parser("cloud", help="attractor point clouds")
     cloud_sub = p_cloud.add_subparsers(dest="cloud_cmd", required=True)
     p_build = cloud_sub.add_parser("build")
-    p_build.add_argument("--ifs", required=True)
+    p_build.add_argument("--ifs", required=True, choices=list(_IFS_FACTORIES))
     p_build.add_argument("--resolution", type=float, required=True)
     p_build.add_argument("--out", required=True)
     p_build.add_argument("--cap", type=int, default=2 ** 24,
@@ -189,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--cap", type=int, default=10 ** 9)
 
     p_rec = sub.add_parser("recover", help="one recovery-time measurement")
-    p_rec.add_argument("--ifs", required=True)
+    p_rec.add_argument("--ifs", required=True, choices=list(_IFS_FACTORIES))
     p_rec.add_argument("--driver", required=True, choices=_CLI_DRIVERS)
     p_rec.add_argument("--x0", required=True,
                        help="coordinates, space separated")
@@ -200,7 +189,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--cap", type=int, default=10 ** 7)
 
     p_dim = sub.add_parser("dim", help="box-dimension estimate")
-    p_dim.add_argument("--ifs", required=True)
+    p_dim.add_argument("--ifs", required=True, choices=list(_IFS_FACTORIES))
     p_dim.add_argument("--a", type=float, default=1.0)
     p_dim.add_argument("--r", type=float, required=True)
     p_dim.add_argument("--m-lo", type=int, required=True)
@@ -208,8 +197,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_dim.add_argument("--resolution", type=float, required=True)
 
     p_sch = sub.add_parser("schedule", help="slow-driver schedule table")
-    p_sch.add_argument("--ifs", required=True)
-    p_sch.add_argument("--psi", choices=["power", "iterexp"], default="power")
+    p_sch.add_argument("--ifs", required=True, choices=list(_IFS_FACTORIES))
+    p_sch.add_argument("--psi", choices=list(RATE_KINDS), default="power")
     p_sch.add_argument("--z", type=float, default=1.0)
     p_sch.add_argument("--order", type=int, default=2)
     p_sch.add_argument("--k-max", type=int, default=3)

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -24,6 +25,7 @@ from .ifs import AttractorCloud, IfsSystem, _hutchinson_points, fixed_point
 from .metrics import _greedy_walk, covering_estimate
 
 DEFAULT_ADDRESS_BUDGET = 2 ** 24
+_MIN_OUTSIDE = 8   # cloud points a base map must leave outside its delta-ball
 _EXP_OVERFLOW = 700.0  # exp argument beyond which float64 overflows
 # Each run rebuilds its covering words; equal ones share one tuple (8 bytes a symbol).
 _shared_word = functools.lru_cache(maxsize=8)(Word)
@@ -33,62 +35,43 @@ _shared_word = functools.lru_cache(maxsize=8)(Word)
 class RateFunction:
     """A positive rate psi(eps) -> infinity as eps -> 0, in closed form.
 
-    kinds:
-      power(z):          psi(eps) = (1/eps)^z, z > 0
-      iterexp(n):        psi(eps) = exp applied (n-1) times to 1/eps
-      bounding(...):     K * alpha * (base_distance)^q * (1/eps)^q
-      table(pairs):      log-log interpolation through (eps, value) samples
+    name is how drivers describe it, for example power(z=1); formula gives
+    psi from 1/eps.  The builders:
+      power_rate(z):      psi(eps) = (1/eps)^z, z > 0
+      iterexp_rate(n):    psi(eps) = exp applied (n-1) times to 1/eps
+      bounding_rate(...): K * alpha * (base_distance)^q * (1/eps)^q
+      table_rate(pairs):  log-log interpolation through (eps, value) samples
     """
 
-    kind: str
-    params: dict = field(default_factory=dict)
+    name: str
+    formula: Callable[[float], float]
 
     def __call__(self, eps: float) -> float:
         if eps <= 0:
             raise ValidationError("rate functions are defined for eps > 0")
-        p = self.params
-        if self.kind == "power":
-            return (1.0 / eps) ** p["z"]
-        if self.kind == "iterexp":
-            x = 1.0 / eps
-            for _ in range(p["n"] - 1):
-                if x > _EXP_OVERFLOW:
-                    return math.inf
-                x = math.exp(x)
-            return x
-        if self.kind == "bounding":
-            q = p["exponent"]
-            return p["K"] * p["alpha"] * p["base_distance"] ** q * (1.0 / eps) ** q
-        if self.kind == "table":
-            return self._interp(eps)
-        raise InternalInvariantError(f"unknown rate function kind {self.kind!r}")
-
-    def _interp(self, eps: float) -> float:
-        xs, ys = self.params["log_eps_inv"], self.params["log_values"]
-        t = math.log(1.0 / eps)
-        return math.exp(float(np.interp(t, xs, ys)))
-
-    def describe(self) -> str:
-        if self.kind == "power":
-            return f"power(z={self.params['z']:g})"
-        if self.kind == "iterexp":
-            return f"iterexp(n={self.params['n']})"
-        if self.kind == "bounding":
-            return ("bounding(K={K},alpha={alpha},base_distance={base_distance:g},"
-                    "exponent={exponent:g})").format(**self.params)
-        return f"table({len(self.params['log_eps_inv'])} samples)"
+        return self.formula(1.0 / eps)
 
 
 def power_rate(z: float) -> RateFunction:
     if z <= 0:
         raise ValidationError("power rate needs exponent z > 0")
-    return RateFunction("power", {"z": float(z)})
+    z = float(z)
+    return RateFunction(f"power(z={z:g})", lambda t: t ** z)
 
 
 def iterexp_rate(n: int) -> RateFunction:
     if n < 1:
         raise ValidationError("iterated-exponential rate needs order n >= 1")
-    return RateFunction("iterexp", {"n": int(n)})
+    n = int(n)
+
+    def formula(x: float) -> float:
+        for _ in range(n - 1):
+            if x > _EXP_OVERFLOW:
+                return math.inf
+            x = math.exp(x)
+        return x
+
+    return RateFunction(f"iterexp(n={n})", formula)
 
 
 def bounding_rate(K: int, alpha: int, base_distance: float, exponent: float) -> RateFunction:
@@ -98,9 +81,9 @@ def bounding_rate(K: int, alpha: int, base_distance: float, exponent: float) -> 
     if K < 2 or alpha < 1 or base_distance <= 0 or exponent <= 0:
         raise ValidationError("bounding rate needs K >= 2, alpha >= 1 and positive "
                               "base distance and exponent")
-    return RateFunction("bounding", {"K": int(K), "alpha": int(alpha),
-                                     "base_distance": float(base_distance),
-                                     "exponent": float(exponent)})
+    K, alpha, d, q = int(K), int(alpha), float(base_distance), float(exponent)
+    name = f"bounding(K={K},alpha={alpha},base_distance={d:g},exponent={q:g})"
+    return RateFunction(name, lambda t: K * alpha * d ** q * t ** q)
 
 
 def table_rate(pairs) -> RateFunction:
@@ -116,17 +99,22 @@ def table_rate(pairs) -> RateFunction:
     values = [v for _, v in pairs]
     if any(b <= a for a, b in zip(values, values[1:])):
         raise ValidationError("table rate must increase as eps decreases")
-    return RateFunction("table", {
-        "log_eps_inv": [math.log(1.0 / e) for e, _ in pairs],
-        "log_values": [math.log(v) for v in values],
-    })
+    xs = [math.log(1.0 / e) for e, _ in pairs]
+    ys = [math.log(v) for v in values]
+    return RateFunction(f"table({len(pairs)} samples)",
+                        lambda t: math.exp(float(np.interp(math.log(t), xs, ys))))
+
+
+# The slow driver's psi kinds -> constructor(params); params supply z or order.
+RATE_KINDS = {"power": lambda p: power_rate(p["z"]),
+              "iterexp": lambda p: iterexp_rate(p["order"])}
 
 
 @dataclass(frozen=True)
 class BaseMapChoice:
     """A map index whose fixed point leaves plenty of the attractor outside.
 
-    outside_count >= min_outside_threshold cloud points lie outside
+    outside_count >= _MIN_OUTSIDE cloud points lie outside
     B(x_star, delta), two of them nearly coincident — the finite stand-in
     for 'the attractor minus the ball is infinite'.
     """
@@ -166,23 +154,22 @@ class Schedule:
         return 3.0 * self.C_of(self.entries[k - 1].m)
 
 
-def choose_base_map(ifs: IfsSystem, cloud: AttractorCloud,
-                    min_outside_threshold: int = 8) -> BaseMapChoice:
+def choose_base_map(ifs: IfsSystem, cloud: AttractorCloud) -> BaseMapChoice:
     """First map whose fixed point excludes an accumulating chunk of the cloud.
 
     delta = diam_lower / 4.  A candidate is accepted when at least
-    min_outside_threshold cloud points lie outside B(x_star, delta) and two
+    _MIN_OUTSIDE cloud points lie outside B(x_star, delta) and two
     of those points sit within twice the cloud resolution of each other
     (accumulation at the deepest refinement).
     """
-    if cloud.size < 2 * min_outside_threshold:
+    if cloud.size < 2 * _MIN_OUTSIDE:
         raise ValidationError("cloud too small to certify an infinite attractor")
     delta = cloud.diam_lower / 4.0
     for i, mp in enumerate(ifs.maps, start=1):
         x = fixed_point(mp)
         dists = np.linalg.norm(cloud.points - x, axis=1)
         outside = cloud.points[dists > delta]
-        if outside.shape[0] < min_outside_threshold:
+        if outside.shape[0] < _MIN_OUTSIDE:
             continue
         pairs = cKDTree(outside).query_pairs(2.0 * cloud.resolution)
         if pairs:
@@ -257,11 +244,10 @@ def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
     """
     if k_max < 1:
         raise ValidationError("schedule needs k_max >= 1")
-    L = ifs.lip_max
-    diam_upper = cloud.diam_upper
-
-    def C_of(m: int) -> float:
-        return L ** m * (diam_upper + 1.0)
+    empty = Schedule(psi=psi, base=base, entries=(), lip_max=ifs.lip_max,
+                     diam_upper=cloud.diam_upper, alphabet_size=ifs.alphabet_size,
+                     truncated=False)
+    C_of = empty.C_of
 
     # Divergence trend test: sample the ratio m*N(C_m)/psi(3*C_m) while the
     # scale stays resolvable and demand an overall decrease.
@@ -327,24 +313,21 @@ def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
         raise CapExceededError(
             "step cap too small for even one schedule block"
         )
-    return Schedule(psi=psi, base=base, entries=tuple(entries), lip_max=L,
-                    diam_upper=diam_upper, alphabet_size=ifs.alphabet_size,
-                    truncated=truncated)
+    return replace(empty, entries=tuple(entries), truncated=truncated)
 
 
-def slow_driver(schedule: Schedule, tail: DriverStream | None = None) -> DriverStream:
-    """Infinite driver: per scheduled k, (i_star)^p_k then sigma_k; then tail.
+def slow_driver(schedule: Schedule) -> DriverStream:
+    """Infinite driver: per scheduled k, (i_star)^p_k then sigma_k; then the
+    Champernowne stream, keeping the driver disjunctive beyond the blocks.
 
-    The default tail is the Champernowne stream, keeping the driver
-    disjunctive beyond the scheduled blocks.
+    Its description names the rate by schedule.psi.name, for example
+    slow(blocks=3,i_star=1,psi=power(z=1),tail=champernowne,v_last=...).
     """
     if not schedule.entries:
         raise ValidationError("slow driver needs a schedule with >= 1 entry")
     K = schedule.alphabet_size
     i_star = schedule.base.i_star
-    tail = tail if tail is not None else champernowne(K)
-    if tail.alphabet_size != K:
-        raise ValidationError("tail driver must share the schedule's alphabet")
+    tail = champernowne(K)
 
     def gen():
         for e in schedule.entries:
@@ -356,6 +339,6 @@ def slow_driver(schedule: Schedule, tail: DriverStream | None = None) -> DriverS
             pos += 4096
 
     params = {"i_star": i_star, "blocks": len(schedule.entries),
-              "psi": schedule.psi.describe(), "v_last": schedule.entries[-1].v,
+              "psi": schedule.psi.name, "v_last": schedule.entries[-1].v,
               "tail": tail.kind}
     return DriverStream("slow", K, gen, params)

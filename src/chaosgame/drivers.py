@@ -23,6 +23,7 @@ from .errors import CapExceededError, InternalInvariantError, ValidationError
 DEFAULT_WORD_BUDGET = 2 ** 24
 DEFAULT_COVERAGE_CAP = 10 ** 9
 _BLOCK = 1 << 16   # most symbols a driver generator yields at once
+_K0_WINDOW = 64    # terms example4_k0 checks past each candidate k
 
 
 @dataclass(frozen=True)
@@ -84,9 +85,7 @@ class DriverStream:
 
     def segment(self, start: int, stop: int) -> np.ndarray:
         """Symbols at 0-based positions [start, stop)."""
-        if start < 0 or stop < start:
-            raise ValidationError(
-                f"invalid driver segment [{start}, {stop}): need 0 <= start <= stop")
+        check_segment(start, stop)
         self._fill(stop)
         return self._buf[start:stop].copy()
 
@@ -95,6 +94,12 @@ class DriverStream:
             inner = ",".join(f"{k}={v}" for k, v in sorted(self.params.items()))
             return f"{self.kind}({inner})"
         return self.kind
+
+
+def check_segment(start: int, stop: int) -> None:
+    if start < 0 or stop < start:
+        raise ValidationError(
+            f"invalid driver segment [{start}, {stop}): need 0 <= start <= stop")
 
 
 def _pieces(symbols):
@@ -253,7 +258,7 @@ def _complete_trail(K, V, used, end, start, pref):
     return tail
 
 
-def extend_de_bruijn(word: Word, K: int, budget: int = DEFAULT_WORD_BUDGET) -> Word:
+def extend_de_bruijn(word: Word, K: int) -> Word:
     """Extend a de Bruijn word of order m to one of order m + alpha(K),
     keeping the input as a prefix.
 
@@ -265,7 +270,7 @@ def extend_de_bruijn(word: Word, K: int, budget: int = DEFAULT_WORD_BUDGET) -> W
         raise ValidationError("alphabet mismatch")
     m = infer_order(word)
     M = m + alpha(K)
-    if K ** M > budget:
+    if K ** M > DEFAULT_WORD_BUDGET:
         raise CapExceededError(f"extension to order {M} exceeds budget")
     V = K ** (M - 1)
     mod_node = V
@@ -301,12 +306,12 @@ def extend_de_bruijn(word: Word, K: int, budget: int = DEFAULT_WORD_BUDGET) -> W
     return out
 
 
-def infinite_de_bruijn(K: int, budget: int = DEFAULT_WORD_BUDGET) -> DriverStream:
+def infinite_de_bruijn(K: int) -> DriverStream:
     """Inductive limit of extending de Bruijn words.
 
     Realized orders: 1, 2, 3, ... for K >= 3; 2, 4, 6, ... for K = 2.
-    Once an extension would exceed the budget the stream continues with
-    the Champernowne concatenation so it stays infinite.
+    Once an extension would exceed DEFAULT_WORD_BUDGET words the stream
+    continues with the Champernowne concatenation so it stays infinite.
     """
     if K < 2:
         raise ValidationError("alphabet size must be >= 2")
@@ -316,9 +321,9 @@ def infinite_de_bruijn(K: int, budget: int = DEFAULT_WORD_BUDGET) -> DriverStrea
         yield from _pieces(w.symbols)
         while True:
             order = infer_order(w) + alpha(K)
-            if K ** order > budget:
+            if K ** order > DEFAULT_WORD_BUDGET:
                 break
-            w2 = extend_de_bruijn(w, K, budget=budget)
+            w2 = extend_de_bruijn(w, K)
             yield from _pieces(w2.symbols[len(w):])
             w = w2
         # Disjunctive tail beyond the realized orders.
@@ -327,21 +332,21 @@ def infinite_de_bruijn(K: int, budget: int = DEFAULT_WORD_BUDGET) -> DriverStrea
     return DriverStream("de_bruijn_infinite", K, gen, {"K": K})
 
 
-def example4_k0(z: float, window: int = 64) -> int:
+def example4_k0(z: float) -> int:
     """Smallest admissible k_0 = max(k_1, k_2) for the block driver.
 
-    Checks each condition on [k, k+window]; 2^{kz}/k is eventually
+    Checks each condition on [k, k + _K0_WINDOW); 2^{kz}/k is eventually
     increasing, so a clean window certifies the tail (adequate for
     z >= 0.1).
     """
     if z <= 0:
         raise ValidationError("block driver exponent must be positive")
     def holds_k1(k):
-        return all(j < 2.0 ** (j * z) for j in range(k, k + window))
+        return all(j < 2.0 ** (j * z) for j in range(k, k + _K0_WINDOW))
 
     def holds_k2(k):
         bar = 1.0 / (2.0 ** z - 1.0)
-        return all((j + 1) * 2.0 ** (j * z) > bar for j in range(k, k + window))
+        return all((j + 1) * 2.0 ** (j * z) > bar for j in range(k, k + _K0_WINDOW))
 
     k1 = next(k for k in itertools.count(1) if holds_k1(k))
     k2 = next(k for k in itertools.count(1) if holds_k2(k))
@@ -419,14 +424,14 @@ class CoverageStat:
         return self.n_of_m is None
 
 
-def word_coverage(driver: DriverStream, m: int, cap: int = DEFAULT_COVERAGE_CAP,
-                  budget: int = DEFAULT_WORD_BUDGET) -> CoverageStat:
+def word_coverage(driver: DriverStream, m: int,
+                  cap: int = DEFAULT_COVERAGE_CAP) -> CoverageStat:
     """Sliding-window scan for the least n whose prefix contains all K^m words."""
     if m < 1:
         raise ValidationError("word length must be >= 1")
     K = driver.alphabet_size
     total = K ** m
-    if total > budget:
+    if total > DEFAULT_WORD_BUDGET:
         raise CapExceededError(f"K^m = {total} exceeds the tracking budget")
     seen = bytearray(total)
     found = 0

@@ -20,23 +20,23 @@ Config grammar (INI-style, plain-text key/value with sections):
     z = 1                         # example4 only
     symbols = 1 2 1 1             # literal only
     psi = power                   # slow only: power | iterexp
-    order = 2                     # slow + iterexp only
-    k_max = 3                     # slow only
-    step_cap = 5000000            # slow only
+    order = 2                     # slow + iterexp only, >= 1
+    k_max = 3                     # slow only, >= 1
+    step_cap = 5000000            # slow only, >= 1
 
     [eps]                         # omitted for kind = slow (the schedule
     a = 1                         # supplies eps_k = 3*C_{m_k});
     r = 0.5                       # otherwise geometric a*r^m over m_lo..m_hi
-    m_lo = 4
+    m_lo = 4                      # (every a*r^m must lie in (0, 1))
     m_hi = 10
-    list = 0.125 0.0625           # ...or an explicit decreasing list
+    list = 0.125 0.0625           # ...or a decreasing list in (0, 1)
 
     [run]
     x0 = 0; 1; 5                  # start points: ';' between points,
                                   # spaces between coordinates
     resolution = 1e-06            # cloud target resolution (omit if exact)
-    orbit_cap = 1000000           # optional
-    point_budget = 16777216       # optional
+    orbit_cap = 1000000           # optional, >= 0
+    point_budget = 16777216       # optional, >= 1
     dimension = false             # optional; needs the geometric eps form
     exact_attractor = false       # optional; {x/2, const 1} system only
 
@@ -59,8 +59,8 @@ from pathlib import Path
 import numpy as np
 
 from . import drivers as drv
-from .construct import (RateFunction, Schedule, build_schedule, choose_base_map,
-                        iterexp_rate, power_rate, slow_driver)
+from .construct import (RATE_KINDS, Schedule, build_schedule, choose_base_map,
+                        power_rate, slow_driver)
 from .errors import ValidationError
 from .ifs import (AffineMap, AttractorCloud, IfsSystem, build_cloud, cantor_ifs,
                   halving_ifs, read_cloud, segment_ifs, sierpinski_ifs,
@@ -161,6 +161,8 @@ def _where(reader, holds):
 _REQUIRED = object()
 _BOOLS = {"true": True, "yes": True, "1": True, "false": False, "no": False, "0": False}
 _INT = (int, "an integer")
+_COUNT = (_where(int, lambda v: v >= 0), "an integer >= 0")
+_POSITIVE_INT = (_where(int, lambda v: v >= 1), "an integer >= 1")
 _POSITIVE = (_where(_number, lambda v: v > 0), "a positive finite number")
 _BOOL = (lambda raw: _BOOLS[raw.lower()], "true/false")
 
@@ -174,18 +176,18 @@ _FIELDS = {
         "schema_version": (_where(int, lambda v: v == SCHEMA_VERSION),
                            f"{SCHEMA_VERSION}", _REQUIRED),
         "name": (_where(str, bool), "a name", _REQUIRED),
-        "seed": (_where(int, lambda v: v >= 0), "an integer >= 0", 0),
+        "seed": (*_COUNT, 0),
     },
-    "ifs": {"preset": (str, "a preset name", None)},
+    "ifs": {"preset": (_where(str, lambda v: v in _IFS_FACTORIES),
+                       " | ".join(_IFS_FACTORIES), None)},
     "driver": {
         "kind": (str, "a driver kind", _REQUIRED),
         "z": (_number, "a finite number", None),
         "symbols": (lambda raw: tuple(int(t) for t in raw.split()), "integers", None),
-        "psi": (_where(str, lambda v: v in ("power", "iterexp")),
-                "power | iterexp", None),
-        "order": (*_INT, None),
-        "k_max": (*_INT, 3),
-        "step_cap": (*_INT, 5 * 10 ** 6),
+        "psi": (_where(str, lambda v: v in RATE_KINDS), "power | iterexp", None),
+        "order": (*_POSITIVE_INT, None),
+        "k_max": (*_POSITIVE_INT, 3),
+        "step_cap": (*_POSITIVE_INT, 5 * 10 ** 6),
     },
     "eps": {
         "a": (*_POSITIVE, None),
@@ -193,16 +195,16 @@ _FIELDS = {
               None),
         "m_lo": (*_INT, None),
         "m_hi": (*_INT, None),
-        "list": (_where(_numbers, lambda vs: all(v > 0 for v in vs) and
+        "list": (_where(_numbers, lambda vs: all(0.0 < v < 1.0 for v in vs) and
                         all(b < a for a, b in zip(vs, vs[1:]))),
-                 "strictly decreasing positive finite numbers", None),
+                 "strictly decreasing numbers in (0, 1)", None),
     },
     "run": {
         "x0": (_where(lambda raw: tuple(p for p in map(_numbers, raw.split(";")) if p),
                       bool), "finite numbers, ';' between points", _REQUIRED),
         "resolution": (*_POSITIVE, None),
-        "orbit_cap": (*_INT, 10 ** 6),
-        "point_budget": (*_INT, 2 ** 24),
+        "orbit_cap": (*_COUNT, 10 ** 6),
+        "point_budget": (*_POSITIVE_INT, 2 ** 24),
         "dimension": (*_BOOL, False),
         "exact_attractor": (*_BOOL, False),
     },
@@ -251,16 +253,12 @@ def parse_config(text: str) -> ExperimentConfig:
     if cp.has_section("ifs"):
         keys = set(given["ifs"])
         preset = val["preset"]
-        if preset is not None:
+        if "preset" in keys:
             extra = keys - {"preset"}
             if extra:
                 errors.append(f"unknown key(s) {sorted(extra)} in [ifs] next to preset")
-            if preset not in _IFS_FACTORIES:
-                errors.append(f"unknown ifs preset {preset!r}; "
-                              f"known: {sorted(_IFS_FACTORIES)}")
-            else:
-                for m in _IFS_FACTORIES[preset]().maps:
-                    ifs_maps.append((tuple(m.matrix.ravel()), tuple(m.offset)))
+            for m in _IFS_FACTORIES[preset]().maps if preset else ():
+                ifs_maps.append((tuple(m.matrix.ravel()), tuple(m.offset)))
         else:
             idx = 1
             while f"map{idx}.offset" in keys or f"map{idx}.matrix" in keys:
@@ -321,6 +319,13 @@ def parse_config(text: str) -> ExperimentConfig:
         a, r, lo, hi = (val[key] for key in ("a", "r", "m_lo", "m_hi"))
         if lo is not None and hi is not None and lo > hi:
             errors.append("[eps] m_lo must be <= m_hi")
+        elif None not in (a, r, lo, hi):
+            try:   # eps = a*r^m falls as m rises
+                inside = 0.0 < a * r ** hi and a * r ** lo < 1.0
+            except OverflowError:
+                inside = False
+            if not inside:
+                errors.append(f"[eps] m_lo = {lo}, m_hi = {hi}: a*r^m leaves (0, 1)")
         eps_schedule = ("geom", a, r, lo, hi)
 
     # [run]
@@ -429,8 +434,7 @@ def _exact_attractor_cloud(min_eps: float) -> AttractorCloud:
     dropped tail lies within min_eps/4 of the retained point 0."""
     n_max = max(1, math.ceil(math.log2(4.0 / min_eps)))
     pts = [0.0] + [2.0 ** (-j) for j in range(n_max + 1)]
-    return AttractorCloud.from_points(np.array(pts)[:, None], resolution=0.0,
-                                      depth=n_max, diam_upper=1.0)
+    return AttractorCloud.from_points(pts, resolution=0.0, depth=n_max, diam_upper=1.0)
 
 
 def _cloud_cache_key(cfg: ExperimentConfig) -> str:
@@ -464,14 +468,26 @@ def make_driver(cfg: ExperimentConfig, ifs: IfsSystem,
         ifs.alphabet_size, {"seed": cfg.seed, **dict(cfg.driver_params)})
 
 
-def _schedule_psi(cfg: ExperimentConfig) -> RateFunction:
-    if cfg.param("psi") == "power":
-        return power_rate(cfg.param("z"))
-    return iterexp_rate(cfg.param("order"))
-
-
 def _x0_field(point: np.ndarray) -> str:
     return " ".join(_fmt(c) for c in np.atleast_1d(point))
+
+
+def _csv(header: str, rows) -> str:
+    return "".join(line + "\n" for line in (header, *rows))
+
+
+def _dimension_csv(est: DimensionEstimate) -> str:
+    """dimension.csv, which the CLI's dim command prints too."""
+    return _csv("b_m,lower,upper,rate_lower,rate_upper", (
+        f"{_fmt(s.eps)},{s.lower},{s.upper},{_fmt(rl)},{_fmt(ru)}"
+        for s, rl, ru in zip(est.samples, est.rates_lower, est.rates_upper)))
+
+
+def _schedule_csv(schedule: Schedule) -> str:
+    """schedule.csv, which the CLI's schedule command prints too."""
+    return _csv("k,m_k,p_k,N_hat_k,v_k", (
+        f"{k},{e.m},{e.p},{e.N_hat},{e.v}"
+        for k, e in enumerate(schedule.entries, start=1)))
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunReport:
@@ -488,7 +504,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
     schedule = None
     if cfg.driver_kind == "slow":
         base = choose_base_map(ifs, cloud)
-        schedule = build_schedule(ifs, cloud, _schedule_psi(cfg), base,
+        psi = RATE_KINDS[cfg.param("psi")](dict(cfg.driver_params))
+        schedule = build_schedule(ifs, cloud, psi, base,
                                   k_max=cfg.param("k_max"),
                                   step_cap=cfg.param("step_cap"),
                                   budget=cfg.point_budget)
@@ -516,42 +533,23 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
     timings["analysis"] = time.perf_counter() - t0
 
     # ---- artifact emission (all deterministic text) ----
-    rec_rows = []
-    for rec in records:
-        n_field = "exceeded" if rec.n is None else str(rec.n)
-        if rec.n is None or rec.n == 0:
-            lr_field = "undefined"
-        else:
-            lr_field = _fmt(log_rate(rec.n, rec.eps))
-        rec_rows.append(",".join([rec.driver, _x0_field(rec.x0), _fmt(rec.eps),
-                                  n_field, _fmt(rec.guard), lr_field]))
-    artifacts["recovery.csv"] = "driver,x0,eps,n,guard,log_rate\n" + \
-        "".join(row + "\n" for row in rec_rows)
-
-    artifacts["cover.csv"] = "eps,lower,upper\n" + "".join(
-        f"{_fmt(c.eps)},{c.lower},{c.upper}\n" for c in covers)
-
+    artifacts["recovery.csv"] = _csv("driver,x0,eps,n,guard,log_rate", (
+        f"{rec.driver},{_x0_field(rec.x0)},{_fmt(rec.eps)},"
+        f"{'exceeded' if rec.n is None else rec.n},{_fmt(rec.guard)},"
+        f"{_fmt(log_rate(rec.n, rec.eps)) if rec.n else 'undefined'}" for rec in records))
+    artifacts["cover.csv"] = _csv("eps,lower,upper", (
+        f"{_fmt(c.eps)},{c.lower},{c.upper}" for c in covers))
     if dimension is not None:
-        rows = []
-        for est, rl, ru in zip(dimension.samples, dimension.rates_lower,
-                               dimension.rates_upper):
-            rows.append(f"{_fmt(est.eps)},{est.lower},{est.upper},"
-                        f"{_fmt(rl)},{_fmt(ru)}")
-        artifacts["dimension.csv"] = "b_m,lower,upper,rate_lower,rate_upper\n" + \
-            "".join(row + "\n" for row in rows)
-
+        artifacts["dimension.csv"] = _dimension_csv(dimension)
     if schedule is not None:
-        rows = [f"{k},{e.m},{e.p},{e.N_hat},{e.v}"
-                for k, e in enumerate(schedule.entries, start=1)]
-        artifacts["schedule.csv"] = "k,m_k,p_k,N_hat_k,v_k\n" + \
-            "".join(row + "\n" for row in rows)
+        artifacts["schedule.csv"] = _schedule_csv(schedule)
     psi = (schedule.psi if schedule is not None else
            power_rate(cfg.param("z")) if cfg.driver_kind == "example4" else None)
     if psi is not None:
-        artifacts["ratio.csv"] = "x0,eps,n,ratio\n" + "".join(
+        artifacts["ratio.csv"] = _csv("x0,eps,n,ratio", (
             f"{_x0_field(rec.x0)},{_fmt(rec.eps)},{rec.n},"
-            f"{_fmt(rate_ratio(rec.n, psi, rec.eps))}\n"
-            for rec in records if rec.n is not None)
+            f"{_fmt(rate_ratio(rec.n, psi, rec.eps))}"
+            for rec in records if rec.n is not None))
 
     # gnuplot-friendly twins: same rows, whitespace-separated, '#' headers.
     for name in list(artifacts):

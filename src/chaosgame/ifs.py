@@ -36,6 +36,14 @@ def _as_vector(x, dim, what="point"):
     return v
 
 
+def _point_set(points) -> np.ndarray:
+    """points as an (n, d) float array; shape (n,) is n points on the line."""
+    pts = np.asarray(points, dtype=float)
+    if pts.ndim not in (1, 2):
+        raise ValidationError(f"a point set has shape (n,) or (n, d), got {pts.shape}")
+    return pts if pts.ndim == 2 else pts[:, None]
+
+
 @dataclass(frozen=True)
 class AffineMap:
     """x -> matrix @ x + offset with a certified Lipschitz upper bound."""
@@ -241,8 +249,7 @@ class AttractorCloud:
     @classmethod
     def from_points(cls, points, resolution: float, depth: int = 0,
                     diam_upper: float | None = None) -> "AttractorCloud":
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        points = _lexsort_points(points)
+        points = _lexsort_points(_point_set(points))
         diam_lower = _diameter(points)
         if diam_upper is None:
             diam_upper = diam_lower + 2.0 * resolution
@@ -312,10 +319,9 @@ def build_cloud(ifs: IfsSystem, target_resolution: float,
             return cloud
 
 
-def cloud_at_depth(ifs: IfsSystem, depth: int,
-                   point_budget: int = DEFAULT_POINT_BUDGET) -> AttractorCloud:
+def cloud_at_depth(ifs: IfsSystem, depth: int) -> AttractorCloud:
     """Cloud from all depth-m compositions, with the same certificate."""
-    _check_budget(ifs, depth, point_budget)
+    _check_budget(ifs, depth, DEFAULT_POINT_BUDGET)
     cloud = _certified_cloud(ifs, _hutchinson_points(ifs, depth), depth)
     if cloud is None:
         raise ValidationError(f"depth {depth} too shallow to certify a diameter bound")
@@ -324,19 +330,15 @@ def cloud_at_depth(ifs: IfsSystem, depth: int,
 
 def hausdorff_distance(set_a, set_b) -> float:
     """Symmetric Hausdorff distance between two finite point sets."""
-    a = np.atleast_2d(np.asarray(set_a, dtype=float))
-    b = np.atleast_2d(np.asarray(set_b, dtype=float))
-    if a.shape[0] == 0 or b.shape[0] == 0:
-        raise ValidationError("Hausdorff distance needs nonempty sets")
-    d_ab = cKDTree(b).query(a)[0].max()
-    d_ba = cKDTree(a).query(b)[0].max()
-    return float(max(d_ab, d_ba))
+    return max(directed_hausdorff(set_a, set_b), directed_hausdorff(set_b, set_a))
 
 
 def directed_hausdorff(set_a, set_b) -> float:
     """sup over a in A of dist(a, B)."""
-    a = np.atleast_2d(np.asarray(set_a, dtype=float))
-    b = np.atleast_2d(np.asarray(set_b, dtype=float))
+    a, b = _point_set(set_a), _point_set(set_b)
+    if min(a.size, b.size) == 0 or a.shape[1] != b.shape[1]:
+        raise ValidationError("Hausdorff distance needs nonempty sets of one dimension, "
+                              f"got shapes {a.shape} and {b.shape}")
     return float(cKDTree(b).query(a)[0].max())
 
 

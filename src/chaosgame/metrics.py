@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import CapExceededError, ValidationError
-from .ifs import AttractorCloud, IfsSystem, _as_vector
+from .ifs import AttractorCloud, IfsSystem, _as_vector, _point_set
 
 DEFAULT_ORBIT_CAP = 10 ** 7
 _FIRST_CHUNK = 128
@@ -307,17 +307,17 @@ def covering_estimate(points, eps: float) -> CoverEstimate:
     upper: greedy — repeatedly center a closed eps-ball at the first (in
     canonical order) uncovered point.  lower: greedy maximal 2*eps-separated
     subset; no eps-ball can contain two such points, so the true covering
-    number is at least its size.  points is an (n, d) array or an
-    AttractorCloud, whose kd-tree (cloud.grid) is reused.  Both counts come
-    from _greedy_walk, shared with build_sigma: a ball at c holds p when
-    abs(p - c) <= r in 1-d, and sum((p - c)**2) <= r**2, cKDTree's test, in
-    d dimensions.  As in recovery_time, cKDTree applies the 1-d test too as
-    long as r**2 is a normal float (r above about 1.5e-154).
+    number is at least its size.  points is an (n, d) array, a flat list
+    (n points on the line) or an AttractorCloud, whose kd-tree (cloud.grid)
+    is reused.  Both counts come from _greedy_walk, shared with build_sigma:
+    a ball at c holds p when abs(p - c) <= r in 1-d, and sum((p - c)**2) <=
+    r**2, cKDTree's test, in d dimensions.  As in recovery_time, cKDTree
+    applies the 1-d test too while r**2 is a normal float (r > ~1.5e-154).
     """
     grid = None
     if isinstance(points, AttractorCloud):
         points, grid = points.points, points.grid
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    pts = _point_set(points)
     if pts.shape[0] == 0:
         raise ValidationError("covering estimate needs a nonempty point set")
     if eps <= 0:

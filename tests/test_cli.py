@@ -1,7 +1,10 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
+import hashlib
+
 import pytest
 
+from chaosgame import cli
 from chaosgame.cli import main
 
 
@@ -72,6 +75,15 @@ class TestDim:
         value = float(out.splitlines()[-1].split()[-1])
         assert value == pytest.approx(1.0, abs=0.1)
 
+    def test_stdout_pinned(self, capsys):
+        # sha256 of the whole stdout, recorded before the rows came from the
+        # dimension.csv writer.
+        code, out, _ = run(capsys, "dim", "--ifs", "segment", "--r", "0.5",
+                           "--m-lo", "4", "--m-hi", "8", "--resolution", "0.001")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "1572f279c8b24a4973fa56ad91b2df7ea74a2dc0cbd3d41f57679a8214723503"
+
 
 class TestSchedule:
     def test_table_and_emit(self, capsys):
@@ -84,6 +96,16 @@ class TestSchedule:
         assert lines[0] == "k,m_k,p_k,N_hat_k,v_k"
         assert lines[1].startswith("1,")
         assert set(lines[-1]) <= {"1", "2"}
+
+    def test_stdout_pinned(self, capsys):
+        # sha256 of the table and 40 symbols, recorded before the rows came
+        # from the schedule.csv writer and the rate's name from RateFunction.
+        code, out, _ = run(capsys, "schedule", "--ifs", "cantor", "--k-max", "2",
+                           "--step-cap", "100000", "--resolution", "1e-05",
+                           "--emit", "40")
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == \
+            "d7235f4c913a137922a3a79d8ea1a2a5df39495ac1ac6c0a144bc8904cf0f799"
 
 
 class TestExperiment:
@@ -116,6 +138,10 @@ class TestExperiment:
         code, _, err = run(capsys, "experiment", "run", str(path))
         assert code == 2
         assert "schema_version" in err
+
+
+# MINIMAL's driver and [eps] section, which a slow driver replaces.
+_TO_SLOW = "kind = champernowne\n\n[eps]\na = 1\nr = 0.33333333333333331\nm_lo = 3\nm_hi = 5\n"
 
 
 class TestBadInputExit2:
@@ -225,15 +251,48 @@ class TestBadInputExit2:
           "list = 0.5 -0.1"), "[eps] list"),
         (("a = 1\nr = 0.33333333333333331\nm_lo = 3\nm_hi = 5",
           "list = 0.5 0"), "[eps] list"),
+        (("a = 1\nr = 0.33333333333333331\nm_lo = 3\nm_hi = 5",
+          "list = 1 0.5"), "[eps] list"),
+        (("m_lo = 3", "m_lo = -2"), "[eps] m_lo = -2"),
+        (("m_hi = 5", "m_hi = 1000"), "m_hi = 1000"),
+        (("orbit_cap = 100000", "orbit_cap = -1"), "[run] orbit_cap"),
+        (("orbit_cap = 100000", "point_budget = 0"), "[run] point_budget"),
+        ((_TO_SLOW, "kind = slow\npsi = power\nz = 1\nk_max = 0\n"), "[driver] k_max"),
+        ((_TO_SLOW, "kind = slow\npsi = power\nz = 1\nstep_cap = 0\n"),
+         "[driver] step_cap"),
+        ((_TO_SLOW, "kind = slow\npsi = iterexp\norder = 0\n"), "[driver] order"),
     ], ids=["resolution-nan", "resolution-inf", "list-inf", "list-negative",
-            "list-zero"])
+            "list-zero", "list-one", "m_lo", "m_hi", "orbit_cap", "point_budget",
+            "k_max", "step_cap", "order"])
     def test_config_value_out_of_range(self, capsys, config, edit, where):
         # resolution = nan used to deepen the cloud to the point budget and
         # exit 3; list = inf wrote an "inf,1,1" cover row; a negative list
-        # value failed only after the cloud was built.
+        # value failed only after the cloud was built.  m_lo = -2 wrote rows
+        # at eps 9 and 3, m_hi = 1000 puts a*r^m at 0, point_budget = 0 exited
+        # 3 as if the budget were hit, and orbit_cap = -1 failed in
+        # recovery_time with a message that named no key.
         code, _, err = run(capsys, "experiment", "run", config(edit))
         assert code == 2
         assert where in err
+
+    @pytest.mark.parametrize("argv", [
+        ("cloud", "build", "--ifs", "cantor", "--resolution", "0.001",
+         "--out", "never.ifsc", "--cap", "-5"),
+        ("driver", "stats", "champernowne", "--stats", "2", "--cap", "-1"),
+        ("schedule", "--ifs", "cantor", "--resolution", "1e-05", "--emit", "-3"),
+        ("experiment", "run", "cantor-champernowne", "--cap", "-1"),
+    ], ids=["cloud-cap", "stats-cap", "schedule-emit", "experiment-cap"])
+    def test_count_checked_before_work(self, capsys, monkeypatch, argv):
+        # cloud build --cap -5 used to exit 3, driver stats --cap -1 printed
+        # an "exceeded" row per m with exit 0, and schedule --emit -3 built
+        # the schedule and printed its table before failing.
+        def work(*args, **kwargs):
+            pytest.fail("the command did work before checking its count")
+        monkeypatch.setattr(cli, "build_cloud", work)
+        monkeypatch.setattr(cli, "run_experiment", work)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "error:" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_cli_resolution_out_of_range(self, capsys, tmp_path, value):

@@ -46,6 +46,15 @@ class TestRateFunction:
         with pytest.raises(ValidationError, match="increase"):
             cg.table_rate([(0.1, 10.0), (0.01, 5.0)])
 
+    def test_names_pinned(self):
+        # The slow driver's description, and so every recovery.csv row it
+        # drives, embeds these names.
+        assert cg.power_rate(1).name == "power(z=1)"
+        assert cg.iterexp_rate(2).name == "iterexp(n=2)"
+        assert cg.bounding_rate(2, 2, 1.5, 0.63).name == \
+            "bounding(K=2,alpha=2,base_distance=1.5,exponent=0.63)"
+        assert cg.table_rate([(0.1, 10.0), (0.01, 100.0)]).name == "table(2 samples)"
+
 
 class TestChooseBaseMap:
     def test_cantor_first_map(self, cantor, cantor_cloud_coarse):

@@ -159,6 +159,33 @@ class TestHausdorff:
         with pytest.raises(ValidationError):
             cg.hausdorff_distance(np.empty((0, 1)), [[0.0]])
 
+    def test_flat_lists_are_points_on_the_line(self):
+        # A flat list used to become one n-dimensional point, and scipy's
+        # ValueError on the mismatched dimensions escaped.
+        assert cg.hausdorff_distance([0, 1], [0]) == 1.0
+        assert cg.directed_hausdorff([0, 0.5, 1], [0, 1]) == 0.5
+        assert cg.directed_hausdorff([0, 1], [[0.0], [1.0]]) == 0.0
+
+    @pytest.mark.parametrize("a,b", [([[0.0, 0.0]], [0.0]), (np.zeros((1, 1, 1)), [0.0]),
+                                     (0.0, [0.0])],
+                             ids=["dimensions-differ", "rank-3", "rank-0"])
+    def test_bad_point_sets_rejected(self, a, b):
+        with pytest.raises(ValidationError):
+            cg.directed_hausdorff(a, b)
+        with pytest.raises(ValidationError):
+            cg.hausdorff_distance(b, a)
+
+
+class TestFromPoints:
+    def test_flat_list_is_points_on_the_line(self):
+        cloud = cg.AttractorCloud.from_points([1.0, 0.0, 0.5], resolution=0.0)
+        assert cloud.points.tolist() == [[0.0], [0.5], [1.0]]
+        assert cloud.diam_lower == 1.0
+
+    def test_rank_3_rejected(self):
+        with pytest.raises(ValidationError, match="shape"):
+            cg.AttractorCloud.from_points(np.zeros((2, 1, 1)), resolution=0.0)
+
 
 class TestCloudCache:
     def test_round_trip(self, tmp_path, cantor):

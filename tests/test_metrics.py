@@ -98,6 +98,16 @@ class TestCoveringEstimate:
         with pytest.raises(ValidationError):
             cg.covering_estimate([[0.0]], 0.0)
 
+    def test_flat_list_is_points_on_the_line(self):
+        # A flat list used to be read as one 3-dimensional point (1, 1).
+        est = cg.covering_estimate([0, 0.5, 1], 0.3)
+        assert (est.lower, est.upper) == (2, 3)
+        assert est == cg.covering_estimate([[0.0], [0.5], [1.0]], 0.3)
+
+    def test_rank_3_rejected(self):
+        with pytest.raises(ValidationError, match="shape"):
+            cg.covering_estimate(np.zeros((2, 1, 1)), 0.1)
+
 
 class TestBoxDimension:
     def test_single_point_is_zero(self):
