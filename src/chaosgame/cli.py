@@ -80,16 +80,15 @@ def _cmd_driver(args) -> int:
 def _cmd_recover(args) -> int:
     ifs = _IFS_FACTORIES[args.ifs]()
     driver = drv.DRIVER_KINDS[args.driver](ifs.alphabet_size, vars(args))
+    cap = _least("--cap", args.cap, 0)
     cloud = build_cloud(ifs, args.resolution)
     try:
         x0 = np.array([float(t) for t in args.x0.split()])
     except ValueError:
         raise ValidationError(f"--x0: expected numbers, got {args.x0!r}") from None
-    record = recovery_time(ifs, driver, x0, args.eps, cloud, cap=args.cap)
+    record = recovery_time(ifs, driver, x0, args.eps, cloud, cap=cap)
     if record.n is None:
-        raise CapExceededError(
-            f"recovery did not complete within cap {args.cap}"
-        )
+        raise CapExceededError(f"recovery did not complete within cap {cap}")
     rate = log_rate(record.n, record.eps)
     rate_field = "undefined" if rate is None else _fmt(rate)
     print("driver,x0,eps,n,guard,log_rate")
@@ -108,11 +107,13 @@ def _cmd_dim(args) -> int:
 
 def _cmd_schedule(args) -> int:
     drv.check_segment(0, args.emit)
+    k_max = _least("--k-max", args.k_max, 1)
+    step_cap = _least("--step-cap", args.step_cap, 1)
     psi = RATE_KINDS[args.psi](vars(args))
     ifs = _IFS_FACTORIES[args.ifs]()
     cloud = build_cloud(ifs, args.resolution)
     schedule = build_schedule(ifs, cloud, psi, choose_base_map(ifs, cloud),
-                              k_max=args.k_max, step_cap=args.step_cap)
+                              k_max=k_max, step_cap=step_cap)
     sys.stdout.write(_schedule_csv(schedule))
     if schedule.truncated:
         print("# truncated at the step cap", file=sys.stderr)

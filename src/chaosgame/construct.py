@@ -278,12 +278,10 @@ def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
     entries = []
     v = 0
     truncated = False
-    m_k = None
+    m = m1
     for k in range(1, k_max + 1):
-        if k == 1:
-            m = m1
-        else:
-            m = m_k + (k - 1) + 1
+        if k > 1:
+            m += k   # m_k + (k - 1) + 1, m_k the previous block's depth
             while True:
                 if ifs.alphabet_size ** m > budget:
                     truncated = True
@@ -308,11 +306,8 @@ def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
             break
         v += block
         entries.append(ScheduleEntry(m=m, p=p, sigma=sigma, N_hat=n_hat, v=v))
-        m_k = m
     if not entries:
-        raise CapExceededError(
-            "step cap too small for even one schedule block"
-        )
+        raise CapExceededError("step cap too small for even one schedule block")
     return replace(empty, entries=tuple(entries), truncated=truncated)
 
 

@@ -273,15 +273,9 @@ def extend_de_bruijn(word: Word, K: int) -> Word:
     if K ** M > DEFAULT_WORD_BUDGET:
         raise CapExceededError(f"extension to order {M} exceeds budget")
     V = K ** (M - 1)
-    mod_node = V
-
-    def node_of(symbols):
-        code = 0
-        for s in symbols:
-            code = code * K + (s - 1)
-        return code
-
-    start = node_of(word.symbols[:M - 1])
+    start = 0
+    for s in word.symbols[:M - 1]:
+        start = start * K + (s - 1)
     # Remove the forced edges spelled by the input.
     used = [0] * (V * K)
     node = start
@@ -290,16 +284,11 @@ def extend_de_bruijn(word: Word, K: int) -> Word:
         if used[e]:
             raise InternalInvariantError("forced edge repeated; input not de Bruijn")
         used[e] = 1
-        node = (node * K + (s - 1)) % mod_node
+        node = (node * K + (s - 1)) % V
     end = node
 
-    tail = None
-    for pref in range(K):
-        tail = _complete_trail(K, V, list(used), end, start, pref)
-        if tail is not None:
-            break
-    if tail is None:
-        raise InternalInvariantError("extension not found")
+    tails = (_complete_trail(K, V, list(used), end, start, pref) for pref in range(K))
+    tail = next((t for t in tails if t is not None), [])   # none: the check below fails
     out = Word(symbols=word.symbols + tuple(tail), alphabet_size=K)
     if len(out) != K ** M + M - 1 or not is_de_bruijn(out, M):
         raise InternalInvariantError("extension not found")
@@ -341,16 +330,11 @@ def example4_k0(z: float) -> int:
     """
     if z <= 0:
         raise ValidationError("block driver exponent must be positive")
-    def holds_k1(k):
-        return all(j < 2.0 ** (j * z) for j in range(k, k + _K0_WINDOW))
-
-    def holds_k2(k):
-        bar = 1.0 / (2.0 ** z - 1.0)
-        return all((j + 1) * 2.0 ** (j * z) > bar for j in range(k, k + _K0_WINDOW))
-
-    k1 = next(k for k in itertools.count(1) if holds_k1(k))
-    k2 = next(k for k in itertools.count(1) if holds_k2(k))
-    return max(k1, k2)
+    bar = 1.0 / (2.0 ** z - 1.0)
+    conditions = (lambda j: j < 2.0 ** (j * z), lambda j: (j + 1) * 2.0 ** (j * z) > bar)
+    return max(next(k for k in itertools.count(1)   # k_1, then k_2
+                    if all(holds(j) for j in range(k, k + _K0_WINDOW)))
+               for holds in conditions)
 
 
 def example4_block_start(k: int, z: float) -> int:
@@ -434,13 +418,9 @@ def word_coverage(driver: DriverStream, m: int,
     if total > DEFAULT_WORD_BUDGET:
         raise CapExceededError(f"K^m = {total} exceeds the tracking budget")
     seen = bytearray(total)
-    found = 0
-    code = 0
-    chunk = 8192
-    pos = 0
+    found = code = pos = 0
     while pos < cap:
-        take = min(chunk, cap - pos)
-        for s in driver.segment(pos, pos + take).tolist():
+        for s in driver.segment(pos, min(pos + 8192, cap)).tolist():
             pos += 1
             code = (code * K + (s - 1)) % total
             if pos >= m and not seen[code]:

@@ -381,11 +381,8 @@ def _is_halving(ifs: IfsSystem) -> bool:
 def emit_config(cfg: ExperimentConfig) -> str:
     """Canonical text form: fixed ordering, maps expanded, 17-digit floats."""
     out = io.StringIO()
-    out.write("[experiment]\n")
-    out.write(f"schema_version = {cfg.schema_version}\n")
-    out.write(f"name = {cfg.name}\n")
-    out.write(f"seed = {cfg.seed}\n\n")
-    out.write("[ifs]\n")
+    out.write(f"[experiment]\nschema_version = {cfg.schema_version}\n"
+              f"name = {cfg.name}\nseed = {cfg.seed}\n\n[ifs]\n")
     for i, (mat, off) in enumerate(cfg.ifs_maps, start=1):
         out.write(f"map{i}.matrix = " + " ".join(_fmt(v) for v in mat) + "\n")
         out.write(f"map{i}.offset = " + " ".join(_fmt(v) for v in off) + "\n")
@@ -409,10 +406,9 @@ def emit_config(cfg: ExperimentConfig) -> str:
     out.write("x0 = " + "; ".join(" ".join(_fmt(c) for c in p) for p in cfg.x0) + "\n")
     if cfg.resolution is not None:
         out.write(f"resolution = {_fmt(cfg.resolution)}\n")
-    out.write(f"orbit_cap = {cfg.orbit_cap}\n")
-    out.write(f"point_budget = {cfg.point_budget}\n")
-    out.write(f"dimension = {'true' if cfg.dimension else 'false'}\n")
-    out.write(f"exact_attractor = {'true' if cfg.exact_attractor else 'false'}\n")
+    out.write(f"orbit_cap = {cfg.orbit_cap}\npoint_budget = {cfg.point_budget}\n"
+              f"dimension = {'true' if cfg.dimension else 'false'}\n"
+              f"exact_attractor = {'true' if cfg.exact_attractor else 'false'}\n")
     return out.getvalue()
 
 

@@ -10,6 +10,7 @@ point.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
 import struct
@@ -38,15 +39,36 @@ def _as_vector(x, dim, what="point"):
 
 def _point_set(points) -> np.ndarray:
     """points as an (n, d) float array; shape (n,) is n points on the line."""
-    pts = np.asarray(points, dtype=float)
+    try:
+        pts = np.asarray(points, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"a point set must be an array of numbers: {exc}") from None
     if pts.ndim not in (1, 2):
         raise ValidationError(f"a point set has shape (n,) or (n, d), got {pts.shape}")
     return pts if pts.ndim == 2 else pts[:, None]
 
 
+def _row_sums(rows, x) -> list:
+    """Row i of an affine map, ((m_i0*x_0 + m_i1*x_1) + ...) + o_i, for
+    each (row, o_i) in rows; x's items are floats or numpy arrays."""
+    out = []
+    for row, o in rows:
+        acc = -0.0                      # -0.0 + y == y bit for bit
+        for c, v in zip(row, x):
+            acc = acc + c * v
+        out.append(acc + o)
+    return out
+
+
 @dataclass(frozen=True)
 class AffineMap:
-    """x -> matrix @ x + offset with a certified Lipschitz upper bound."""
+    """x -> matrix x + offset with a certified Lipschitz upper bound.
+
+    Coordinate i of the image is ((m_i0*x_0 + m_i1*x_1) + ...) + o_i in
+    float64, left to right, each product and sum rounded on its own: no
+    fused multiply-add and no BLAS.  A point's image has the same bits alone,
+    in a batch (__call__) or in plain floats (on_floats), on any machine.
+    """
 
     matrix: np.ndarray
     offset: np.ndarray
@@ -83,9 +105,23 @@ class AffineMap:
     def __call__(self, x):
         """Apply to a single d-vector or to an (n, d) batch."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self.matrix @ x + self.offset
-        return x @ self.matrix.T + self.offset
+        if x.shape[-1:] != (self.dim,):
+            raise ValidationError(f"a {self.dim}-dim map cannot apply to shape {x.shape}")
+        return np.array(_row_sums(self._rows, x.T)).T
+
+    @functools.cached_property
+    def _rows(self) -> tuple:
+        return tuple(zip(self.matrix.tolist(), self.offset.tolist()))
+
+    @functools.cached_property
+    def on_floats(self):
+        """The map in plain Python floats: a float to a float in 1-d (a
+        single a*x + b), a tuple of floats to a tuple in d dimensions."""
+        rows = self._rows
+        if self.dim == 1:
+            (((a,), b),) = rows
+            return lambda x: a * x + b
+        return lambda x: tuple(_row_sums(rows, x))
 
 
 def scalar_map(a: float, b: float) -> AffineMap:
@@ -151,8 +187,18 @@ def sierpinski_ifs() -> IfsSystem:
 
 def fixed_point(m: AffineMap) -> np.ndarray:
     """Unique fixed point of a contraction: AffineMap.create certifies
-    ||M||_2 < 1, so I - M is nonsingular."""
-    x = np.linalg.solve(np.eye(m.dim) - m.matrix, m.offset)
+    ||M||_2 < 1, so I - M is nonsingular.  (I - M) x = offset is solved by
+    Gauss-Jordan elimination with partial pivoting in plain floats, not
+    LAPACK, so x has the same bits on every machine."""
+    a = [[float(i == j) - c for j, c in enumerate(row)] + [o]
+         for i, (row, o) in enumerate(m._rows)]
+    for k in range(m.dim):
+        p = max(range(k, m.dim), key=lambda i: abs(a[i][k]))
+        a[k], a[p] = a[p], a[k]
+        for i in (i for i in range(m.dim) if i != k):
+            f = a[i][k] / a[k][k]
+            a[i] = [u - f * v for u, v in zip(a[i], a[k])]
+    x = np.array([row[-1] / row[k] for k, row in enumerate(a)])
     resid = np.linalg.norm(m(x) - x)
     if resid > 1e-10 * (1.0 + np.linalg.norm(x)):
         raise ValidationError(f"fixed point residual too large: {resid:.3g}")
@@ -189,8 +235,6 @@ def run_orbit(ifs: IfsSystem, driver, x0, n: int) -> Orbit:
 
 def _diameter(points: np.ndarray) -> float:
     """Max pairwise distance; exact via convex hull where possible."""
-    if points.shape[0] == 1:
-        return 0.0
     if points.shape[1] == 1:
         return float(points.max() - points.min())
     candidates = points
@@ -250,6 +294,8 @@ class AttractorCloud:
     def from_points(cls, points, resolution: float, depth: int = 0,
                     diam_upper: float | None = None) -> "AttractorCloud":
         points = _lexsort_points(_point_set(points))
+        if points.shape[0] == 0:
+            raise ValidationError("a cloud needs at least one point")
         diam_lower = _diameter(points)
         if diam_upper is None:
             diam_upper = diam_lower + 2.0 * resolution
@@ -262,10 +308,11 @@ class AttractorCloud:
         return self.points.shape[0]
 
 
-def _hutchinson_points(ifs: IfsSystem, depth: int) -> np.ndarray:
-    """All K^depth compositions f_{w_1} o ... o f_{w_depth} applied to the
-    fixed point of the first map; every output lies on the attractor."""
-    pts = fixed_point(ifs.maps[0])[None, :]
+def _hutchinson_points(ifs: IfsSystem, depth: int, pts=None) -> np.ndarray:
+    """All K^depth compositions f_{w_1} o ... o f_{w_depth} applied to pts,
+    by default the fixed point of the first map, whose outputs all lie on
+    the attractor; each level applies every map to every point, map by map."""
+    pts = fixed_point(ifs.maps[0])[None, :] if pts is None else pts
     for _ in range(depth):
         pts = np.concatenate([m(pts) for m in ifs.maps], axis=0)
     return pts
@@ -313,7 +360,7 @@ def build_cloud(ifs: IfsSystem, target_resolution: float,
     while True:
         depth += 1
         _check_budget(ifs, depth, point_budget)
-        pts = np.concatenate([m(pts) for m in ifs.maps], axis=0)
+        pts = _hutchinson_points(ifs, 1, pts)
         cloud = _certified_cloud(ifs, pts, depth, target_resolution)
         if cloud is not None:
             return cloud

@@ -79,18 +79,21 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
     The orbit is generated in chunks read with driver.segment.  Chunks grow
     from _FIRST_CHUNK to _CHUNK symbols, so a small n steps few points.
     Each chunk is checked against the still-uncovered cloud points, and the
-    returned n is the exact deterministic minimum.
+    returned n is the exact deterministic minimum.  The orbit is stepped in
+    plain floats with AffineMap's arithmetic (on_floats), one run of equal
+    symbols at a time; once f(x) == x the rest of the run repeats x and is
+    filled without stepping.  That test is float equality, under which +0
+    and -0 are equal: a filled point can differ from a stepped one only in
+    the sign of a zero coordinate, so every distance, and n, is unchanged.
 
     In 1-d an orbit point y covers a cloud point p when abs(y - p) <= eps in
     floating point.  A cKDTree ball query applies the same test as long as
     eps**2 is a normal float (eps above about 1.5e-154); below that it
-    compares rounded subnormal squares.  The orbit is stepped in plain
-    floats one run of equal symbols at a time; once a*x + b == x bit for bit
-    the rest of the run repeats x and is filled without stepping.  A chunk's
-    orbit points are stably sorted; each uncovered cloud point's window of
-    orbit points within eps comes from searchsorted with its edges settled
-    by the exact test, and a range minimum (sparse table) over the sorted
-    order gives the first orbit point in the window.
+    compares rounded subnormal squares.  A chunk's orbit points are stably
+    sorted; each uncovered cloud point's window of orbit points within eps
+    comes from searchsorted with its edges settled by the exact test, and a
+    range minimum (sparse table) over the sorted order gives the first orbit
+    point in the window.
 
     In d dimensions y covers p when sum((y - p)**2) <= eps**2 in floating
     point, the test cKDTree applies; as in 1-d, when eps**2 is subnormal it
@@ -101,19 +104,16 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
     orbit point.
     """
     if not eps > cloud.resolution:
-        raise ValidationError(
-            f"eps={eps:g} must exceed the cloud resolution {cloud.resolution:g} "
-            "for coverage to be certifiable"
-        )
+        raise ValidationError(f"eps={eps:g} must exceed the cloud resolution "
+                              f"{cloud.resolution:g} for coverage to be certifiable")
     if cap < 0:
         raise ValidationError("orbit cap must be >= 0")
     x0 = _as_vector(x0, ifs.dim, "x0")
     if ifs.dim == 1:
-        x, step = float(x0[0]), _line_stepper(ifs)
-        cover = _LineCover(cloud.points[:, 0], eps)
+        x, cover = float(x0[0]), _LineCover(cloud.points[:, 0], eps)
     else:
-        x, step = x0, _map_stepper(ifs)
-        cover = _PairCover(cloud, eps)
+        x, cover = tuple(x0.tolist()), _PairCover(cloud, eps)
+    step = _stepper(ifs)
 
     def record(n):
         return RecoveryRecord(eps=float(eps), n=n, x0=x0, driver=driver.describe(),
@@ -121,7 +121,7 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
 
     pos = 0          # index of the orbit point currently stored in x
     size = _FIRST_CHUNK
-    n = cover(x0[None, :] if ifs.dim > 1 else x0, 0)
+    n = cover(np.array([x]), 0)
     while n is None:
         if pos >= cap:
             return record(None)
@@ -141,19 +141,22 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
     return record(int(n))
 
 
-def _line_stepper(ifs: IfsSystem):
-    """Step a 1-d orbit in plain floats, run by run, skipping fixed points."""
-    coeffs = [(float(m.matrix[0, 0]), float(m.offset[0])) for m in ifs.maps]
+def _stepper(ifs: IfsSystem):
+    """step(x, symbols) -> (points, x): the orbit from x (a float in 1-d, a
+    tuple of floats in d dimensions) run by run, filling a run at f(x) == x."""
+    maps = [m.on_floats for m in ifs.maps]
+    K = len(maps)
 
-    def step(x: float, symbols: np.ndarray):
-        _check_symbols(symbols, len(coeffs))
+    def step(x, symbols: np.ndarray):
+        if symbols.min() < 1 or symbols.max() > K:
+            raise ValidationError(f"invalid symbol in driver chunk, alphabet is 1..{K}")
         bounds = [0, *(np.flatnonzero(np.diff(symbols)) + 1).tolist(), len(symbols)]
         runs = symbols[bounds[:-1]].tolist()
         out: list = []
         for s, lo, hi in zip(runs, bounds, bounds[1:]):
-            a, b = coeffs[s - 1]
+            f = maps[s - 1]
             for i in range(lo, hi):
-                y = a * x + b
+                y = f(x)
                 if y == x:
                     out.extend([x] * (hi - i))
                     break
@@ -162,28 +165,6 @@ def _line_stepper(ifs: IfsSystem):
         return np.array(out), x
 
     return step
-
-
-def _map_stepper(ifs: IfsSystem):
-    """Step a d-dim orbit one affine map at a time, with the arithmetic of
-    AffineMap.__call__ (matrix @ x + offset), so the points are the same."""
-    maps = [(m.matrix, m.offset) for m in ifs.maps]
-
-    def step(x: np.ndarray, symbols: np.ndarray):
-        _check_symbols(symbols, len(maps))
-        points = np.empty((len(symbols), ifs.dim))
-        for k, s in enumerate(symbols.tolist()):
-            matrix, offset = maps[s - 1]
-            x = matrix @ x + offset
-            points[k] = x
-        return points, x
-
-    return step
-
-
-def _check_symbols(symbols: np.ndarray, K: int) -> None:
-    if symbols.min() < 1 or symbols.max() > K:
-        raise ValidationError(f"invalid symbol in driver chunk, alphabet is 1..{K}")
 
 
 class _LineCover:
@@ -440,8 +421,7 @@ def rate_ratio(n: int, psi, eps: float) -> float:
     value = float(psi(eps))
     if math.isinf(value) or math.isnan(value):
         raise CapExceededError(
-            f"rate function evaluation saturated (overflow) at eps={eps:g}"
-        )
+            f"rate function evaluation saturated (overflow) at eps={eps:g}")
     if value <= 0.0:
         raise ValidationError("rate function must be positive at eps")
     return n / value

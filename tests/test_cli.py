@@ -281,11 +281,18 @@ class TestBadInputExit2:
         ("driver", "stats", "champernowne", "--stats", "2", "--cap", "-1"),
         ("schedule", "--ifs", "cantor", "--resolution", "1e-05", "--emit", "-3"),
         ("experiment", "run", "cantor-champernowne", "--cap", "-1"),
-    ], ids=["cloud-cap", "stats-cap", "schedule-emit", "experiment-cap"])
+        ("schedule", "--ifs", "cantor", "--resolution", "1e-05", "--step-cap", "0"),
+        ("schedule", "--ifs", "cantor", "--resolution", "1e-05", "--k-max", "0"),
+        ("recover", "--ifs", "cantor", "--driver", "champernowne", "--x0", "0",
+         "--eps", "0.01", "--cap", "-1"),
+    ], ids=["cloud-cap", "stats-cap", "schedule-emit", "experiment-cap",
+            "schedule-step-cap", "schedule-k-max", "recover-cap"])
     def test_count_checked_before_work(self, capsys, monkeypatch, argv):
         # cloud build --cap -5 used to exit 3, driver stats --cap -1 printed
         # an "exceeded" row per m with exit 0, and schedule --emit -3 built
-        # the schedule and printed its table before failing.
+        # the schedule and printed its table before failing; schedule
+        # --step-cap 0 exited 3, and --k-max 0 and recover --cap -1 built
+        # the cloud first.
         def work(*args, **kwargs):
             pytest.fail("the command did work before checking its count")
         monkeypatch.setattr(cli, "build_cloud", work)

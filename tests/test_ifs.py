@@ -1,8 +1,12 @@
 """Affine maps, orbits, attractor clouds, Hausdorff distance, cloud cache."""
 
 import dataclasses
+import os
 import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +15,14 @@ from hypothesis import strategies as st
 
 import chaosgame as cg
 from chaosgame.errors import CapExceededError, ValidationError
+
+
+def _row_sum(row, o, x):
+    """((row[0]*x[0] + row[1]*x[1]) + ...) + o, one rounding per operation."""
+    acc = row[0] * x[0]
+    for c, v in zip(row[1:], x[1:]):
+        acc = acc + c * v
+    return acc + o
 
 
 class TestAffineMap:
@@ -43,12 +55,79 @@ class TestAffineMap:
         for row, p in zip(batch, pts):
             assert np.allclose(row, m(p))
 
+    @pytest.mark.parametrize("matrix,offset", [
+        ([[0.01, 0.41], [-0.32, 0.4]], [-0.4, -0.2]),
+        ([[0.3, 0.2, -0.1], [-0.1, 0.4, 0.25], [0.2, 0.0, -0.3]], [1.0, -0.5, 0.0]),
+        ([[1 / 3]], [2 / 3]),
+    ], ids=["2-d", "3-d", "1-d"])
+    def test_batch_single_and_floats_are_bit_identical(self, matrix, offset):
+        # One arithmetic, so a point's image does not depend on how it is
+        # mapped; zeros of both signs included.
+        m = cg.AffineMap.create(matrix, offset)
+        pts = np.random.default_rng(3).uniform(-2, 2, size=(200, m.dim))
+        pts[:4] = [[0.0] * m.dim, [-0.0] * m.dim, [1.0] * m.dim, [-1.0] * m.dim]
+        batch = m(pts)
+        single = np.array([m(p) for p in pts])
+        floats = np.array([m.on_floats(p[0] if m.dim == 1 else tuple(p))
+                           for p in pts.tolist()]).reshape(batch.shape)
+        assert batch.tobytes() == single.tobytes() == floats.tobytes()
+        rows = [_row_sum(row, o, p) for p in pts.tolist()
+                for row, o in zip(matrix, offset)]
+        assert batch.ravel().tolist() == rows
+
+    def test_wrong_dimension_rejected(self):
+        m = cg.AffineMap.create([[0.5, 0.0], [0.0, 0.5]], [0.0, 0.0])
+        with pytest.raises(ValidationError, match="cannot apply"):
+            m(np.zeros((3, 3)))
+
     @given(a=st.floats(-0.99, 0.99), b=st.floats(-10, 10))
     @settings(max_examples=50, deadline=None)
     def test_fixed_point_property(self, a, b):
         m = cg.scalar_map(a, b)
         x = cg.fixed_point(m)
         assert abs(m(x)[0] - x[0]) <= 1e-10 * (1 + abs(x[0]))
+
+
+# A rotated planar system: LAPACK's solve for the first map's fixed point
+# and BLAS's matrix products for its cloud and orbit both round differently
+# under OpenBLAS's default x86 kernel and under its Nehalem kernel.
+_ROTATED_RUN = """
+import hashlib
+import chaosgame as cg
+rot = [[0.4, 0.3], [-0.3, 0.4]]
+ifs = cg.IfsSystem.create([cg.AffineMap.create([[0.01, 0.41], [-0.32, 0.4]], [-0.4, -0.2]),
+                           cg.AffineMap.create(rot, [1.0, 0.0]),
+                           cg.AffineMap.create(rot, [0.3, 0.7])])
+cloud = cg.build_cloud(ifs, 0.05)
+orbit = cg.run_orbit(ifs, cg.random_driver(3, 1), [0.1, 0.2], 2000)
+rec = cg.recovery_time(ifs, cg.random_driver(3, 1), [0.1, 0.2], 0.1, cloud)
+print(hashlib.sha256(cloud.points.tobytes()).hexdigest(),
+      hashlib.sha256(orbit.points.tobytes()).hexdigest(), rec.n)
+"""
+
+
+def _blas_name() -> str:
+    try:
+        return np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"]
+    except (TypeError, KeyError):
+        return ""
+
+
+@pytest.mark.skipif("openblas" not in _blas_name().lower(),
+                    reason="numpy is not built on OpenBLAS")
+def test_same_bits_under_another_blas_kernel():
+    src = str(Path(cg.__file__).resolve().parents[1])
+
+    def run(**env):
+        base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_CORETYPE"}
+        env = {**base, "PYTHONPATH": src, **env}
+        done = subprocess.run([sys.executable, "-c", _ROTATED_RUN], env=env,
+                              capture_output=True, text=True, timeout=120, check=True)
+        return done.stdout.split()
+
+    default = run()
+    assert run(OPENBLAS_CORETYPE="Nehalem") == default
+    assert default[2] != "None"
 
 
 class TestFixedPoint:
@@ -175,6 +254,11 @@ class TestHausdorff:
         with pytest.raises(ValidationError):
             cg.hausdorff_distance(b, a)
 
+    def test_ragged_rejected(self):
+        # numpy's "inhomogeneous shape" ValueError used to escape.
+        with pytest.raises(ValidationError, match="array of numbers"):
+            cg.hausdorff_distance([[0], [0, 1]], [0])
+
 
 class TestFromPoints:
     def test_flat_list_is_points_on_the_line(self):
@@ -185,6 +269,11 @@ class TestFromPoints:
     def test_rank_3_rejected(self):
         with pytest.raises(ValidationError, match="shape"):
             cg.AttractorCloud.from_points(np.zeros((2, 1, 1)), resolution=0.0)
+
+    def test_empty_rejected(self):
+        # The diameter used to fail with numpy's "zero-size array" ValueError.
+        with pytest.raises(ValidationError, match="at least one point"):
+            cg.AttractorCloud.from_points([], 0.0)
 
 
 class TestCloudCache:

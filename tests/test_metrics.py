@@ -108,6 +108,11 @@ class TestCoveringEstimate:
         with pytest.raises(ValidationError, match="shape"):
             cg.covering_estimate(np.zeros((2, 1, 1)), 0.1)
 
+    def test_ragged_rejected(self):
+        # numpy's "inhomogeneous shape" ValueError used to escape.
+        with pytest.raises(ValidationError, match="array of numbers"):
+            cg.covering_estimate([[0], [0, 1]], 0.1)
+
 
 class TestBoxDimension:
     def test_single_point_is_zero(self):
@@ -279,7 +284,7 @@ class TestLineRecoveryEngine:
         def unavailable(*args, **kwargs):
             raise AssertionError("oracle routed through the recovery engine")
 
-        for name in ("_line_stepper", "_map_stepper", "_LineCover", "_PairCover"):
+        for name in ("_stepper", "_LineCover", "_PairCover"):
             monkeypatch.setattr(metrics, name, unavailable)
         orbit = cg.run_orbit(cantor, cg.champernowne(2), [0.0], 3)
         assert np.allclose(orbit.points.ravel(), [0.0, 0.0, 2 / 3, 2 / 9])
@@ -364,6 +369,25 @@ class TestPlaneRecoveryEngine:
         word = (1,) * (last - 1) + (2,) + (1,) * 10
         make = lambda: cg.literal_driver(cg.Word(word, 2))   # noqa: E731
         assert _check_minimal(ifs, make, [0.1, 0.1], cloud, 0.01) == last
+
+    def test_fixed_point_run_is_filled(self):
+        # The first map's orbit from (0.9, -0.7) reaches its fixed point
+        # (2, 0) bit for bit after 63 steps, so each run of 5000 first maps
+        # is filled.  At eps = 0.1 only the Champernowne tail after the
+        # second run completes the cover, more than 10,000 steps in.
+        rot = [[0.5, 0.25], [-0.25, 0.5]]
+        ifs = cg.IfsSystem.create([cg.AffineMap.create(rot, [1.0, 0.5]),
+                                   cg.AffineMap.create(rot, [0.0, 0.0])])
+        x, f = (0.9, -0.7), ifs.maps[0].on_floats
+        for _ in range(100):
+            x = f(x)
+        assert f(x) == x == (2.0, 0.0)
+        tail = tuple(cg.champernowne(2).segment(0, 4000).tolist())
+        word = (1,) * 5000 + (2,) * 3 + (1,) * 5000 + tail
+        make = lambda: cg.literal_driver(cg.Word(word, 2))   # noqa: E731
+        cloud = cg.build_cloud(ifs, 0.05)
+        n = _check_minimal(ifs, make, [0.9, -0.7], cloud, 0.1, cap=20000)
+        assert n is not None and n > 10000
 
 
 def _tree_greedy(points, r):
