@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .drivers import DriverStream, Word, _pieces, _run, champernowne
+from .drivers import DriverStream, Run, Word, champernowne
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .ifs import AttractorCloud, IfsSystem, _hutchinson_points, fixed_point
 from .metrics import _greedy_walk, covering_estimate
@@ -53,8 +53,8 @@ class RateFunction:
 
 
 def power_rate(z: float) -> RateFunction:
-    if z <= 0:
-        raise ValidationError("power rate needs exponent z > 0")
+    if not 0 < z < math.inf:
+        raise ValidationError(f"power rate needs a finite exponent z > 0, got {z}")
     z = float(z)
     return RateFunction(f"power(z={z:g})", lambda t: t ** z)
 
@@ -326,8 +326,8 @@ def slow_driver(schedule: Schedule) -> DriverStream:
 
     def gen():
         for e in schedule.entries:
-            yield from _run(i_star, e.p)
-            yield from _pieces(e.sigma.symbols)
+            yield Run(i_star, e.p)
+            yield e.sigma.symbols
         pos = 0
         while True:
             yield tail.segment(pos, pos + 4096)

@@ -13,8 +13,11 @@ step k + 1.
 
 from __future__ import annotations
 
+import bisect
 import itertools
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +25,9 @@ from .errors import CapExceededError, InternalInvariantError, ValidationError
 
 DEFAULT_WORD_BUDGET = 2 ** 24
 DEFAULT_COVERAGE_CAP = 10 ** 9
-_BLOCK = 1 << 16   # most symbols a driver generator yields at once
+_BLOCK = 1 << 16   # most symbols the Champernowne generator yields at once
 _K0_WINDOW = 64    # terms example4_k0 checks past each candidate k
+_K0_LIMIT = 1 << 16   # largest k_0 example4_k0 searches for
 
 
 @dataclass(frozen=True)
@@ -45,12 +49,21 @@ class Word:
         return self.symbols[i]
 
 
+class Run(NamedTuple):
+    """count copies of symbol, which DriverStream stores in O(1)."""
+
+    symbol: int
+    count: int
+
+
 class DriverStream:
     """An infinite symbol sequence, read by position with segment.
 
-    The generator yields int arrays of symbols (single ints are accepted
-    too).  Already-produced symbols are buffered in a growable int64 array,
-    so every read of a position gives the same symbol.
+    The generator yields symbol sequences (int arrays or tuples; single
+    ints are accepted too) and Runs.  Each item is kept as one piece, a Run
+    as its symbol and count, so a run costs the same whatever its length,
+    and every read of a position gives the same symbol.  segment is the
+    only reader: it builds just the window it is asked for.
     """
 
     def __init__(self, kind: str, alphabet_size: int, generator_factory, params=None):
@@ -58,7 +71,8 @@ class DriverStream:
         self.alphabet_size = alphabet_size
         self.params = dict(params or {})
         self._gen = generator_factory()
-        self._buf = np.empty(0, dtype=np.int64)
+        self._pieces: list = []   # int64 arrays and Runs, in stream order
+        self._ends: list = []     # the position just past each piece
         self._len = 0
 
     def _fill(self, n: int) -> None:
@@ -69,14 +83,15 @@ class DriverStream:
                 raise CapExceededError(
                     f"driver '{self.kind}' is exhausted after {self._len} symbols"
                 ) from None
-            block = np.atleast_1d(np.asarray(item, dtype=np.int64))
-            end = self._len + block.size
-            if end > self._buf.size:
-                grown = np.empty(max(end, 2 * self._buf.size), dtype=np.int64)
-                grown[:self._len] = self._buf[:self._len]
-                self._buf = grown
-            self._buf[self._len:end] = block
-            self._len = end
+            if isinstance(item, Run):
+                size = item.count
+            else:
+                item = np.array(item, dtype=np.int64, ndmin=1)   # a copy
+                size = item.size
+            if size > 0:
+                self._len += size
+                self._pieces.append(item)
+                self._ends.append(self._len)
 
     @property
     def buffered(self) -> int:
@@ -84,10 +99,23 @@ class DriverStream:
         return self._len
 
     def segment(self, start: int, stop: int) -> np.ndarray:
-        """Symbols at 0-based positions [start, stop)."""
+        """Symbols at 0-based positions [start, stop), as a new int64 array."""
         check_segment(start, stop)
         self._fill(stop)
-        return self._buf[start:stop].copy()
+        out = np.empty(stop - start, dtype=np.int64)
+        i = bisect.bisect_right(self._ends, start)
+        pos = start
+        while pos < stop:
+            piece, end = self._pieces[i], self._ends[i]
+            upto = min(end, stop)
+            if isinstance(piece, Run):
+                out[pos - start:upto - start] = piece.symbol
+            else:
+                first = end - piece.size
+                out[pos - start:upto - start] = piece[pos - first:upto - first]
+            pos = upto
+            i += 1
+        return out
 
     def describe(self) -> str:
         if self.params:
@@ -100,21 +128,6 @@ def check_segment(start: int, stop: int) -> None:
     if start < 0 or stop < start:
         raise ValidationError(
             f"invalid driver segment [{start}, {stop}): need 0 <= start <= stop")
-
-
-def _pieces(symbols):
-    """Yield a finite symbol sequence as int64 arrays of at most _BLOCK symbols."""
-    arr = np.asarray(symbols, dtype=np.int64)
-    for i in range(0, arr.size, _BLOCK):
-        yield arr[i:i + _BLOCK]
-
-
-def _run(symbol: int, count: int):
-    """Yield `count` copies of one symbol as arrays of at most _BLOCK symbols."""
-    while count > 0:
-        size = min(count, _BLOCK)
-        yield np.full(size, symbol, dtype=np.int64)
-        count -= size
 
 
 def _champernowne_blocks(K: int):
@@ -132,7 +145,7 @@ def _champernowne_blocks(K: int):
 def literal_driver(word: Word) -> DriverStream:
     """Finite driver; reading past the end raises CapExceededError."""
     def gen():
-        yield from _pieces(word.symbols)
+        yield word.symbols
 
     return DriverStream("literal", word.alphabet_size, gen, {"length": len(word)})
 
@@ -307,13 +320,13 @@ def infinite_de_bruijn(K: int) -> DriverStream:
 
     def gen():
         w = de_bruijn_word(K, 1 if K >= 3 else 2)
-        yield from _pieces(w.symbols)
+        yield w.symbols
         while True:
             order = infer_order(w) + alpha(K)
             if K ** order > DEFAULT_WORD_BUDGET:
                 break
             w2 = extend_de_bruijn(w, K)
-            yield from _pieces(w2.symbols[len(w):])
+            yield w2.symbols[len(w):]
             w = w2
         # Disjunctive tail beyond the realized orders.
         yield from _champernowne_blocks(K)
@@ -324,17 +337,33 @@ def infinite_de_bruijn(K: int) -> DriverStream:
 def example4_k0(z: float) -> int:
     """Smallest admissible k_0 = max(k_1, k_2) for the block driver.
 
-    Checks each condition on [k, k + _K0_WINDOW); 2^{kz}/k is eventually
-    increasing, so a clean window certifies the tail (adequate for
-    z >= 0.1).
+    k_i is the least k whose window [k, k + _K0_WINDOW) satisfies condition
+    i; 2^{kz}/k is eventually increasing, so a clean window certifies the
+    tail (adequate for z >= 0.1).  A search that passes _K0_LIMIT raises
+    CapExceededError.
     """
-    if z <= 0:
-        raise ValidationError("block driver exponent must be positive")
-    bar = 1.0 / (2.0 ** z - 1.0)
-    conditions = (lambda j: j < 2.0 ** (j * z), lambda j: (j + 1) * 2.0 ** (j * z) > bar)
-    return max(next(k for k in itertools.count(1)   # k_1, then k_2
-                    if all(holds(j) for j in range(k, k + _K0_WINDOW)))
-               for holds in conditions)
+    if not 0 < z < math.inf:
+        raise ValidationError(f"block driver exponent z must be positive and finite, "
+                              f"got {z}")
+    gap = 2.0 ** z - 1.0          # 0 when z is below about 1e-16
+    bar = 1.0 / gap if gap > 0 else math.inf
+
+    def grow(j):   # 2^{jz}, capped at 2^1023 (both conditions hold there) to stay finite
+        return 2.0 ** min(j * z, 1023.0)
+
+    conditions = (lambda j: j < grow(j), lambda j: (j + 1) * grow(j) > bar)
+    return max(_first_window(holds, z) for holds in conditions)   # k_1, then k_2
+
+
+def _first_window(holds, z: float) -> int:
+    """Least k >= 1 with holds(j) for every j in [k, k + _K0_WINDOW)."""
+    k = 1
+    for j in range(1, _K0_LIMIT + _K0_WINDOW):
+        if not holds(j):
+            k = j + 1
+        elif j - k + 1 == _K0_WINDOW:
+            return k
+    raise CapExceededError(f"the block driver has no k_0 below {_K0_LIMIT} at z={z:g}")
 
 
 def example4_block_start(k: int, z: float) -> int:
@@ -357,8 +386,8 @@ def example4_driver(z: float) -> DriverStream:
         start = example4_block_start(k, z)
         n = 1   # position of the next symbol
         while True:
-            yield from _run(2, start - n)
-            yield from _run(1, k)
+            yield Run(2, start - n)
+            yield Run(1, k)
             n = start + k
             k += 1
             nxt = example4_block_start(k, z)

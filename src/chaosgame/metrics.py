@@ -81,10 +81,14 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
     Each chunk is checked against the still-uncovered cloud points, and the
     returned n is the exact deterministic minimum.  The orbit is stepped in
     plain floats with AffineMap's arithmetic (on_floats), one run of equal
-    symbols at a time; once f(x) == x the rest of the run repeats x and is
-    filled without stepping.  That test is float equality, under which +0
-    and -0 are equal: a filled point can differ from a stepped one only in
-    the sign of a zero coordinate, so every distance, and n, is unchanged.
+    symbols at a time; once f(x) == x the rest of the run repeats x, so it
+    is skipped: it adds no point, and a chunk that adds none is not checked.
+    A repeated point covers nothing that its first copy, earlier in the
+    orbit, did not, so no first hit, and not n, can fall on it.  The test is
+    float equality, under which +0 and -0 are equal: a repeat can differ
+    from x only in the sign of a zero coordinate, so every distance is
+    unchanged.  Each point keeps its orbit index, and a first hit is read
+    back through those indices.
 
     In 1-d an orbit point y covers a cloud point p when abs(y - p) <= eps in
     floating point.  A cKDTree ball query applies the same test as long as
@@ -121,7 +125,7 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
 
     pos = 0          # index of the orbit point currently stored in x
     size = _FIRST_CHUNK
-    n = cover(np.array([x]), 0)
+    n = cover(np.array([x]), np.array([0]))
     while n is None:
         if pos >= cap:
             return record(None)
@@ -135,15 +139,18 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
             if len(symbols) == 0:
                 return record(None)
             stop = pos + len(symbols)
-        points, x = step(x, symbols)
-        n = cover(points, pos + 1)
+        points, at, x = step(x, symbols)
+        if len(points):
+            n = cover(points, pos + 1 + at)
         pos = stop
     return record(int(n))
 
 
 def _stepper(ifs: IfsSystem):
-    """step(x, symbols) -> (points, x): the orbit from x (a float in 1-d, a
-    tuple of floats in d dimensions) run by run, filling a run at f(x) == x."""
+    """step(x, symbols) -> (points, at, x): the orbit from x (a float in 1-d,
+    a tuple of floats in d dimensions) run by run, and the offsets in
+    symbols of the steps that gave the points.  Once f(x) == x the rest of
+    the run repeats x: it is skipped and adds no point."""
     maps = [m.on_floats for m in ifs.maps]
     K = len(maps)
 
@@ -153,16 +160,17 @@ def _stepper(ifs: IfsSystem):
         bounds = [0, *(np.flatnonzero(np.diff(symbols)) + 1).tolist(), len(symbols)]
         runs = symbols[bounds[:-1]].tolist()
         out: list = []
+        kept = np.ones(len(symbols), dtype=bool)
         for s, lo, hi in zip(runs, bounds, bounds[1:]):
             f = maps[s - 1]
             for i in range(lo, hi):
                 y = f(x)
                 if y == x:
-                    out.extend([x] * (hi - i))
+                    kept[i:hi] = False
                     break
                 x = y
                 out.append(x)
-        return np.array(out), x
+        return np.array(out), np.flatnonzero(kept), x
 
     return step
 
@@ -170,16 +178,16 @@ def _stepper(ifs: IfsSystem):
 class _LineCover:
     """Coverage of a 1-d cloud, chunk by chunk, without per-hit lists.
 
-    Calling it with a chunk of orbit points whose first one is orbit point
-    first_pos marks the cloud points they cover, and returns the least n at
-    which every cloud point is covered, or None.
+    Calling it with a chunk of orbit points ys and their ascending orbit
+    indices at marks the cloud points they cover, and returns the least n
+    at which every cloud point is covered, or None.
     """
 
     def __init__(self, values: np.ndarray, eps: float):
         self.eps = eps
         self.uncovered = np.sort(values)
 
-    def __call__(self, ys: np.ndarray, first_pos: int):
+    def __call__(self, ys: np.ndarray, at: np.ndarray):
         eps, p = self.eps, self.uncovered
         order = np.argsort(ys, kind="stable")
         srt = ys[order]
@@ -196,7 +204,7 @@ class _LineCover:
                      lambda y, q: y - near[q] <= eps)
         hit = lo < hi
         if hit.all() and near.size == p.size:
-            return first_pos + int(_range_min(order, lo, hi).max())
+            return int(at[_range_min(order, lo, hi).max()])
         self.uncovered = np.concatenate([p[:a], near[~hit], p[b:]])
         return None
 
@@ -247,7 +255,7 @@ class _PairCover:
         self.uncovered = np.ones(cloud.size, dtype=bool)
         self.left = cloud.size
 
-    def __call__(self, ys: np.ndarray, first_pos: int):
+    def __call__(self, ys: np.ndarray, at: np.ndarray):
         # Small leaves keep the chunk's bounding boxes tight, so the
         # dual-tree query prunes more: on the 177k-point Sierpinski cloud
         # it ran about 1.5x faster than with the default leaf size of 16.
@@ -259,7 +267,7 @@ class _PairCover:
         hit = first < len(ys)
         count = int(np.count_nonzero(hit))
         if count == self.left:
-            return first_pos + int(first[hit].max())
+            return int(at[first[hit].max()])
         self.uncovered[hit] = False
         self.left -= count
         return None
@@ -301,8 +309,8 @@ def covering_estimate(points, eps: float) -> CoverEstimate:
     pts = _point_set(points)
     if pts.shape[0] == 0:
         raise ValidationError("covering estimate needs a nonempty point set")
-    if eps <= 0:
-        raise ValidationError("covering radius must be positive")
+    if not 0 < eps < math.inf:
+        raise ValidationError(f"covering radius must be positive and finite, got {eps}")
     walk = _greedy_walk(pts, grid)
     return CoverEstimate(eps=float(eps), lower=len(walk(2.0 * eps)),
                          upper=len(walk(eps)))
@@ -361,18 +369,22 @@ def box_dimension(cloud: AttractorCloud, a: float, r: float,
     """Lower box dimension proxy over the radius schedule b_m = a * r^m.
 
     Radii at or below twice the cloud resolution (where the cloud stops
-    resembling the attractor) and radii >= 1 (degenerate log scale) are
-    dropped; the estimate is the minimum of the upper-rate curve, a finite
-    stand-in for the liminf.
+    resembling the attractor; b_m only falls, so the walk over m stops at
+    the first) and radii >= 1 (degenerate log scale) are dropped; the
+    estimate is the minimum of the upper-rate curve, a finite stand-in for
+    the liminf.
     """
     if not 0.0 < r < 1.0:
         raise ValidationError("schedule ratio r must lie in (0, 1)")
-    if a <= 0 or m_lo > m_hi:
-        raise ValidationError("schedule needs a > 0 and m_lo <= m_hi")
+    if not 0 < a < math.inf or m_lo > m_hi:
+        raise ValidationError(f"schedule needs a finite a > 0 and m_lo <= m_hi, "
+                              f"got a={a}, m_lo={m_lo}, m_hi={m_hi}")
     samples, rl, ru = [], [], []
     for m in range(m_lo, m_hi + 1):
         b = a * r ** m
-        if b <= 2.0 * cloud.resolution or b >= 1.0:
+        if b <= 2.0 * cloud.resolution:
+            break
+        if b >= 1.0:
             continue
         est = covering_estimate(cloud, b)
         denom = math.log(1.0 / b)

@@ -145,7 +145,8 @@ _TO_SLOW = "kind = champernowne\n\n[eps]\na = 1\nr = 0.33333333333333331\nm_lo =
 
 
 class TestBadInputExit2:
-    """Bad values exit with code 2 and a message naming the input."""
+    """Bad values exit with code 2 and a message naming the input (3 for a
+    search that passes its bound)."""
 
     @pytest.fixture
     def config(self, tmp_path):
@@ -307,3 +308,48 @@ class TestBadInputExit2:
                            value, "--out", str(tmp_path / "c.ifsc"))
         assert code == 2
         assert "target resolution must be positive and finite" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("driver", "emit", "example4", "-n", "5", "--z", "nan"),
+        ("driver", "emit", "example4", "-n", "5", "--z", "inf"),
+        ("driver", "emit", "example4", "-n", "5", "--z=-inf"),
+        ("recover", "--ifs", "halving", "--driver", "example4", "--z", "nan",
+         "--x0", "0", "--eps", "0.1", "--resolution", "0.001"),
+        ("schedule", "--ifs", "cantor", "--z", "nan", "--resolution", "1e-05"),
+        ("schedule", "--ifs", "cantor", "--z", "inf", "--resolution", "1e-05"),
+    ], ids=["emit-nan", "emit-inf", "emit-minus-inf", "recover-nan",
+            "schedule-nan", "schedule-inf"])
+    def test_z_not_finite(self, capsys, argv):
+        # emit --z nan ran until killed and --z inf ended in OverflowError;
+        # schedule --z nan ended in ValueError and --z inf in
+        # ZeroDivisionError.
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        assert "exponent z" in err and "finite" in err
+
+    @pytest.mark.parametrize("z", ["1e-06", "1e-300"])
+    def test_example4_k0_search_bounded(self, capsys, z):
+        # --z 1e-6 searched for k_0 until killed; at 1e-300, 2**z == 1.0
+        # and the search divided by zero.  Past its bound it exits 3.
+        code, _, err = run(capsys, "driver", "emit", "example4", "-n", "5", "--z", z)
+        assert code == 3
+        assert f"z={float(z):g}" in err
+
+    def test_config_example4_k0_search_bounded(self, capsys, config):
+        code, _, err = run(capsys, "experiment", "run",
+                           config(("kind = champernowne", "kind = example4\nz = 1e-300")))
+        assert code == 3
+        assert "z=1e-300" in err
+
+    def test_example4_large_z(self, capsys):
+        # 2.0 ** (j * z) used to overflow in the k_0 search.
+        code, out, _ = run(capsys, "driver", "emit", "example4", "-n", "5", "--z", "20")
+        assert (code, out.strip()) == (0, "22222")
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_dim_a_not_finite(self, capsys, value):
+        # --a nan printed rows of nan with exit code 0.
+        code, out, err = run(capsys, "dim", "--ifs", "cantor", "--a", value, "--r", "0.5",
+                             "--m-lo", "1", "--m-hi", "3", "--resolution", "0.001")
+        assert (code, out) == (2, "")
+        assert f"a={value}" in err

@@ -1,6 +1,8 @@
 """Symbol drivers: Champernowne, de Bruijn, block drivers, word coverage."""
 
+import functools
 import hashlib
+import itertools
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaosgame as cg
+from chaosgame.drivers import DRIVER_KINDS
 from chaosgame.errors import CapExceededError, ValidationError
 
 
@@ -160,6 +163,17 @@ class TestExample4:
         with pytest.raises(ValidationError):
             cg.example4_driver(0.0)
 
+    @pytest.mark.parametrize("z", [0.03, 0.1, 0.3, 0.5, 1.0, 2.0])
+    def test_k0_matches_window_search(self, z):
+        # The least k whose next 64 terms all hold, found the direct way.
+        bar = 1.0 / (2.0 ** z - 1.0)
+        conditions = (lambda j: j < 2.0 ** (j * z),
+                      lambda j: (j + 1) * 2.0 ** (j * z) > bar)
+        k0 = max(next(k for k in itertools.count(1)
+                      if all(holds(j) for j in range(k, k + 64)))
+                 for holds in conditions)
+        assert cg.example4_k0(z) == k0
+
 
 class TestRandomDriver:
     def test_determinism(self):
@@ -218,13 +232,16 @@ class TestWordCoverage:
         assert n_i <= cg.champernowne_coverage_bound(2, m)
 
 
-def _slow_driver():
+def _slow_schedule():
     cantor = cg.cantor_ifs()
     cloud = cg.build_cloud(cantor, 1e-5)
     base = cg.choose_base_map(cantor, cloud)
-    schedule = cg.build_schedule(cantor, cloud, cg.power_rate(1.0), base,
-                                 k_max=2, step_cap=100000)
-    return cg.slow_driver(schedule)   # 3171 scheduled symbols, then the tail
+    return cg.build_schedule(cantor, cloud, cg.power_rate(1.0), base,
+                             k_max=2, step_cap=100000)
+
+
+def _slow_driver():
+    return cg.slow_driver(_slow_schedule())   # 3171 scheduled symbols, then the tail
 
 
 # Each hash is hashlib.sha256 over the first n symbols written one byte per
@@ -271,3 +288,69 @@ def test_segments_agree_with_prefix():
     whole = cg.champernowne(3).segment(0, 200000)
     for start, stop in [(150000, 200000), (0, 7), (7, 150000), (3, 3)]:
         assert np.array_equal(d.segment(start, stop), whole[start:stop])
+
+
+def _written_out(driver, n):
+    """The first n symbols of a driver not yet read, from its generator's
+    items with each Run written out in full."""
+    parts, total = [], 0
+    while total < n:
+        item = next(driver._gen)
+        if isinstance(item, cg.Run):
+            part = np.full(min(item.count, n - total), item.symbol, dtype=np.int64)
+        else:
+            part = np.atleast_1d(np.asarray(item, dtype=np.int64))
+        parts.append(part)
+        total += part.size
+    return np.concatenate(parts)[:n]
+
+
+_WORD = (1,) * 9000 + (2, 1) * 50 + (2,) * 20000 + (1,) * 3
+# name -> (driver factory, symbols to compare)
+_STREAMS = {f"{kind} K={K}": (functools.partial(make, K, params),
+                              len(_WORD) if kind == "literal" else 60000)
+            for kind, make in DRIVER_KINDS.items()
+            for K, params in [(2, {"z": 1.0, "seed": 3, "symbols": _WORD}),
+                              (3, {"z": 0.5, "seed": 4, "symbols": _WORD})]}
+_STREAMS["slow cantor"] = (_slow_driver, 60000)
+
+
+class TestRunStorage:
+    @pytest.mark.parametrize("make,n", list(_STREAMS.values()), ids=list(_STREAMS))
+    def test_random_windows_match_the_generator(self, make, n):
+        whole = _written_out(make(), n)
+        d = make()
+        rng = np.random.default_rng(0)
+        for _ in range(40):
+            start, stop = sorted(rng.integers(0, n + 1, size=2).tolist())
+            assert np.array_equal(d.segment(start, stop), whole[start:stop])
+        assert np.array_equal(d.segment(0, n), whole)
+
+    def test_long_run_stored_in_o1(self):
+        d = cg.DriverStream("runs", 2, lambda: iter([
+            cg.Run(1, 10 ** 9), cg.Run(2, 0), (2, 2, 1), cg.Run(2, 3), np.array([1, 2])]))
+        seg = d.segment(10 ** 9 - 5, 10 ** 9 + 5)
+        assert seg.tolist() == [1] * 5 + [2, 2, 1, 2, 2]
+        assert d.buffered == 10 ** 9 + 3 + 3
+        # The empty run is dropped; the 10^9 symbols are one stored Run.
+        assert d._pieces[0] == cg.Run(1, 10 ** 9) and d._pieces[2] == cg.Run(2, 3)
+        assert d._pieces[1].tolist() == [2, 2, 1] and len(d._pieces) == 3
+        assert d.segment(0, 4).tolist() == [1, 1, 1, 1]
+        assert d.segment(10 ** 9 + 5, 10 ** 9 + 8).tolist() == [2, 1, 2]
+
+    def test_slow_driver_stores_its_runs_as_runs(self):
+        schedule = _slow_schedule()
+        d = cg.slow_driver(schedule)
+        d.segment(0, schedule.entries[-1].v + 1)
+        i_star = schedule.base.i_star
+        assert [p for p in d._pieces if isinstance(p, cg.Run)] == \
+            [cg.Run(i_star, e.p) for e in schedule.entries]
+        # The sigma words and one tail block; the runs add nothing.
+        stored = sum(p.size for p in d._pieces if not isinstance(p, cg.Run))
+        assert stored == sum(len(e.sigma) for e in schedule.entries) + 4096
+
+    def test_example4_stores_only_runs(self):
+        d = cg.example4_driver(1.0)
+        d.segment(0, 10 ** 6)
+        assert all(isinstance(p, cg.Run) for p in d._pieces)
+        assert len(d._pieces) < 40

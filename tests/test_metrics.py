@@ -98,6 +98,12 @@ class TestCoveringEstimate:
         with pytest.raises(ValidationError):
             cg.covering_estimate([[0.0]], 0.0)
 
+    @pytest.mark.parametrize("eps", [math.nan, math.inf])
+    def test_radius_not_finite(self, eps):
+        # covering_estimate(pts, nan) used to return (1, 1).
+        with pytest.raises(ValidationError, match="finite"):
+            cg.covering_estimate([[0.0], [1.0]], eps)
+
     def test_flat_list_is_points_on_the_line(self):
         # A flat list used to be read as one 3-dimensional point (1, 1).
         est = cg.covering_estimate([0, 0.5, 1], 0.3)
@@ -135,6 +141,21 @@ class TestBoxDimension:
     def test_r_range(self, cantor_cloud_coarse):
         with pytest.raises(ValidationError):
             cg.box_dimension(cantor_cloud_coarse, 1.0, 1.5, 1, 3)
+
+    def test_stops_at_the_resolution(self, cantor_cloud_coarse):
+        # b_m = 0.5**14 is the first at or below 2 * resolution (1.02e-4);
+        # m_hi = 100,000 used to walk every m up to it.
+        powers = []
+
+        class Ratio(float):
+            def __pow__(self, m):
+                powers.append(m)
+                return float(self) ** m
+
+        est = cg.box_dimension(cantor_cloud_coarse, 1.0, Ratio(0.5), 1, 10 ** 5)
+        assert powers == list(range(1, 15))
+        short = cg.box_dimension(cantor_cloud_coarse, 1.0, 0.5, 1, 13)
+        assert (est.value, est.samples) == (short.value, short.samples)
 
 
 class TestLogRates:
@@ -272,8 +293,9 @@ class TestLineRecoveryEngine:
 
     def test_fixed_point_run_is_filled(self, cantor, cantor_cloud_coarse):
         # Each run of 5000 first Cantor maps pins the orbit at 0 bit for bit
-        # after about 680 steps.  At eps = 0.05 only the periodic tail after
-        # the second run completes the cover, more than 10,000 steps in.
+        # after about 680 steps, and the rest of the run is skipped.  At
+        # eps = 0.05 only the periodic tail after the second run completes
+        # the cover, more than 10,000 steps in.
         word = (1,) * 5000 + (2,) * 3 + (1,) * 5000 + (2, 1, 2, 2) * 200
         make = lambda: cg.literal_driver(cg.Word(word, 2))   # noqa: E731
         n = _check_minimal(cantor, make, [0.9], cantor_cloud_coarse, 0.05, cap=20000)
@@ -372,8 +394,8 @@ class TestPlaneRecoveryEngine:
 
     def test_fixed_point_run_is_filled(self):
         # The first map's orbit from (0.9, -0.7) reaches its fixed point
-        # (2, 0) bit for bit after 63 steps, so each run of 5000 first maps
-        # is filled.  At eps = 0.1 only the Champernowne tail after the
+        # (2, 0) bit for bit after 63 steps, so the rest of each run of 5000
+        # first maps is skipped.  At eps = 0.1 only the Champernowne tail after the
         # second run completes the cover, more than 10,000 steps in.
         rot = [[0.5, 0.25], [-0.25, 0.5]]
         ifs = cg.IfsSystem.create([cg.AffineMap.create(rot, [1.0, 0.5]),
@@ -388,6 +410,94 @@ class TestPlaneRecoveryEngine:
         cloud = cg.build_cloud(ifs, 0.05)
         n = _check_minimal(ifs, make, [0.9, -0.7], cloud, 0.1, cap=20000)
         assert n is not None and n > 10000
+
+
+def _two_point_case(dim):
+    """A system whose first map pins the orbit at 0 bit for bit (by
+    underflow, after about 700 steps in 1-d and 1,300 in 2-d) and whose
+    second map sends 0 to the cloud's other point exactly."""
+    if dim == 1:
+        return (cg.cantor_ifs(), [0.1],
+                cg.AttractorCloud.from_points([[0.0], [2 / 3]], resolution=0.0))
+    rot = [[0.5, 0.25], [-0.25, 0.5]]
+    ifs = cg.IfsSystem.create([cg.AffineMap.create(rot, [0.0, 0.0]),
+                               cg.AffineMap.create(rot, [1.0, 0.0])])
+    return (ifs, [0.1, 0.1],
+            cg.AttractorCloud.from_points([[0.0, 0.0], [1.0, 0.0]], resolution=0.0))
+
+
+def _literal(word, K=2):
+    return lambda: cg.literal_driver(cg.Word(tuple(word), K))
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+class TestSkippedRuns:
+    """Runs held at a fixed point are skipped; the engine still gives the
+    oracle's n.  Chunks cover orbit points 1..128, 129..384, ..., 3969..8064,
+    8065..16256, 16257..24448, and so on in steps of 8,192."""
+
+    @pytest.mark.parametrize("last", [8064, 8065, 16256, 16257, 24448, 24449, 30000])
+    def test_last_hit_after_long_run(self, dim, last):
+        # Only the second map's step at orbit point `last` reaches the
+        # cloud's other point; the run before it is longer than a chunk and
+        # ends on or next to a chunk edge.
+        ifs, x0, cloud = _two_point_case(dim)
+        word = (1,) * (last - 1) + (2,) + (1,) * 9000 + (2,)
+        assert _check_minimal(ifs, _literal(word), x0, cloud, 0.01, cap=50000) == last
+
+    @pytest.mark.parametrize("cap", [3000, 8064, 8065, 16256, 19999])
+    def test_cap_inside_skipped_run(self, dim, cap):
+        ifs, x0, cloud = _two_point_case(dim)
+        make = _literal((1,) * 19999 + (2,))
+        rec = cg.recovery_time(ifs, make(), x0, 0.01, cloud, cap=cap)
+        assert rec.exceeded and rec.cap == cap
+        assert _check_minimal(ifs, make, x0, cloud, 0.01, cap=cap) is None
+        assert cg.recovery_time(ifs, make(), x0, 0.01, cloud, cap=20000).n == 20000
+
+    @pytest.mark.parametrize("length", [8064, 8065, 20000])
+    def test_finite_driver_ends_inside_run(self, dim, length):
+        ifs, x0, cloud = _two_point_case(dim)
+        make = _literal((2,) + (1,) * length)
+        rec = cg.recovery_time(ifs, make(), x0, 0.01, cloud, cap=10 ** 6)
+        assert rec.exceeded
+        assert _check_minimal(ifs, make, x0, cloud, 0.01, cap=10 ** 6) is None
+
+    def test_held_chunks_make_no_cover_call(self, dim, monkeypatch):
+        # 100,000 symbols make 18 chunks; every chunk after the orbit
+        # reaches 0 and before the last one adds no point.
+        calls = []
+        for name in ("_LineCover", "_PairCover"):
+            class Counting(getattr(metrics, name)):
+                def __call__(self, ys, at):
+                    calls.append(len(ys))
+                    return super().__call__(ys, at)
+            monkeypatch.setattr(metrics, name, Counting)
+        ifs, x0, cloud = _two_point_case(dim)
+        word = (1,) * 99999 + (2,)
+        assert cg.recovery_time(ifs, _literal(word)(), x0, 0.01, cloud).n == 100000
+        assert len(calls) <= 8 and calls[-1] == 1
+
+
+def test_two_cycle_run_is_stepped_in_full():
+    # x -> a x + b reaches a float 2-cycle (p, q one ulp apart) and never
+    # f(x) == x, so a run of it is stepped to its end.
+    ifs = cg.IfsSystem.create([cg.scalar_map(-0.7427631926750511, -0.10101787042252375),
+                               cg.scalar_map(0.5, 0.5)])
+    f = ifs.maps[0].on_floats
+    p = 0.9
+    for _ in range(2000):
+        p = f(p)
+    q = f(p)
+    assert p != q and f(q) == p
+    points, at, x = metrics._stepper(ifs)(0.9, np.ones(20001, dtype=np.int64))
+    assert len(points) == 20001 and np.array_equal(at, np.arange(20001))
+    assert x == q
+    # eps below the gap between p and q: the cloud needs both, then the
+    # second map's image of them.
+    cloud = cg.AttractorCloud.from_points([[p], [q], [0.5 * p + 0.5]], resolution=0.0)
+    word = (1,) * 20000 + (2,) + (1,) * 3
+    n = _check_minimal(ifs, _literal(word), [0.9], cloud, abs(p - q) / 4, cap=30000)
+    assert n == 20001
 
 
 def _tree_greedy(points, r):
