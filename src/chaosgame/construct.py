@@ -234,7 +234,9 @@ def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
       - m_{k+1} is the smallest value > m_k + k whose packing lower bounds
         satisfy  N(C_{m_{k+1}}) > v_k  and  N_delta(3*C_{m_{k+1}}) > v_k + m_1
         (packing is a certified lower bound on the covering number, so both
-        strict inequalities are checked on the sound side);
+        strict inequalities are checked on the sound side; the cloud's
+        counts go through its cover_sizes memo, so each radius is walked
+        once, and the outside points are walked only at 2*(3*C_m));
       - construction stops at k_max entries or when the next block would
         push past step_cap, setting the truncated flag.
 
@@ -274,6 +276,10 @@ def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
 
     dists = np.linalg.norm(cloud.points - base.x_star, axis=1)
     outside_pts = cloud.points[dists > base.delta]
+    if outside_pts.shape[0] == 0:
+        raise ValidationError(f"no cloud point lies outside the base map's "
+                              f"delta={base.delta:g} ball")
+    outside = _greedy_walk(outside_pts)
 
     entries = []
     v = 0
@@ -287,7 +293,7 @@ def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
                     truncated = True
                     break
                 ok_d = covering_estimate(cloud, C_of(m)).lower > v
-                ok_c = covering_estimate(outside_pts, 3.0 * C_of(m)).lower > v + m1
+                ok_c = len(outside(2.0 * (3.0 * C_of(m)))) > v + m1
                 if ok_d and ok_c:
                     break
                 m += 1

@@ -121,6 +121,9 @@ class AffineMap:
         if self.dim == 1:
             (((a,), b),) = rows
             return lambda x: a * x + b
+        if self.dim == 2:               # _row_sums unrolled, same bits
+            (((a, b), o), ((c, d), p)) = rows
+            return lambda x: (a * x[0] + b * x[1] + o, c * x[0] + d * x[1] + p)
         return lambda x: tuple(_row_sums(rows, x))
 
 
@@ -289,6 +292,9 @@ class AttractorCloud:
     diam_lower: float       # max pairwise distance over cloud points
     diam_upper: float       # certified upper bound on diam A
     grid: cKDTree = field(repr=False, compare=False)
+    # radius r -> size of the greedy r-cover of points (covering_estimate)
+    cover_sizes: dict = field(default_factory=dict, init=False, repr=False,
+                              compare=False)
 
     @classmethod
     def from_points(cls, points, resolution: float, depth: int = 0,
@@ -393,18 +399,28 @@ def write_cloud(path, cloud: AttractorCloud) -> None:
     """Binary cache: IFSC magic, version, dim, count, resolution, depth, floats.
 
     Little-endian throughout; identical clouds serialize byte-identically.
+    The bytes go to a temporary file in path's directory, which then
+    replaces path, so an interrupted write leaves no short file at path.
     """
     pts = np.ascontiguousarray(cloud.points, dtype="<f8")
     header = _MAGIC + _HEADER.pack(_FORMAT_VERSION, pts.shape[1], pts.shape[0],
                                    cloud.resolution, cloud.depth)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(pts.tobytes(order="C"))
+    head, name = os.path.split(os.fspath(path))
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(header)
+            fh.write(pts.tobytes(order="C"))
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+        raise
 
 
 def read_cloud(path) -> AttractorCloud:
-    """Inverse of write_cloud; a malformed or truncated file raises
-    ValidationError naming the file."""
+    """Inverse of write_cloud; a malformed or truncated file, or one with
+    bytes after the payload, raises ValidationError naming the file."""
     with open(path, "rb") as fh:
         magic = fh.read(4)
         if magic != _MAGIC:
@@ -425,6 +441,9 @@ def read_cloud(path) -> AttractorCloud:
         if left < size:
             raise ValidationError(
                 f"{path}: truncated cloud cache payload ({left} of {size} bytes)")
+        if left > size:
+            raise ValidationError(
+                f"{path}: {left - size} trailing bytes after the cloud cache payload")
         data = np.frombuffer(fh.read(size), dtype="<f8").reshape(count, dim)
     if not (resolution >= 0.0 and np.isfinite(resolution) and np.isfinite(data).all()):
         raise ValidationError(f"{path}: cloud cache holds non-finite or negative values")

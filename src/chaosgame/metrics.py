@@ -101,11 +101,12 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
 
     In d dimensions y covers p when sum((y - p)**2) <= eps**2 in floating
     point, the test cKDTree applies; as in 1-d, when eps**2 is subnormal it
-    compares rounded subnormal squares.  The pairs within eps between the
-    cloud's own kd-tree (cloud.grid) and a kd-tree over the chunk's orbit
+    compares rounded subnormal squares.  The pairs within eps between a
+    kd-tree over the cloud points and a kd-tree over the chunk's orbit
     points are found in one query; pairs whose cloud point is already
     covered are dropped, and each newly hit cloud point keeps its first
-    orbit point.
+    orbit point.  The cloud's tree is first its own (cloud.grid); once a
+    quarter of its points are left uncovered, it is rebuilt over just those.
     """
     if not eps > cloud.resolution:
         raise ValidationError(f"eps={eps:g} must exceed the cloud resolution "
@@ -242,17 +243,21 @@ def _range_min(values: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray
 
 
 class _PairCover:
-    """Coverage of a d-dim cloud from the pairs within eps between the
-    cloud's kd-tree and a kd-tree over each chunk of orbit points.
+    """Coverage of a d-dim cloud from the pairs within eps between a kd-tree
+    over the cloud points and a kd-tree over each chunk of orbit points.
 
-    Called like _LineCover, it returns the least n at which every cloud
-    point is covered, or None.
+    The first tree is the cloud's own (cloud.grid).  Once the uncovered
+    points fall to a quarter of the tree's points, the tree is rebuilt over
+    just those, their coordinates copied bit for bit; each pair is still
+    tested on its two points alone, so every uncovered point keeps the same
+    pairs and the same first hit.  Called like _LineCover, it returns the
+    least n at which every cloud point is covered, or None.
     """
 
     def __init__(self, cloud: AttractorCloud, eps: float):
         self.eps = eps
         self.grid = cloud.grid
-        self.uncovered = np.ones(cloud.size, dtype=bool)
+        self.uncovered = np.ones(cloud.size, dtype=bool)   # per point of grid
         self.left = cloud.size
 
     def __call__(self, ys: np.ndarray, at: np.ndarray):
@@ -270,7 +275,14 @@ class _PairCover:
             return int(at[first[hit].max()])
         self.uncovered[hit] = False
         self.left -= count
+        if 4 * self.left <= self.uncovered.size:
+            self._shrink()
         return None
+
+    def _shrink(self):
+        """Rebuild the tree over the uncovered points alone."""
+        self.grid = cKDTree(self.grid.data[self.uncovered])
+        self.uncovered = np.ones(self.left, dtype=bool)
 
 
 def coverage_holds(ifs: IfsSystem, driver, x0, eps: float,
@@ -298,22 +310,28 @@ def covering_estimate(points, eps: float) -> CoverEstimate:
     subset; no eps-ball can contain two such points, so the true covering
     number is at least its size.  points is an (n, d) array, a flat list
     (n points on the line) or an AttractorCloud, whose kd-tree (cloud.grid)
-    is reused.  Both counts come from _greedy_walk, shared with build_sigma:
-    a ball at c holds p when abs(p - c) <= r in 1-d, and sum((p - c)**2) <=
-    r**2, cKDTree's test, in d dimensions.  As in recovery_time, cKDTree
-    applies the 1-d test too while r**2 is a normal float (r > ~1.5e-154).
+    is reused and whose cover_sizes memo holds each radius's count, so on a
+    cloud a radius is walked once: lower(eps) of an r = 1/2 ladder is
+    upper(2*eps).  Both counts come from _greedy_walk, shared with
+    build_sigma: a ball at c holds p when abs(p - c) <= r in 1-d, and
+    sum((p - c)**2) <= r**2, cKDTree's test, in d dimensions.  As in
+    recovery_time, cKDTree applies the 1-d test too while r**2 is a normal
+    float (r > ~1.5e-154).
     """
-    grid = None
+    memo, grid = {}, None
     if isinstance(points, AttractorCloud):
-        points, grid = points.points, points.grid
+        points, grid, memo = points.points, points.grid, points.cover_sizes
     pts = _point_set(points)
     if pts.shape[0] == 0:
         raise ValidationError("covering estimate needs a nonempty point set")
     if not 0 < eps < math.inf:
         raise ValidationError(f"covering radius must be positive and finite, got {eps}")
-    walk = _greedy_walk(pts, grid)
-    return CoverEstimate(eps=float(eps), lower=len(walk(2.0 * eps)),
-                         upper=len(walk(eps)))
+    walk = None
+    for r in (2.0 * eps, eps):
+        if r not in memo:
+            walk = walk or _greedy_walk(pts, grid)
+            memo[r] = len(walk(r))
+    return CoverEstimate(eps=float(eps), lower=memo[2.0 * eps], upper=memo[eps])
 
 
 def _greedy_walk(pts: np.ndarray, grid: cKDTree | None = None):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
+import errno
 import hashlib
 
 import pytest
@@ -211,6 +212,46 @@ class TestBadInputExit2:
         code, _, err = run(capsys, "experiment", "run", path, "--cache", str(cache))
         assert code == 2
         assert str(cloud_file) in err and f"truncated cloud cache {part}" in err
+
+    def test_trailing_bytes_in_cloud_cache(self, capsys, config, tmp_path):
+        # Bytes after the payload used to be ignored.
+        path, cache = config(), tmp_path / "cache"
+        assert run(capsys, "experiment", "run", path, "--cache", str(cache))[0] == 0
+        (cloud_file,) = cache.glob("*.ifsc")
+        cloud_file.write_bytes(cloud_file.read_bytes() + bytes(8))
+        code, _, err = run(capsys, "experiment", "run", path, "--cache", str(cache))
+        assert code == 2
+        assert str(cloud_file) in err and "8 trailing bytes" in err
+
+    def test_interrupted_cache_write_leaves_no_file(self, capsys, config, tmp_path,
+                                                    monkeypatch):
+        # A write that failed partway used to leave a short cloud-*.ifsc,
+        # and every later run exited 2 reading it.
+        from chaosgame import ifs
+
+        def short_open(file, mode="r", *args, **kwargs):
+            fh = open(file, mode, *args, **kwargs)
+            if "w" in mode:
+                writes = []
+
+                def write(data):
+                    writes.append(data)
+                    if len(writes) == 2:        # the payload, after the header
+                        type(fh).write(fh, bytes(data)[:len(data) // 2])
+                        raise OSError(errno.ENOSPC, "No space left on device")
+                    return type(fh).write(fh, data)
+                fh.write = write
+            return fh
+
+        path, cache = config(), tmp_path / "cache"
+        monkeypatch.setattr(ifs, "open", short_open, raising=False)
+        with pytest.raises(OSError, match="No space left"):
+            run(capsys, "experiment", "run", path, "--cache", str(cache))
+        assert list(cache.iterdir()) == []
+        monkeypatch.undo()
+        assert run(capsys, "experiment", "run", path, "--cache", str(cache))[0] == 0
+        (cloud_file,) = cache.iterdir()
+        assert cloud_file.suffix == ".ifsc"
 
     @pytest.mark.parametrize("argv", [
         ("driver", "emit", "random", "--seed", "-1", "-n", "5"),

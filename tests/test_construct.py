@@ -1,5 +1,6 @@
 """Rate functions, base-map choice, covering words, slow-driver schedules."""
 
+import dataclasses
 import hashlib
 import itertools
 import math
@@ -290,6 +291,16 @@ class TestBuildSchedule:
                                 base, k_max=5, step_cap=10 ** 4)
         assert sch.truncated
         assert len(sch.entries) >= 1
+
+    def test_base_ball_holding_the_whole_cloud_rejected(self, cantor,
+                                                        cantor_cloud_coarse):
+        # With no cloud point outside B(x_star, delta) the outside cover is
+        # empty, so no depth could ever pass the m-search.
+        base = dataclasses.replace(cg.choose_base_map(cantor, cantor_cloud_coarse),
+                                   delta=2.0)
+        with pytest.raises(ValidationError, match="outside the base map's delta=2 ball"):
+            cg.build_schedule(cantor, cantor_cloud_coarse, cg.power_rate(1.0), base,
+                              k_max=1)
 
 
 class TestSlowDriver:

@@ -25,6 +25,20 @@ def _row_sum(row, o, x):
     return acc + o
 
 
+def _random_planar_maps(count):
+    """(matrix, offset) pairs with entries in [-0.45, 0.45] and offsets in
+    [-1, 1], about a fifth of them zeros of either sign."""
+    rng = np.random.default_rng(11)
+    out = []
+    for _ in range(count):
+        matrix, offset = rng.uniform(-0.45, 0.45, size=(2, 2)), rng.uniform(-1, 1, size=2)
+        for coeffs in (matrix.ravel(), offset):
+            zero = rng.random(coeffs.size) < 0.2
+            coeffs[zero] = rng.choice([0.0, -0.0], size=int(zero.sum()))
+        out.append((matrix.tolist(), offset.tolist()))
+    return out
+
+
 class TestAffineMap:
     def test_contraction_required(self):
         with pytest.raises(ValidationError, match="not a contraction"):
@@ -59,13 +73,17 @@ class TestAffineMap:
         ([[0.01, 0.41], [-0.32, 0.4]], [-0.4, -0.2]),
         ([[0.3, 0.2, -0.1], [-0.1, 0.4, 0.25], [0.2, 0.0, -0.3]], [1.0, -0.5, 0.0]),
         ([[1 / 3]], [2 / 3]),
-    ], ids=["2-d", "3-d", "1-d"])
+        *_random_planar_maps(40),
+    ], ids=["2-d", "3-d", "1-d", *(f"random-2-d-{i}" for i in range(40))])
     def test_batch_single_and_floats_are_bit_identical(self, matrix, offset):
         # One arithmetic, so a point's image does not depend on how it is
-        # mapped; zeros of both signs included.
+        # mapped (on_floats unrolls the planar case); zeros of both signs
+        # included.
         m = cg.AffineMap.create(matrix, offset)
         pts = np.random.default_rng(3).uniform(-2, 2, size=(200, m.dim))
-        pts[:4] = [[0.0] * m.dim, [-0.0] * m.dim, [1.0] * m.dim, [-1.0] * m.dim]
+        pts[:6] = [[0.0] * m.dim, [-0.0] * m.dim, [1.0] * m.dim, [-1.0] * m.dim,
+                   [(0.0, -0.0)[i % 2] for i in range(m.dim)],
+                   [(-0.0, 0.0)[i % 2] for i in range(m.dim)]]
         batch = m(pts)
         single = np.array([m(p) for p in pts])
         floats = np.array([m.on_floats(p[0] if m.dim == 1 else tuple(p))
@@ -73,7 +91,7 @@ class TestAffineMap:
         assert batch.tobytes() == single.tobytes() == floats.tobytes()
         rows = [_row_sum(row, o, p) for p in pts.tolist()
                 for row, o in zip(matrix, offset)]
-        assert batch.ravel().tolist() == rows
+        assert batch.ravel().tobytes() == np.array(rows).tobytes()
 
     def test_wrong_dimension_rejected(self):
         m = cg.AffineMap.create([[0.5, 0.0], [0.0, 0.5]], [0.0, 0.0])

@@ -557,3 +557,106 @@ class TestPlaneCovering:
 
         monkeypatch.setattr(metrics, "cKDTree", no_new_tree)
         assert [cg.covering_estimate(cloud, 2.0 ** -k) for k in (2, 5, 8)] == expected
+
+
+def _walk_radii(monkeypatch):
+    """Record (size of the walked set, r) for every greedy walk centred on
+    its own targets; build_sigma's walks, centred elsewhere, are left out."""
+    radii = []
+    line, tree = metrics._line_walk, metrics._tree_walk
+
+    def line_walk(values, r, centres=None):
+        if centres is None:
+            radii.append((len(values), r))
+        return line(values, r, centres)
+
+    def tree_walk(grid, pts, r, centres=None):
+        if centres is None:
+            radii.append((len(pts), r))
+        return tree(grid, pts, r, centres)
+
+    monkeypatch.setattr(metrics, "_line_walk", line_walk)
+    monkeypatch.setattr(metrics, "_tree_walk", tree_walk)
+    return radii
+
+
+_LADDER = [2.0 ** -k for k in range(1, 8)]
+_ARBITRARY = [0.3, 0.07, 1 / 3, 0.011, 0.15, 0.035]
+
+
+class TestCoverMemo:
+    """An AttractorCloud walks each radius once (cloud.cover_sizes)."""
+
+    @pytest.mark.parametrize("system,depth", [(cg.cantor_ifs, 8), (cg.sierpinski_ifs, 6)],
+                             ids=["1-d", "2-d"])
+    @pytest.mark.parametrize("order", ["ascending", "descending", "repeated"])
+    @pytest.mark.parametrize("eps_list", [_LADDER, _ARBITRARY], ids=["ladder", "arbitrary"])
+    def test_cloud_matches_plain_points(self, system, depth, order, eps_list):
+        cloud = cg.cloud_at_depth(system(), depth)
+        eps_list = {"ascending": sorted(eps_list),
+                    "descending": sorted(eps_list, reverse=True),
+                    "repeated": eps_list + eps_list[::-1] + eps_list}[order]
+        for eps in eps_list:
+            assert (cg.covering_estimate(cloud, eps)
+                    == cg.covering_estimate(cloud.points, eps))
+
+    @pytest.mark.parametrize("system,depth", [(cg.cantor_ifs, 8), (cg.sierpinski_ifs, 6)],
+                             ids=["1-d", "2-d"])
+    def test_each_radius_walked_once(self, monkeypatch, system, depth):
+        cloud = cg.cloud_at_depth(system(), depth)
+        radii = _walk_radii(monkeypatch)
+        for eps in _LADDER:
+            cg.covering_estimate(cloud, eps)
+        assert len(radii) == 8         # radii 2**0 .. 2**-7, not 14 walks
+        for eps in _ARBITRARY + _LADDER[::-1]:
+            cg.covering_estimate(cloud, eps)
+        walked = [r for _, r in radii]
+        assert sorted(walked) == sorted({r for e in _LADDER + _ARBITRARY
+                                         for r in (e, 2.0 * e)})
+
+    def test_box_dimension_after_the_ladder_walks_nothing(self, monkeypatch):
+        cloud = cg.cloud_at_depth(cg.sierpinski_ifs(), 8)
+        covers = [cg.covering_estimate(cloud, 2.0 ** -k) for k in range(2, 7)]
+        radii = _walk_radii(monkeypatch)
+        est = cg.box_dimension(cloud, 1.0, 0.5, 2, 6)
+        assert radii == []
+        assert list(est.samples) == covers
+
+    def test_build_schedule_walks_each_cloud_radius_once(self, monkeypatch, cantor):
+        cloud = cg.build_cloud(cantor, 3e-7)     # the slow-cantor cloud
+        base = cg.choose_base_map(cantor, cloud)
+        radii = _walk_radii(monkeypatch)
+        schedule = cg.build_schedule(cantor, cloud, cg.power_rate(1.0), base,
+                                     k_max=3, step_cap=5 * 10 ** 6)
+        on_cloud = [r for size, r in radii if size == cloud.size]
+        assert len(schedule.entries) == 3 and on_cloud
+        assert len(on_cloud) == len(set(on_cloud))
+
+    def test_plain_points_are_not_memoized(self, monkeypatch):
+        pts = cg.cloud_at_depth(cg.cantor_ifs(), 6).points
+        radii = _walk_radii(monkeypatch)
+        cg.covering_estimate(pts, 0.1)
+        cg.covering_estimate(pts, 0.1)
+        assert [r for _, r in radii] == [0.2, 0.1, 0.2, 0.1]
+
+
+class _CountingPairCover(metrics._PairCover):
+    shrinks = 0
+
+    def _shrink(self):
+        type(self).shrinks += 1
+        super()._shrink()
+
+
+def test_pair_cover_rebuilds_over_uncovered_points(monkeypatch):
+    # At eps = 0.0125 the 2,187-point cloud falls to a quarter uncovered and
+    # then to a sixteenth, so the tree is rebuilt twice; n is still the
+    # exact minimum.
+    monkeypatch.setattr(metrics, "_PairCover", _CountingPairCover)
+    ifs = cg.sierpinski_ifs()
+    cloud = cg.cloud_at_depth(ifs, 7)
+    assert cloud.size == 2187
+    _CountingPairCover.shrinks = 0
+    n = _check_minimal(ifs, lambda: cg.infinite_de_bruijn(3), [0.1, 0.1], cloud,
+                       0.0125)
+    assert n is not None and _CountingPairCover.shrinks >= 2
