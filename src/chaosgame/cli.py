@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from .construct import RATE_KINDS, build_schedule, choose_base_map, slow_driver
 from .errors import (CapExceededError, ChaosGameError, InternalInvariantError,
                      ValidationError)
 from .harness import (_IFS_FACTORIES, PRESETS, _dimension_csv, _fmt, _schedule_csv,
-                      load_preset, parse_config, run_experiment)
+                      load_preset, parse_config, run_experiment, write_artifacts)
 from .ifs import build_cloud, read_cloud, write_cloud
 from .metrics import box_dimension, log_rate, recovery_time
 
@@ -40,6 +41,16 @@ def _least(flag: str, value: int, least: int) -> int:
     return value
 
 
+@contextmanager
+def _files(what: str, path):
+    """Turn an OSError at a file boundary into a ValidationError naming the
+    flag or argument and its path."""
+    try:
+        yield
+    except OSError as exc:
+        raise ValidationError(f"{what} {path}: {exc.strerror or exc}") from None
+
+
 def _print_symbols(symbols, K: int) -> None:
     """Digits run together for K <= 9, comma separated above."""
     print(("" if K <= 9 else ",").join(str(int(s)) for s in symbols))
@@ -49,11 +60,13 @@ def _cmd_cloud(args) -> int:
     if args.cloud_cmd == "build":
         cap = _least("--cap", args.cap, 1)
         cloud = build_cloud(_IFS_FACTORIES[args.ifs](), args.resolution, cap)
-        write_cloud(args.out, cloud)
+        with _files("--out", args.out):
+            write_cloud(args.out, cloud)
         print(f"wrote {cloud.size} points to {args.out} "
               f"(resolution {_fmt(cloud.resolution)}, depth {cloud.depth})")
         return 0
-    cloud = read_cloud(args.path)
+    with _files("cloud file", args.path):
+        cloud = read_cloud(args.path)
     print(f"points: {cloud.size}")
     print(f"dim: {cloud.points.shape[1]}")
     print(f"resolution: {_fmt(cloud.resolution)}")
@@ -132,12 +145,21 @@ def _cmd_experiment(args) -> int:
                 f"{args.target!r} is neither a preset ({sorted(PRESETS)}) "
                 "nor a config file"
             )
-        cfg = parse_config(path.read_text())
+        with _files("config file", path):
+            raw = path.read_bytes()
+        try:
+            cfg = parse_config(raw.decode())
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"config file {path}: not UTF-8 text ({exc})") from None
     if args.cap is not None:
         cfg = replace(cfg, orbit_cap=_least("--cap", args.cap, 0))
     if args.seed is not None:
         cfg = replace(cfg, seed=_least("--seed", args.seed, 0))
-    report = run_experiment(cfg, out_dir=args.out, cache_dir=args.cache)
+    with _files("--cache", args.cache):   # without out_dir it touches only the cache
+        report = run_experiment(cfg, cache_dir=args.cache)
+    if args.out:
+        with _files("--out", args.out):
+            write_artifacts(args.out, report.artifacts)
     sys.stdout.write(report.artifacts["summary.txt"])
     if args.out:
         print(f"artifacts written to {args.out}")

@@ -63,8 +63,8 @@ from .construct import (RATE_KINDS, Schedule, build_schedule, choose_base_map,
                         power_rate, slow_driver)
 from .errors import ValidationError
 from .ifs import (AffineMap, AttractorCloud, IfsSystem, build_cloud, cantor_ifs,
-                  halving_ifs, read_cloud, segment_ifs, sierpinski_ifs,
-                  write_cloud)
+                  halving_ifs, read_cloud, read_covers, segment_ifs,
+                  sierpinski_ifs, write_cloud, write_covers)
 from .metrics import (CoverEstimate, DimensionEstimate, RecoveryRecord,
                       box_dimension, covering_estimate, log_rate, rate_ratio,
                       recovery_time)
@@ -438,19 +438,31 @@ def _cloud_cache_key(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()[:24]
 
 
-def _obtain_cloud(cfg: ExperimentConfig, ifs: IfsSystem, cache_dir) -> AttractorCloud:
+def _obtain_cloud(cfg: ExperimentConfig, ifs: IfsSystem, cache_dir) -> tuple:
+    """(cloud, path of its cover-size sidecar, or None when not cached).
+
+    The cloud is the exact attractor, or a built cloud.  With a cache_dir a
+    built cloud is read from cloud-<key>.ifsc there, or built and written
+    there, and its cover_sizes memo is seeded from the sidecar
+    cloud-<key>.covers (read_covers) when that is bound to the same cloud
+    bytes.
+    """
     if cfg.exact_attractor:
         eps = cfg.eps_values()
-        return _exact_attractor_cloud(min(eps) if eps else 1e-6)
-    if cache_dir is not None:
-        path = Path(cache_dir) / f"cloud-{_cloud_cache_key(cfg)}.ifsc"
-        if path.exists():
-            return read_cloud(path)
+        return _exact_attractor_cloud(min(eps) if eps else 1e-6), None
+    if cache_dir is None:
+        return build_cloud(ifs, cfg.resolution, cfg.point_budget), None
+    stem = Path(cache_dir) / f"cloud-{_cloud_cache_key(cfg)}"
+    path, covers = stem.with_suffix(".ifsc"), stem.with_suffix(".covers")
+    if path.exists():
+        cloud = read_cloud(path)
+    else:
         cloud = build_cloud(ifs, cfg.resolution, cfg.point_budget)
         path.parent.mkdir(parents=True, exist_ok=True)
         write_cloud(path, cloud)
-        return cloud
-    return build_cloud(ifs, cfg.resolution, cfg.point_budget)
+    if covers.exists():
+        cloud.cover_sizes.update(read_covers(covers, cloud))
+    return cloud, covers
 
 
 def make_driver(cfg: ExperimentConfig, ifs: IfsSystem,
@@ -486,14 +498,28 @@ def _schedule_csv(schedule: Schedule) -> str:
         for k, e in enumerate(schedule.entries, start=1)))
 
 
+def write_artifacts(out_dir, artifacts: dict) -> None:
+    """Write each artifact to out_dir/<name>, creating out_dir."""
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    for fname, content in sorted(artifacts.items()):
+        (out / fname).write_text(content)
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunReport:
-    """Execute all phases; deterministic artifacts, optional file emission."""
+    """Execute all phases; deterministic artifacts, optional file emission.
+
+    With a cache_dir the cloud comes from the cache (_obtain_cloud), and once
+    the analysis is done its cover-size sidecar is written back if this run
+    walked a radius the sidecar did not hold, build_schedule's included.
+    """
     timings: dict = {}
     artifacts: dict = {}
 
     t0 = time.perf_counter()
     ifs = cfg.build_ifs()
-    cloud = _obtain_cloud(cfg, ifs, cache_dir)
+    cloud, covers_path = _obtain_cloud(cfg, ifs, cache_dir)
+    known = len(cloud.cover_sizes)
     timings["cloud"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -526,6 +552,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
     if cfg.dimension:
         _, a, r, lo, hi = cfg.eps_schedule
         dimension = box_dimension(cloud, a, r, lo, hi)
+    if covers_path is not None and len(cloud.cover_sizes) > known:
+        write_covers(covers_path, cloud)
     timings["analysis"] = time.perf_counter() - t0
 
     # ---- artifact emission (all deterministic text) ----
@@ -574,10 +602,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
     artifacts["summary.txt"] = summary.getvalue()
 
     if out_dir is not None:
-        out = Path(out_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        for fname, content in sorted(artifacts.items()):
-            (out / fname).write_text(content)
+        write_artifacts(out_dir, artifacts)
 
     return RunReport(config=cfg, records=tuple(records), covers=covers,
                      dimension=dimension, schedule=schedule,

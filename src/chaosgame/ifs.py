@@ -11,6 +11,7 @@ point.
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import os
 import struct
@@ -24,6 +25,7 @@ from .errors import CapExceededError, ValidationError
 _MAGIC = b"IFSC"
 _FORMAT_VERSION = 1
 _HEADER = struct.Struct("<IIQdI")   # version, dim, count, resolution, depth
+_COVERS_VERSION = "chaosgame cover sizes 1"
 
 DEFAULT_POINT_BUDGET = 2 ** 24
 
@@ -260,11 +262,13 @@ def _lexsort_points(points: np.ndarray) -> np.ndarray:
 
 
 def _dedupe(points: np.ndarray, threshold: float) -> np.ndarray:
-    """Keep the lexicographically-first point of every cluster of radius threshold."""
+    """Keep the lexicographically-first point of every cluster of radius
+    threshold; points must be lexsorted (_lexsort_points)."""
     if points.shape[0] >= 2:
         # Exact duplicates first (cheap, and maps with collapsing branches
-        # can produce huge numbers of them); np.unique keeps the sort order.
-        points = np.unique(points, axis=0)
+        # can produce huge numbers of them): sorted, they are adjacent rows,
+        # and the first of each run is kept.
+        points = points[np.r_[True, (points[1:] != points[:-1]).any(axis=1)]]
     if threshold <= 0 or points.shape[0] < 2:
         return points
     tree = cKDTree(points)
@@ -292,7 +296,8 @@ class AttractorCloud:
     diam_lower: float       # max pairwise distance over cloud points
     diam_upper: float       # certified upper bound on diam A
     grid: cKDTree = field(repr=False, compare=False)
-    # radius r -> size of the greedy r-cover of points (covering_estimate)
+    # radius r -> size of the greedy r-cover of points (covering_estimate);
+    # a cached cloud keeps it in its sidecar file (write_covers, read_covers)
     cover_sizes: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
@@ -395,27 +400,39 @@ def directed_hausdorff(set_a, set_b) -> float:
     return float(cKDTree(b).query(a)[0].max())
 
 
-def write_cloud(path, cloud: AttractorCloud) -> None:
-    """Binary cache: IFSC magic, version, dim, count, resolution, depth, floats.
-
-    Little-endian throughout; identical clouds serialize byte-identically.
-    The bytes go to a temporary file in path's directory, which then
-    replaces path, so an interrupted write leaves no short file at path.
-    """
-    pts = np.ascontiguousarray(cloud.points, dtype="<f8")
-    header = _MAGIC + _HEADER.pack(_FORMAT_VERSION, pts.shape[1], pts.shape[0],
-                                   cloud.resolution, cloud.depth)
+def _write_atomic(path, *chunks) -> None:
+    """Write chunks to a temporary file in path's directory, which then
+    replaces path: an interrupted write leaves no short file at path, and of
+    two writers at once the last to rename wins, leaving its whole file."""
     head, name = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "wb") as fh:
-            fh.write(header)
-            fh.write(pts.tobytes(order="C"))
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def _cloud_bytes(cloud: AttractorCloud) -> tuple:
+    """The cache file of write_cloud as (header, payload)."""
+    pts = np.ascontiguousarray(cloud.points, dtype="<f8")
+    return (_MAGIC + _HEADER.pack(_FORMAT_VERSION, pts.shape[1], pts.shape[0],
+                                  cloud.resolution, cloud.depth),
+            pts.tobytes(order="C"))
+
+
+def write_cloud(path, cloud: AttractorCloud) -> None:
+    """Binary cache: IFSC magic, version, dim, count, resolution, depth, floats.
+
+    Little-endian throughout; identical clouds serialize byte-identically.
+    The file is written by _write_atomic, so an interrupted write leaves no
+    short file at path.
+    """
+    _write_atomic(path, *_cloud_bytes(cloud))
 
 
 def read_cloud(path) -> AttractorCloud:
@@ -452,3 +469,58 @@ def read_cloud(path) -> AttractorCloud:
     if not np.isfinite(cloud.diam_upper):
         raise ValidationError(f"{path}: cloud cache diameter is not finite")
     return cloud
+
+
+def _cloud_digest(cloud: AttractorCloud) -> str:
+    """sha256 of the cloud's cache file bytes, as write_cloud writes them."""
+    return hashlib.sha256(b"".join(_cloud_bytes(cloud))).hexdigest()
+
+
+def write_covers(path, cloud: AttractorCloud) -> None:
+    """Sidecar of a cached cloud: its greedy-cover sizes (cloud.cover_sizes).
+
+    ASCII lines: the version line; 'cloud ' and the sha256 of the cloud's
+    cache file bytes (_cloud_digest), which binds the sizes to those points;
+    one 'float.hex(r) count' line per radius, ascending, so radii round-trip
+    exactly; and 'sha256 ' with the digest of every byte above it.  The file
+    is written by _write_atomic.  A change to the greedy walk that changes
+    its counts must change _COVERS_VERSION.
+    """
+    body = _COVERS_VERSION + f"\ncloud {_cloud_digest(cloud)}\n" + "".join(
+        f"{float.hex(r)} {n}\n" for r, n in sorted(cloud.cover_sizes.items()))
+    checksum = hashlib.sha256(body.encode()).hexdigest()
+    _write_atomic(path, f"{body}sha256 {checksum}\n".encode())
+
+
+def read_covers(path, cloud: AttractorCloud) -> dict:
+    """Inverse of write_covers: radius -> greedy-cover size, or {} when the
+    sidecar is bound to another cloud.  A malformed, truncated or altered
+    file raises ValidationError naming the file."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    body, _, checksum = raw.rpartition(b"sha256 ")
+    if not (body.endswith(b"\n") and checksum.endswith(b"\n")):
+        raise ValidationError(f"{path}: cover-size sidecar has no checksum line "
+                              "(truncated?)")
+    if checksum[:-1] != hashlib.sha256(body).hexdigest().encode():
+        raise ValidationError(f"{path}: cover-size sidecar checksum mismatch")
+    try:
+        version, bound, *lines = body[:-1].decode("ascii").split("\n")
+    except ValueError:                  # not ASCII, or fewer than two lines
+        raise ValidationError(f"{path}: not a cover-size sidecar") from None
+    if version != _COVERS_VERSION:
+        raise ValidationError(f"{path}: unsupported cover-size sidecar {version!r}")
+    if bound != f"cloud {_cloud_digest(cloud)}":
+        return {}
+    sizes: dict = {}
+    for i, line in enumerate(lines, start=3):
+        try:
+            text_r, text_n = line.split(" ")
+            r, n = float.fromhex(text_r), int(text_n)
+        except (ValueError, OverflowError):
+            r = n = None
+        if (r is None or float.hex(r) != text_r or str(n) != text_n
+                or not r > 0.0 or not 1 <= n <= cloud.size or r in sizes):
+            raise ValidationError(f"{path}: bad cover-size line {i}: {line!r}")
+        sizes[r] = n
+    return sizes

@@ -141,6 +141,12 @@ class TestExperiment:
         assert "schema_version" in err
 
 
+def _rechecked(sidecar: str) -> str:
+    """A cover-size sidecar's text with its checksum line recomputed."""
+    body = sidecar[:sidecar.rindex("sha256 ")]
+    return f"{body}sha256 {hashlib.sha256(body.encode()).hexdigest()}\n"
+
+
 # MINIMAL's driver and [eps] section, which a slow driver replaces.
 _TO_SLOW = "kind = champernowne\n\n[eps]\na = 1\nr = 0.33333333333333331\nm_lo = 3\nm_hi = 5\n"
 
@@ -226,7 +232,8 @@ class TestBadInputExit2:
     def test_interrupted_cache_write_leaves_no_file(self, capsys, config, tmp_path,
                                                     monkeypatch):
         # A write that failed partway used to leave a short cloud-*.ifsc,
-        # and every later run exited 2 reading it.
+        # and every later run exited 2 reading it; the OSError escaped as a
+        # traceback.
         from chaosgame import ifs
 
         def short_open(file, mode="r", *args, **kwargs):
@@ -245,13 +252,76 @@ class TestBadInputExit2:
 
         path, cache = config(), tmp_path / "cache"
         monkeypatch.setattr(ifs, "open", short_open, raising=False)
-        with pytest.raises(OSError, match="No space left"):
-            run(capsys, "experiment", "run", path, "--cache", str(cache))
+        code, _, err = run(capsys, "experiment", "run", path, "--cache", str(cache))
+        assert code == 2 and f"--cache {cache}: No space left" in err
         assert list(cache.iterdir()) == []
         monkeypatch.undo()
         assert run(capsys, "experiment", "run", path, "--cache", str(cache))[0] == 0
-        (cloud_file,) = cache.iterdir()
-        assert cloud_file.suffix == ".ifsc"
+        (cloud_file,) = cache.glob("*.ifsc")
+        covers = cloud_file.with_suffix(".covers")
+        assert sorted(cache.iterdir()) == [covers, cloud_file]
+        assert ifs.read_covers(covers, ifs.read_cloud(cloud_file))
+
+    @pytest.mark.parametrize("garble,message", [
+        (lambda t: t[:len(t) // 2], "no checksum line"),
+        (lambda t: t.replace("p-", "p-1", 1), "checksum mismatch"),
+        (lambda t: _rechecked(t.replace("p-", "q-", 1)),
+         "bad cover-size line 3"),
+        (lambda t: _rechecked(t.replace("sizes 1", "sizes 9", 1)),
+         "unsupported cover-size sidecar"),
+    ], ids=["truncated", "bad-checksum", "non-numeric", "version"])
+    def test_garbled_cover_sidecar(self, capsys, config, tmp_path, garble, message):
+        path, cache = config(), tmp_path / "cache"
+        assert run(capsys, "experiment", "run", path, "--cache", str(cache))[0] == 0
+        (covers,) = cache.glob("*.covers")
+        covers.write_text(garble(covers.read_text()))
+        code, _, err = run(capsys, "experiment", "run", path, "--cache", str(cache))
+        assert code == 2
+        assert str(covers) in err and message in err
+
+    def test_interrupted_sidecar_write_leaves_no_file(self, capsys, config, tmp_path,
+                                                      monkeypatch):
+        from chaosgame import ifs
+
+        def failing_open(file, mode="r", *args, **kwargs):
+            if "w" in mode and ".covers." in str(file):
+                fh = open(file, mode, *args, **kwargs)
+                fh.write(b"chaosgame")
+                fh.close()
+                raise OSError(errno.EROFS, "Read-only file system")
+            return open(file, mode, *args, **kwargs)
+
+        path, cache = config(), tmp_path / "cache"
+        monkeypatch.setattr(ifs, "open", failing_open, raising=False)
+        code, _, err = run(capsys, "experiment", "run", path, "--cache", str(cache))
+        assert code == 2 and f"--cache {cache}: Read-only file system" in err
+        assert [p.suffix for p in cache.iterdir()] == [".ifsc"]
+        monkeypatch.undo()
+        assert run(capsys, "experiment", "run", path, "--cache", str(cache))[0] == 0
+        assert sorted(p.suffix for p in cache.iterdir()) == [".covers", ".ifsc"]
+
+    @pytest.mark.parametrize("argv,message", [
+        (("experiment", "run", "cantor-debruijn", "--cache", "{file}"),
+         "--cache {file}: File exists"),
+        (("experiment", "run", "cantor-debruijn", "--out", "{file}"),
+         "--out {file}: File exists"),
+        (("cloud", "info", "{missing}"), "cloud file {missing}: No such file"),
+        (("cloud", "info", "{dir}"), "cloud file {dir}: Is a directory"),
+        (("cloud", "build", "--ifs", "cantor", "--resolution", "0.01",
+          "--out", "{missing}/c.ifsc"), "--out {missing}/c.ifsc: No such file"),
+        (("experiment", "run", "{dir}"), "config file {dir}: Is a directory"),
+        (("experiment", "run", "{binary}"), "config file {binary}: not UTF-8 text"),
+    ], ids=["cache-is-a-file", "out-is-a-file", "info-missing", "info-directory",
+            "build-out-missing-dir", "config-directory", "config-binary"])
+    def test_file_errors_exit_2(self, capsys, tmp_path, argv, message):
+        # Each of these used to end in a traceback (exit 1).
+        names = {"file": tmp_path / "file", "missing": tmp_path / "missing",
+                 "dir": tmp_path, "binary": tmp_path / "binary.ini"}
+        names["file"].write_text("x")
+        names["binary"].write_bytes(b"\xff\xfe[experiment]\n")
+        code, _, err = run(capsys, *(a.format(**names) for a in argv))
+        assert code == 2
+        assert message.format(**names) in err
 
     @pytest.mark.parametrize("argv", [
         ("driver", "emit", "random", "--seed", "-1", "-n", "5"),

@@ -112,6 +112,43 @@ def test_read_cloud_raises_only_package_errors(dim, data):
     assert np.isfinite(cloud.diam_upper)
 
 
+def _covers_bytes():
+    from chaosgame.ifs import write_covers
+
+    cloud = cg.cloud_at_depth(cg.cantor_ifs(), 4)
+    for eps in (0.3, 0.1, 0.01):
+        cg.covering_estimate(cloud, eps)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.covers"
+        write_covers(path, cloud)
+        return cloud, path.read_bytes()
+
+
+_COVERS_CLOUD, _COVERS = _covers_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_read_covers_raises_only_package_errors(data):
+    from chaosgame.ifs import read_covers
+
+    raw = bytearray(_COVERS)
+    if data.draw(st.booleans()):
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    for _ in range(data.draw(st.integers(0, 4))):
+        at = data.draw(st.integers(0, max(len(raw) - 1, 0)))
+        patch = data.draw(st.binary(min_size=1, max_size=8))
+        raw[at:at + len(patch)] = patch
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.covers"
+        path.write_bytes(bytes(raw))
+        try:
+            sizes = read_covers(path, _COVERS_CLOUD)
+        except ChaosGameError:
+            return
+    assert sizes in ({}, _COVERS_CLOUD.cover_sizes)
+
+
 _ENTRY = (st.floats(allow_nan=True, allow_infinity=True) | st.integers(-10, 10)
           | st.sampled_from([1e308, -1e308, 5e-324, "0.5", "x", None]))
 _ARRAY = st.recursive(_ENTRY, lambda inner: st.lists(inner, max_size=3), max_leaves=10)

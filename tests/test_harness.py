@@ -279,3 +279,68 @@ class TestPlaneDeterminism:
     def test_warm_cache_keeps_summary(self, runs):
         _, cold, warm = runs
         assert warm["summary.txt"] == cold["summary.txt"]
+
+
+class TestCoverSidecar:
+    """cloud-<key>.covers keeps a cached cloud's greedy-cover sizes, so a
+    warm run walks no radius of the cloud twice."""
+
+    @staticmethod
+    def _cloud_walks(monkeypatch, cfg, cache):
+        """Artifacts of a run on cache and the radii it walked on the cloud
+        itself (the slow driver's walks on its outside points left out)."""
+        from tests.test_metrics import _walk_radii
+
+        radii = _walk_radii(monkeypatch)
+        report = run_experiment(cfg, cache_dir=cache)
+        size = cg.read_cloud(next(cache.glob("*.ifsc"))).size
+        monkeypatch.undo()
+        return report.artifacts, [r for n, r in radii if n == size]
+
+    @pytest.mark.parametrize("cfg", [load_preset("cantor-champernowne"),
+                                     parse_config(SIERPINSKI),
+                                     load_preset("slow-power-z1")],
+                             ids=["cantor-champernowne", "2-d", "slow-power-z1"])
+    def test_warm_run_walks_no_radius(self, monkeypatch, tmp_path, cfg):
+        cold, walked = self._cloud_walks(monkeypatch, cfg, tmp_path)
+        assert walked and len(list(tmp_path.glob("*.covers"))) == 1
+        warm, walked = self._cloud_walks(monkeypatch, cfg, tmp_path)
+        assert walked == []
+        (next(tmp_path.glob("*.covers"))).unlink()
+        rewalk, walked = self._cloud_walks(monkeypatch, cfg, tmp_path)
+        assert walked and warm == rewalk
+        # summary.txt of a 2-d cold run differs in the diam bracket alone
+        # (TestPlaneDeterminism's expected failure).
+        assert {k: v for k, v in warm.items() if k != "summary.txt"} == \
+            {k: v for k, v in cold.items() if k != "summary.txt"}
+
+    def test_shared_cloud_walks_no_cover_radius(self, monkeypatch, tmp_path):
+        # cantor-debruijn reads the same cloud and eps ladder as
+        # cantor-champernowne, so its cover.csv comes from the sidecar.
+        first, _ = self._cloud_walks(monkeypatch, load_preset("cantor-champernowne"),
+                                     tmp_path)
+        second, walked = self._cloud_walks(monkeypatch, load_preset("cantor-debruijn"),
+                                           tmp_path)
+        assert walked == []
+        assert second["cover.csv"] == first["cover.csv"]
+        assert second == run_experiment(load_preset("cantor-debruijn")).artifacts
+
+    def test_sidecar_of_another_cloud_is_ignored_and_rewritten(self, monkeypatch,
+                                                                tmp_path):
+        from chaosgame.ifs import read_covers
+
+        cfg = parse_config(MINIMAL)
+        other = parse_config(MINIMAL.replace("resolution = 0.001", "resolution = 0.002"))
+        run_experiment(cfg, cache_dir=tmp_path / "a")
+        run_experiment(other, cache_dir=tmp_path / "b")
+        (covers,) = (tmp_path / "a").glob("*.covers")
+        covers.write_bytes(next((tmp_path / "b").glob("*.covers")).read_bytes())
+        cloud = cg.read_cloud(covers.with_suffix(".ifsc"))
+        assert read_covers(covers, cloud) == {}
+        artifacts, walked = self._cloud_walks(monkeypatch, cfg, tmp_path / "a")
+        assert walked and artifacts == run_experiment(cfg).artifacts
+        assert sorted(read_covers(covers, cloud)) == sorted(walked)
+
+    def test_exact_attractor_writes_no_sidecar(self, tmp_path):
+        run_experiment(load_preset("example4-z1"), cache_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []

@@ -1,10 +1,12 @@
 """Affine maps, orbits, attractor clouds, Hausdorff distance, cloud cache."""
 
 import dataclasses
+import math
 import os
 import re
 import subprocess
 import sys
+import tempfile
 import warnings
 from pathlib import Path
 
@@ -292,6 +294,51 @@ class TestFromPoints:
         # The diameter used to fail with numpy's "zero-size array" ValueError.
         with pytest.raises(ValidationError, match="at least one point"):
             cg.AttractorCloud.from_points([], 0.0)
+
+
+_SIGNED_ROWS = st.integers(1, 3).flatmap(lambda d: st.lists(
+    st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.0, 5e-324]), min_size=d, max_size=d),
+    min_size=1, max_size=60))
+
+
+@given(rows=_SIGNED_ROWS)
+@settings(max_examples=300, deadline=None)
+def test_dedupe_drops_the_exact_duplicates_np_unique_drops(rows):
+    # _dedupe compares adjacent rows of the lexsorted points in place of
+    # np.unique(axis=0): the same rows, and of rows equal up to the sign of
+    # a zero the first in sorted order (np.unique's choice among them
+    # depends on its unstable sort).
+    from chaosgame.ifs import _dedupe, _lexsort_points
+
+    pts = _lexsort_points(np.array(rows))
+    kept = []
+    for row in pts.tolist():
+        if not kept or row != kept[-1]:    # == treats -0.0 and 0.0 as equal
+            kept.append(row)
+    out = _dedupe(pts, 0.0)
+    assert out.tobytes() == np.array(kept).tobytes()
+    assert np.array_equal(out, np.unique(pts, axis=0))
+
+
+_RADII = (st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
+          | st.sampled_from([5e-324, 2.0 ** -1070, 1.7976931348623157e308, math.inf]))
+_SIDECAR_CLOUD = cg.cloud_at_depth(cg.cantor_ifs(), 6)
+
+
+@given(sizes=st.dictionaries(_RADII, st.integers(1, _SIDECAR_CLOUD.size), max_size=30))
+@settings(max_examples=200, deadline=None)
+def test_cover_sidecar_round_trips_radii_exactly(sizes):
+    from chaosgame.ifs import read_covers, write_covers
+
+    cloud = dataclasses.replace(_SIDECAR_CLOUD)     # a fresh, empty memo
+    cloud.cover_sizes.update(sizes)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.covers"
+        write_covers(path, cloud)
+        loaded = read_covers(path, cloud)
+        assert os.listdir(tmp) == ["c.covers"]
+    assert loaded == sizes
+    assert sorted(map(float.hex, loaded)) == sorted(map(float.hex, sizes))
 
 
 class TestCloudCache:
