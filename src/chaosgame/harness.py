@@ -52,7 +52,6 @@ import functools
 import hashlib
 import io
 import math
-import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
@@ -63,8 +62,7 @@ from .construct import (RATE_KINDS, Schedule, build_schedule, choose_base_map,
                         power_rate, slow_driver)
 from .errors import ValidationError
 from .ifs import (AffineMap, AttractorCloud, IfsSystem, build_cloud, cantor_ifs,
-                  halving_ifs, read_cloud, read_covers, segment_ifs,
-                  sierpinski_ifs, write_cloud, write_covers)
+                  halving_ifs, read_cloud, segment_ifs, sierpinski_ifs, write_cloud)
 from .metrics import (CoverEstimate, DimensionEstimate, RecoveryRecord,
                       box_dimension, covering_estimate, log_rate, rate_ratio,
                       recovery_time)
@@ -422,7 +420,6 @@ class RunReport:
     dimension: DimensionEstimate | None
     schedule: Schedule | None
     artifacts: dict           # filename -> text content (deterministic)
-    timings: dict             # phase -> seconds (excluded from artifacts)
 
 
 def _exact_attractor_cloud(min_eps: float) -> AttractorCloud:
@@ -439,30 +436,24 @@ def _cloud_cache_key(cfg: ExperimentConfig) -> str:
 
 
 def _obtain_cloud(cfg: ExperimentConfig, ifs: IfsSystem, cache_dir) -> tuple:
-    """(cloud, path of its cover-size sidecar, or None when not cached).
+    """(cloud, path of its cache file, or None when not cached).
 
     The cloud is the exact attractor, or a built cloud.  With a cache_dir a
-    built cloud is read from cloud-<key>.ifsc there, or built and written
-    there, and its cover_sizes memo is seeded from the sidecar
-    cloud-<key>.covers (read_covers) when that is bound to the same cloud
-    bytes.
+    built cloud is read from cloud-<key>.ifsc there, its cover_sizes memo
+    with it (read_cloud), or built and written there at once.
     """
     if cfg.exact_attractor:
         eps = cfg.eps_values()
         return _exact_attractor_cloud(min(eps) if eps else 1e-6), None
     if cache_dir is None:
         return build_cloud(ifs, cfg.resolution, cfg.point_budget), None
-    stem = Path(cache_dir) / f"cloud-{_cloud_cache_key(cfg)}"
-    path, covers = stem.with_suffix(".ifsc"), stem.with_suffix(".covers")
+    path = Path(cache_dir) / f"cloud-{_cloud_cache_key(cfg)}.ifsc"
     if path.exists():
-        cloud = read_cloud(path)
-    else:
-        cloud = build_cloud(ifs, cfg.resolution, cfg.point_budget)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        write_cloud(path, cloud)
-    if covers.exists():
-        cloud.cover_sizes.update(read_covers(covers, cloud))
-    return cloud, covers
+        return read_cloud(path), path
+    cloud = build_cloud(ifs, cfg.resolution, cfg.point_budget)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    write_cloud(path, cloud)
+    return cloud, path
 
 
 def make_driver(cfg: ExperimentConfig, ifs: IfsSystem,
@@ -510,19 +501,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
     """Execute all phases; deterministic artifacts, optional file emission.
 
     With a cache_dir the cloud comes from the cache (_obtain_cloud), and once
-    the analysis is done its cover-size sidecar is written back if this run
-    walked a radius the sidecar did not hold, build_schedule's included.
+    the analysis is done its cache file is rewritten if this run walked a
+    radius the file did not hold, build_schedule's included.
     """
-    timings: dict = {}
     artifacts: dict = {}
-
-    t0 = time.perf_counter()
     ifs = cfg.build_ifs()
-    cloud, covers_path = _obtain_cloud(cfg, ifs, cache_dir)
+    cloud, cache_path = _obtain_cloud(cfg, ifs, cache_dir)
     known = len(cloud.cover_sizes)
-    timings["cloud"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     schedule = None
     if cfg.driver_kind == "slow":
         base = choose_base_map(ifs, cloud)
@@ -536,25 +522,20 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
     else:
         eps_values = cfg.eps_values()
     driver = make_driver(cfg, ifs, schedule)
-    timings["driver"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     records = []
     for eps in eps_values:
         for point in cfg.x0:
             records.append(recovery_time(ifs, driver, np.array(point), eps,
                                          cloud, cap=cfg.orbit_cap))
-    timings["recovery"] = time.perf_counter() - t0
 
-    t0 = time.perf_counter()
     covers = tuple(covering_estimate(cloud, eps) for eps in eps_values)
     dimension = None
     if cfg.dimension:
         _, a, r, lo, hi = cfg.eps_schedule
         dimension = box_dimension(cloud, a, r, lo, hi)
-    if covers_path is not None and len(cloud.cover_sizes) > known:
-        write_covers(covers_path, cloud)
-    timings["analysis"] = time.perf_counter() - t0
+    if cache_path is not None and len(cloud.cover_sizes) > known:
+        write_cloud(cache_path, cloud)
 
     # ---- artifact emission (all deterministic text) ----
     artifacts["recovery.csv"] = _csv("driver,x0,eps,n,guard,log_rate", (
@@ -606,7 +587,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
 
     return RunReport(config=cfg, records=tuple(records), covers=covers,
                      dimension=dimension, schedule=schedule,
-                     artifacts=artifacts, timings=timings)
+                     artifacts=artifacts)
 
 
 # ---------------------------------------------------------------------------

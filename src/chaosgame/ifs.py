@@ -18,14 +18,14 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
+from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import CapExceededError, ValidationError
 
 _MAGIC = b"IFSC"
-_FORMAT_VERSION = 1
-_HEADER = struct.Struct("<IIQdI")   # version, dim, count, resolution, depth
-_COVERS_VERSION = "chaosgame cover sizes 1"
+_FORMAT_VERSION = 2
+_HEADER = struct.Struct("<IIQdIQ")  # version, dim, count, resolution, depth, radii
+_SIZES = np.dtype([("radius", "<f8"), ("size", "<u8")])
 
 DEFAULT_POINT_BUDGET = 2 ** 24
 
@@ -238,20 +238,31 @@ def run_orbit(ifs: IfsSystem, driver, x0, n: int) -> Orbit:
     return Orbit(start=x0, points=pts, driver_prefix=symbols)
 
 
+def _hull_vertices(points: np.ndarray) -> np.ndarray:
+    """Indices of the convex hull's vertices, among which every diameter
+    has both ends.  Qhull rejects flat input, which is replaced by its
+    coordinates in an orthonormal basis of a lower-dimensional affine span."""
+    if points.shape[1] == 1:
+        return np.array([points.argmin(), points.argmax()])
+    # Into [-1, 1] by a power of two, which is exact: Qhull fails on huge or
+    # tiny coordinates.
+    points = np.ldexp(points, -math.frexp(np.abs(points).max())[1])
+    try:
+        return ConvexHull(points).vertices
+    except QhullError:
+        centred = points - points.mean(axis=0)
+        _, s, vt = np.linalg.svd(centred, full_matrices=False)
+        rank = min(points.shape[1] - 1, max(1, int((s > s[0] * 1e-12).sum())))
+        return _hull_vertices(centred @ vt[:rank].T)
+
+
 def _diameter(points: np.ndarray) -> float:
-    """Max pairwise distance; exact via convex hull where possible."""
+    """Max pairwise distance, over the hull's vertices once there are many."""
     if points.shape[1] == 1:
         return float(points.max() - points.min())
     candidates = points
     if points.shape[0] > 64:
-        try:
-            from scipy.spatial import ConvexHull
-
-            candidates = points[ConvexHull(points).vertices]
-        except Exception:
-            # Degenerate (e.g. collinear) input: keep coordinate extremes.
-            idx = np.unique(np.concatenate([points.argmin(axis=0), points.argmax(axis=0)]))
-            candidates = points[idx]
+        candidates = points[_hull_vertices(points)]
     diff = candidates[:, None, :] - candidates[None, :, :]
     return float(np.sqrt((diff ** 2).sum(axis=2)).max())
 
@@ -261,16 +272,17 @@ def _lexsort_points(points: np.ndarray) -> np.ndarray:
     return points[order]
 
 
-def _dedupe(points: np.ndarray, threshold: float) -> np.ndarray:
-    """Keep the lexicographically-first point of every cluster of radius
-    threshold; points must be lexsorted (_lexsort_points)."""
+def _dedupe(points: np.ndarray, threshold: float) -> tuple:
+    """(kept, moved): the lexicographically-first point of every cluster of
+    radius threshold, and the largest distance from a dropped point to the
+    kept ones; points must be lexsorted (_lexsort_points)."""
     if points.shape[0] >= 2:
         # Exact duplicates first (cheap, and maps with collapsing branches
         # can produce huge numbers of them): sorted, they are adjacent rows,
         # and the first of each run is kept.
         points = points[np.r_[True, (points[1:] != points[:-1]).any(axis=1)]]
     if threshold <= 0 or points.shape[0] < 2:
-        return points
+        return points, 0.0
     tree = cKDTree(points)
     pairs = tree.query_pairs(threshold, output_type="ndarray")
     drop = np.zeros(points.shape[0], dtype=bool)
@@ -283,7 +295,10 @@ def _dedupe(points: np.ndarray, threshold: float) -> np.ndarray:
         for a, b in zip(lo[order], hi[order]):
             if not drop[a]:
                 drop[b] = True
-    return points[~drop]
+    kept = points[~drop]
+    if not drop.any():
+        return kept, 0.0
+    return kept, float(cKDTree(kept).query(points[drop])[0].max())
 
 
 @dataclass(frozen=True)
@@ -297,7 +312,7 @@ class AttractorCloud:
     diam_upper: float       # certified upper bound on diam A
     grid: cKDTree = field(repr=False, compare=False)
     # radius r -> size of the greedy r-cover of points (covering_estimate);
-    # a cached cloud keeps it in its sidecar file (write_covers, read_covers)
+    # a cached cloud keeps it in its cache file (write_cloud, read_cloud)
     cover_sizes: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
 
@@ -345,6 +360,8 @@ def _certified_cloud(ifs: IfsSystem, pts: np.ndarray, depth: int,
     depth-m composition point, and diam A <= diam_lower / (1 - 2 L^m)
     once 2 L^m < 1 (each attractor point is within L^m diam A of the
     cloud, so the cloud's spread can undershoot by at most twice that).
+    Thinning (_dedupe) then moves each composition point by at most the
+    distance it reports, which the resolution takes on.
     """
     shrink = ifs.lip_max ** depth
     if 2.0 * shrink >= 1.0:
@@ -354,7 +371,10 @@ def _certified_cloud(ifs: IfsSystem, pts: np.ndarray, depth: int,
     resolution = shrink * diam_upper
     if resolution > target and diam_upper != 0.0:
         return None
-    pts = _dedupe(_lexsort_points(pts), resolution / 4.0)
+    pts, moved = _dedupe(_lexsort_points(pts), resolution / 4.0)
+    resolution += moved
+    if resolution > target and diam_upper != 0.0:
+        return None
     return AttractorCloud(points=pts, resolution=resolution, depth=depth,
                           diam_lower=diam_lower, diam_upper=diam_upper,
                           grid=cKDTree(pts))
@@ -400,16 +420,33 @@ def directed_hausdorff(set_a, set_b) -> float:
     return float(cKDTree(b).query(a)[0].max())
 
 
-def _write_atomic(path, *chunks) -> None:
-    """Write chunks to a temporary file in path's directory, which then
-    replaces path: an interrupted write leaves no short file at path, and of
-    two writers at once the last to rename wins, leaving its whole file."""
+def write_cloud(path, cloud: AttractorCloud) -> None:
+    """Binary cache of a cloud and its greedy-cover sizes, little-endian:
+    IFSC magic; version, dim, count, resolution, depth and the number of
+    radii; the count x dim point coordinates (<f8); one (radius <f8,
+    size <u8) pair per cloud.cover_sizes entry, ascending, so radii
+    round-trip exactly; and the sha256 of every byte before it.
+
+    Identical clouds serialize byte-identically.  The bytes go to a
+    temporary file in path's directory, which then replaces path: an
+    interrupted write leaves no short file at path, and of two writers at
+    once the last to rename wins, leaving its whole file.  A change to the
+    greedy walk that changes its counts must change _FORMAT_VERSION.
+    """
+    pts = np.ascontiguousarray(cloud.points, dtype="<f8")
+    sizes = np.array(sorted(cloud.cover_sizes.items()), dtype=_SIZES)
     head, name = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    digest = hashlib.sha256()
     try:
         with open(tmp, "wb") as fh:
-            for chunk in chunks:
+            for chunk in (_MAGIC + _HEADER.pack(_FORMAT_VERSION, pts.shape[1],
+                                                pts.shape[0], cloud.resolution,
+                                                cloud.depth, sizes.size),
+                          pts.tobytes(), sizes.tobytes()):
                 fh.write(chunk)
+                digest.update(chunk)
+            fh.write(digest.digest())
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -417,110 +454,48 @@ def _write_atomic(path, *chunks) -> None:
         raise
 
 
-def _cloud_bytes(cloud: AttractorCloud) -> tuple:
-    """The cache file of write_cloud as (header, payload)."""
-    pts = np.ascontiguousarray(cloud.points, dtype="<f8")
-    return (_MAGIC + _HEADER.pack(_FORMAT_VERSION, pts.shape[1], pts.shape[0],
-                                  cloud.resolution, cloud.depth),
-            pts.tobytes(order="C"))
-
-
-def write_cloud(path, cloud: AttractorCloud) -> None:
-    """Binary cache: IFSC magic, version, dim, count, resolution, depth, floats.
-
-    Little-endian throughout; identical clouds serialize byte-identically.
-    The file is written by _write_atomic, so an interrupted write leaves no
-    short file at path.
-    """
-    _write_atomic(path, *_cloud_bytes(cloud))
-
-
 def read_cloud(path) -> AttractorCloud:
-    """Inverse of write_cloud; a malformed or truncated file, or one with
-    bytes after the payload, raises ValidationError naming the file."""
+    """Inverse of write_cloud, cover_sizes included.  A malformed, truncated
+    or altered file, one of another version or with bytes after its
+    checksum raises ValidationError naming the file."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != _MAGIC:
-            raise ValidationError(f"{path}: bad cloud cache magic {magic!r}")
-        header = fh.read(_HEADER.size)
-        if len(header) != _HEADER.size:
-            raise ValidationError(
-                f"{path}: truncated cloud cache header ({len(header)} of "
-                f"{_HEADER.size} bytes)")
-        version, dim, count, resolution, depth = _HEADER.unpack(header)
-        if version != _FORMAT_VERSION:
-            raise ValidationError(f"{path}: unsupported cloud cache version {version}")
-        if dim < 1 or count < 1:
-            raise ValidationError(f"{path}: cloud cache holds {count} points "
-                                  f"of dimension {dim}")
-        size = count * dim * 8
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
-        if left < size:
-            raise ValidationError(
-                f"{path}: truncated cloud cache payload ({left} of {size} bytes)")
-        if left > size:
-            raise ValidationError(
-                f"{path}: {left - size} trailing bytes after the cloud cache payload")
-        data = np.frombuffer(fh.read(size), dtype="<f8").reshape(count, dim)
+        raw = fh.read()
+    if raw[:4] != _MAGIC:
+        raise ValidationError(f"{path}: bad cloud cache magic {raw[:4]!r}")
+    start = 4 + _HEADER.size
+    header = raw[4:start]
+    if len(header) != _HEADER.size:
+        raise ValidationError(
+            f"{path}: truncated cloud cache header ({len(header)} of "
+            f"{_HEADER.size} bytes)")
+    version, dim, count, resolution, depth, radii = _HEADER.unpack(header)
+    if version != _FORMAT_VERSION:
+        raise ValidationError(f"{path}: unsupported cloud cache version {version}")
+    if dim < 1 or count < 1:
+        raise ValidationError(f"{path}: cloud cache holds {count} points "
+                              f"of dimension {dim}")
+    size, left = count * dim * 8 + radii * _SIZES.itemsize + 32, len(raw) - start
+    if left < size:
+        raise ValidationError(
+            f"{path}: truncated cloud cache payload ({left} of {size} bytes)")
+    if left > size:
+        raise ValidationError(
+            f"{path}: {left - size} trailing bytes after the cloud cache payload")
+    if hashlib.sha256(memoryview(raw)[:-32]).digest() != raw[-32:]:
+        raise ValidationError(f"{path}: cloud cache checksum mismatch")
+    data = np.frombuffer(raw, "<f8", count * dim, start).reshape(count, dim)
+    sizes = np.frombuffer(raw, _SIZES, radii, start + data.nbytes).tolist()
     if not (resolution >= 0.0 and np.isfinite(resolution) and np.isfinite(data).all()):
         raise ValidationError(f"{path}: cloud cache holds non-finite or negative values")
+    last = 0.0
+    for r, n in sizes:                  # radii > 0, ascending, each once
+        if not (r > last and 1 <= n <= count):
+            raise ValidationError(f"{path}: bad cover size in cloud cache: "
+                                  f"radius {r!r}, count {n}")
+        last = r
     with np.errstate(over="ignore"):   # an overflowing diameter is rejected below
         cloud = AttractorCloud.from_points(data.copy(), resolution=resolution, depth=depth)
     if not np.isfinite(cloud.diam_upper):
         raise ValidationError(f"{path}: cloud cache diameter is not finite")
+    cloud.cover_sizes.update(sizes)
     return cloud
-
-
-def _cloud_digest(cloud: AttractorCloud) -> str:
-    """sha256 of the cloud's cache file bytes, as write_cloud writes them."""
-    return hashlib.sha256(b"".join(_cloud_bytes(cloud))).hexdigest()
-
-
-def write_covers(path, cloud: AttractorCloud) -> None:
-    """Sidecar of a cached cloud: its greedy-cover sizes (cloud.cover_sizes).
-
-    ASCII lines: the version line; 'cloud ' and the sha256 of the cloud's
-    cache file bytes (_cloud_digest), which binds the sizes to those points;
-    one 'float.hex(r) count' line per radius, ascending, so radii round-trip
-    exactly; and 'sha256 ' with the digest of every byte above it.  The file
-    is written by _write_atomic.  A change to the greedy walk that changes
-    its counts must change _COVERS_VERSION.
-    """
-    body = _COVERS_VERSION + f"\ncloud {_cloud_digest(cloud)}\n" + "".join(
-        f"{float.hex(r)} {n}\n" for r, n in sorted(cloud.cover_sizes.items()))
-    checksum = hashlib.sha256(body.encode()).hexdigest()
-    _write_atomic(path, f"{body}sha256 {checksum}\n".encode())
-
-
-def read_covers(path, cloud: AttractorCloud) -> dict:
-    """Inverse of write_covers: radius -> greedy-cover size, or {} when the
-    sidecar is bound to another cloud.  A malformed, truncated or altered
-    file raises ValidationError naming the file."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    body, _, checksum = raw.rpartition(b"sha256 ")
-    if not (body.endswith(b"\n") and checksum.endswith(b"\n")):
-        raise ValidationError(f"{path}: cover-size sidecar has no checksum line "
-                              "(truncated?)")
-    if checksum[:-1] != hashlib.sha256(body).hexdigest().encode():
-        raise ValidationError(f"{path}: cover-size sidecar checksum mismatch")
-    try:
-        version, bound, *lines = body[:-1].decode("ascii").split("\n")
-    except ValueError:                  # not ASCII, or fewer than two lines
-        raise ValidationError(f"{path}: not a cover-size sidecar") from None
-    if version != _COVERS_VERSION:
-        raise ValidationError(f"{path}: unsupported cover-size sidecar {version!r}")
-    if bound != f"cloud {_cloud_digest(cloud)}":
-        return {}
-    sizes: dict = {}
-    for i, line in enumerate(lines, start=3):
-        try:
-            text_r, text_n = line.split(" ")
-            r, n = float.fromhex(text_r), int(text_n)
-        except (ValueError, OverflowError):
-            r = n = None
-        if (r is None or float.hex(r) != text_r or str(n) != text_n
-                or not r > 0.0 or not 1 <= n <= cloud.size or r in sizes):
-            raise ValidationError(f"{path}: bad cover-size line {i}: {line!r}")
-        sizes[r] = n
-    return sizes

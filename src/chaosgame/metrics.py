@@ -312,9 +312,9 @@ def covering_estimate(points, eps: float) -> CoverEstimate:
     (n points on the line) or an AttractorCloud, whose kd-tree (cloud.grid)
     is reused and whose cover_sizes memo holds each radius's count, so on a
     cloud a radius is walked once: lower(eps) of an r = 1/2 ladder is
-    upper(2*eps).  With a cache directory, run_experiment seeds the memo
-    from the cloud's sidecar file and writes it back, so a radius walked in
-    one run is not walked in the next.  Both counts come from _greedy_walk,
+    upper(2*eps).  With a cache directory the memo is kept in the cloud's
+    cache file (read_cloud, and run_experiment's rewrite through
+    write_cloud), so a radius walked in one run is not walked in the next.  Both counts come from _greedy_walk,
     shared with build_sigma: a ball at c holds p when abs(p - c) <= r in
     1-d, and sum((p - c)**2) <= r**2, cKDTree's test, in d dimensions.  As
     in recovery_time, cKDTree applies the 1-d test too while r**2 is a

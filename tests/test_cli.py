@@ -2,6 +2,8 @@
 
 import errno
 import hashlib
+import math
+import struct
 
 import pytest
 
@@ -141,10 +143,24 @@ class TestExperiment:
         assert "schema_version" in err
 
 
-def _rechecked(sidecar: str) -> str:
-    """A cover-size sidecar's text with its checksum line recomputed."""
-    body = sidecar[:sidecar.rindex("sha256 ")]
-    return f"{body}sha256 {hashlib.sha256(body.encode()).hexdigest()}\n"
+def _rechecked(raw: bytes) -> bytes:
+    """A cloud cache file's bytes with its closing sha256 recomputed."""
+    return raw[:-32] + hashlib.sha256(raw[:-32]).digest()
+
+
+def _first_radius_nan(raw: bytes) -> bytes:
+    """The first cover-size radius of a 1-d cloud cache file set to nan."""
+    count = int.from_bytes(raw[12:20], "little")
+    at = 40 + 8 * count
+    return _rechecked(raw[:at] + struct.pack("<d", math.nan) + raw[at + 8:])
+
+
+def _as_version_1(raw: bytes) -> bytes:
+    """The cloud of a cache file in the version 1 layout: magic, version,
+    dim, count, resolution, depth, then the points, and no cover sizes."""
+    _, dim, count, resolution, depth, _ = struct.unpack("<IIQdIQ", raw[4:40])
+    return (b"IFSC" + struct.pack("<IIQdI", 1, dim, count, resolution, depth)
+            + raw[40:40 + 8 * dim * count])
 
 
 # MINIMAL's driver and [eps] section, which a slow driver replaces.
@@ -257,48 +273,53 @@ class TestBadInputExit2:
         assert list(cache.iterdir()) == []
         monkeypatch.undo()
         assert run(capsys, "experiment", "run", path, "--cache", str(cache))[0] == 0
-        (cloud_file,) = cache.glob("*.ifsc")
-        covers = cloud_file.with_suffix(".covers")
-        assert sorted(cache.iterdir()) == [covers, cloud_file]
-        assert ifs.read_covers(covers, ifs.read_cloud(cloud_file))
+        (cloud_file,) = cache.iterdir()
+        assert ifs.read_cloud(cloud_file).cover_sizes
 
+    # The cover sizes close the cloud cache file, before its sha256.
     @pytest.mark.parametrize("garble,message", [
-        (lambda t: t[:len(t) // 2], "no checksum line"),
-        (lambda t: t.replace("p-", "p-1", 1), "checksum mismatch"),
-        (lambda t: _rechecked(t.replace("p-", "q-", 1)),
-         "bad cover-size line 3"),
-        (lambda t: _rechecked(t.replace("sizes 1", "sizes 9", 1)),
-         "unsupported cover-size sidecar"),
+        (lambda b: b[:-40], "truncated cloud cache payload"),
+        (lambda b: b[:-40] + bytes([b[-40] ^ 1]) + b[-39:], "checksum mismatch"),
+        (_first_radius_nan, "bad cover size in cloud cache: radius nan"),
+        (_as_version_1, "unsupported cloud cache version 1"),
     ], ids=["truncated", "bad-checksum", "non-numeric", "version"])
     def test_garbled_cover_sidecar(self, capsys, config, tmp_path, garble, message):
         path, cache = config(), tmp_path / "cache"
         assert run(capsys, "experiment", "run", path, "--cache", str(cache))[0] == 0
-        (covers,) = cache.glob("*.covers")
-        covers.write_text(garble(covers.read_text()))
+        (cloud_file,) = cache.iterdir()
+        cloud_file.write_bytes(garble(cloud_file.read_bytes()))
         code, _, err = run(capsys, "experiment", "run", path, "--cache", str(cache))
         assert code == 2
-        assert str(covers) in err and message in err
+        assert str(cloud_file) in err and message in err
 
     def test_interrupted_sidecar_write_leaves_no_file(self, capsys, config, tmp_path,
                                                       monkeypatch):
+        # The run writes the cloud when it is built, and again with the cover
+        # sizes it walked; a failed rewrite leaves the first file whole.
         from chaosgame import ifs
 
+        opened = []
+
         def failing_open(file, mode="r", *args, **kwargs):
-            if "w" in mode and ".covers." in str(file):
-                fh = open(file, mode, *args, **kwargs)
-                fh.write(b"chaosgame")
-                fh.close()
-                raise OSError(errno.EROFS, "Read-only file system")
-            return open(file, mode, *args, **kwargs)
+            fh = open(file, mode, *args, **kwargs)
+            if "w" in mode:
+                opened.append(file)
+                if len(opened) == 2:
+                    fh.write(b"IFSC")
+                    fh.close()
+                    raise OSError(errno.EROFS, "Read-only file system")
+            return fh
 
         path, cache = config(), tmp_path / "cache"
         monkeypatch.setattr(ifs, "open", failing_open, raising=False)
         code, _, err = run(capsys, "experiment", "run", path, "--cache", str(cache))
         assert code == 2 and f"--cache {cache}: Read-only file system" in err
-        assert [p.suffix for p in cache.iterdir()] == [".ifsc"]
+        (cloud_file,) = cache.iterdir()
+        assert ifs.read_cloud(cloud_file).cover_sizes == {}
         monkeypatch.undo()
         assert run(capsys, "experiment", "run", path, "--cache", str(cache))[0] == 0
-        assert sorted(p.suffix for p in cache.iterdir()) == [".covers", ".ifsc"]
+        assert list(cache.iterdir()) == [cloud_file]
+        assert ifs.read_cloud(cloud_file).cover_sizes
 
     @pytest.mark.parametrize("argv,message", [
         (("experiment", "run", "cantor-debruijn", "--cache", "{file}"),

@@ -1,5 +1,6 @@
 """Config parsing/emission, presets, experiment runs, cloud caching."""
 
+import dataclasses
 import hashlib
 
 import pytest
@@ -282,8 +283,8 @@ class TestPlaneDeterminism:
 
 
 class TestCoverSidecar:
-    """cloud-<key>.covers keeps a cached cloud's greedy-cover sizes, so a
-    warm run walks no radius of the cloud twice."""
+    """A cached cloud's file, cloud-<key>.ifsc, keeps its greedy-cover sizes
+    beside the points, so a warm run walks no radius of the cloud twice."""
 
     @staticmethod
     def _cloud_walks(monkeypatch, cfg, cache):
@@ -303,10 +304,11 @@ class TestCoverSidecar:
                              ids=["cantor-champernowne", "2-d", "slow-power-z1"])
     def test_warm_run_walks_no_radius(self, monkeypatch, tmp_path, cfg):
         cold, walked = self._cloud_walks(monkeypatch, cfg, tmp_path)
-        assert walked and len(list(tmp_path.glob("*.covers"))) == 1
+        (path,) = tmp_path.iterdir()
+        assert walked and sorted(cg.read_cloud(path).cover_sizes) == sorted(walked)
         warm, walked = self._cloud_walks(monkeypatch, cfg, tmp_path)
         assert walked == []
-        (next(tmp_path.glob("*.covers"))).unlink()
+        cg.write_cloud(path, dataclasses.replace(cg.read_cloud(path)))   # no sizes
         rewalk, walked = self._cloud_walks(monkeypatch, cfg, tmp_path)
         assert walked and warm == rewalk
         # summary.txt of a 2-d cold run differs in the diam bracket alone
@@ -316,7 +318,7 @@ class TestCoverSidecar:
 
     def test_shared_cloud_walks_no_cover_radius(self, monkeypatch, tmp_path):
         # cantor-debruijn reads the same cloud and eps ladder as
-        # cantor-champernowne, so its cover.csv comes from the sidecar.
+        # cantor-champernowne, so its cover.csv comes from the cloud file.
         first, _ = self._cloud_walks(monkeypatch, load_preset("cantor-champernowne"),
                                      tmp_path)
         second, walked = self._cloud_walks(monkeypatch, load_preset("cantor-debruijn"),
@@ -324,22 +326,6 @@ class TestCoverSidecar:
         assert walked == []
         assert second["cover.csv"] == first["cover.csv"]
         assert second == run_experiment(load_preset("cantor-debruijn")).artifacts
-
-    def test_sidecar_of_another_cloud_is_ignored_and_rewritten(self, monkeypatch,
-                                                                tmp_path):
-        from chaosgame.ifs import read_covers
-
-        cfg = parse_config(MINIMAL)
-        other = parse_config(MINIMAL.replace("resolution = 0.001", "resolution = 0.002"))
-        run_experiment(cfg, cache_dir=tmp_path / "a")
-        run_experiment(other, cache_dir=tmp_path / "b")
-        (covers,) = (tmp_path / "a").glob("*.covers")
-        covers.write_bytes(next((tmp_path / "b").glob("*.covers")).read_bytes())
-        cloud = cg.read_cloud(covers.with_suffix(".ifsc"))
-        assert read_covers(covers, cloud) == {}
-        artifacts, walked = self._cloud_walks(monkeypatch, cfg, tmp_path / "a")
-        assert walked and artifacts == run_experiment(cfg).artifacts
-        assert sorted(read_covers(covers, cloud)) == sorted(walked)
 
     def test_exact_attractor_writes_no_sidecar(self, tmp_path):
         run_experiment(load_preset("example4-z1"), cache_dir=tmp_path)

@@ -1,6 +1,7 @@
 """Affine maps, orbits, attractor clouds, Hausdorff distance, cloud cache."""
 
 import dataclasses
+import hashlib
 import math
 import os
 import re
@@ -12,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
 
 import chaosgame as cg
@@ -315,30 +316,107 @@ def test_dedupe_drops_the_exact_duplicates_np_unique_drops(rows):
     for row in pts.tolist():
         if not kept or row != kept[-1]:    # == treats -0.0 and 0.0 as equal
             kept.append(row)
-    out = _dedupe(pts, 0.0)
+    out, moved = _dedupe(pts, 0.0)
+    assert moved == 0.0
     assert out.tobytes() == np.array(kept).tobytes()
     assert np.array_equal(out, np.unique(pts, axis=0))
 
 
 _RADII = (st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
           | st.sampled_from([5e-324, 2.0 ** -1070, 1.7976931348623157e308, math.inf]))
-_SIDECAR_CLOUD = cg.cloud_at_depth(cg.cantor_ifs(), 6)
+_SIZES_CLOUD = cg.cloud_at_depth(cg.cantor_ifs(), 6)
 
 
-@given(sizes=st.dictionaries(_RADII, st.integers(1, _SIDECAR_CLOUD.size), max_size=30))
+@given(sizes=st.dictionaries(_RADII, st.integers(1, _SIZES_CLOUD.size), max_size=30))
 @settings(max_examples=200, deadline=None)
 def test_cover_sidecar_round_trips_radii_exactly(sizes):
-    from chaosgame.ifs import read_covers, write_covers
-
-    cloud = dataclasses.replace(_SIDECAR_CLOUD)     # a fresh, empty memo
+    # The greedy-cover sizes are stored in the cloud cache file itself.
+    cloud = dataclasses.replace(_SIZES_CLOUD)     # a fresh, empty memo
     cloud.cover_sizes.update(sizes)
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "c.covers"
-        write_covers(path, cloud)
-        loaded = read_covers(path, cloud)
-        assert os.listdir(tmp) == ["c.covers"]
-    assert loaded == sizes
-    assert sorted(map(float.hex, loaded)) == sorted(map(float.hex, sizes))
+        path = Path(tmp) / "c.ifsc"
+        cg.write_cloud(path, cloud)
+        loaded = cg.read_cloud(path)
+        assert os.listdir(tmp) == ["c.ifsc"]
+    assert loaded.cover_sizes == sizes
+    assert sorted(map(float.hex, loaded.cover_sizes)) == sorted(map(float.hex, sizes))
+    assert loaded.points.tobytes() == cloud.points.tobytes()
+
+
+def _brute_diameter(points):
+    diff = points[:, None, :] - points[None, :, :]
+    return float(np.sqrt((diff ** 2).sum(axis=2)).max())
+
+
+@given(dim=st.integers(2, 3), rank=st.integers(0, 2), data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_flat_cloud_diameter_is_exact(dim, rank, data):
+    # Qhull rejects collinear and coplanar input; the fallback used to keep
+    # the coordinate extremes alone and under-report the diameter.  Integer
+    # points on an integer line or plane are exactly flat, so the diameter
+    # over all pairs is the exact answer.
+    rank = min(rank, dim - 1)
+    ints = st.integers(-20, 20)
+    base = np.array(data.draw(st.lists(ints, min_size=dim, max_size=dim)), float)
+    dirs = np.array(data.draw(st.lists(st.lists(ints, min_size=dim, max_size=dim),
+                                       min_size=rank, max_size=rank)), float)
+    # Steps within a disc, so the diameter's ends are rarely coordinate extremes.
+    step = st.lists(ints, min_size=rank, max_size=rank).filter(
+        lambda v: sum(c * c for c in v) <= 400)
+    steps = data.draw(st.lists(step, min_size=65, max_size=120))
+    points = base + np.array(steps, float).reshape(len(steps), rank) @ dirs.reshape(rank, dim)
+    cloud = cg.AttractorCloud.from_points(points, resolution=0.0)
+    assert cloud.diam_lower == _brute_diameter(points)
+
+
+def _overlapping_systems():
+    """Random 1-d and 2-d systems of 2-3 maps, in half of them two maps with
+    near-equal offsets, whose clouds _dedupe thins."""
+    offset = st.floats(-1.0, 1.0)
+
+    @st.composite
+    def system(draw):
+        dim = draw(st.integers(1, 2))
+        maps = []
+        for _ in range(draw(st.integers(2, 3))):
+            r = draw(st.floats(0.2, 0.6 if dim == 1 else 0.5))
+            turn = draw(st.floats(0.0, 2 * math.pi))
+            matrix = [[r]] if dim == 1 else r * np.array(
+                [[math.cos(turn), -math.sin(turn)], [math.sin(turn), math.cos(turn)]])
+            maps.append((matrix, [draw(offset) for _ in range(dim)]))
+        if draw(st.booleans()):
+            nudge = draw(st.floats(-1e-3, 1e-3))
+            maps[1] = (maps[1][0], [o + nudge for o in maps[0][1]])
+        return maps
+    return system()
+
+
+_THINNED = [([[a]], [b]) for a, b in zip((0.35808583, 0.57402448, 0.59157422),
+                                         (0.27178271, 0.71164456, 0.87203577))]
+
+
+@given(maps=_overlapping_systems(), target=st.floats(0.02, 0.05))
+@example(maps=_THINNED, target=0.0245)
+@example(maps=_THINNED, target=0.016)
+@settings(max_examples=15, deadline=None)
+def test_thinned_cloud_keeps_its_certificate(maps, target):
+    # Points of A from deeper compositions lie within cloud.resolution of the
+    # cloud.  _dedupe moves the depth-m points it drops; the resolution used
+    # to leave that distance out, and in the first example depth-13 points
+    # lay 1.034 x resolution from the cloud.  In the second, the distance
+    # takes the depth-9 cloud past the target, so the cloud is built at
+    # depth 10.
+    from chaosgame.ifs import _hutchinson_points
+
+    ifs = cg.IfsSystem.create(cg.AffineMap.create(m, o) for m, o in maps)
+    try:
+        cloud = cg.build_cloud(ifs, target, point_budget=2 ** 15)
+    except CapExceededError:
+        reject()
+    deepest = int(math.log(2 ** 21 / ifs.dim) / math.log(ifs.alphabet_size))
+    deep = _hutchinson_points(ifs, min(cloud.depth + 4, deepest))
+    assert cloud.grid.query(deep)[0].max() <= cloud.resolution * (1 + 1e-12)
+    assert cloud.resolution <= target
 
 
 class TestCloudCache:
@@ -357,6 +435,33 @@ class TestCloudCache:
         cg.write_cloud(b, cg.build_cloud(cantor, 1e-3))
         assert a.read_bytes() == b.read_bytes()
         assert a.read_bytes()[:4] == b"IFSC"
+
+    @staticmethod
+    def _with_sizes(path, sizes) -> Path:
+        """path's cloud cache file with its cover sizes replaced by the
+        (radius, count) pairs sizes, in their order, and a fresh sha256."""
+        raw = bytearray(path.read_bytes()[:-32])
+        del raw[40 + cg.read_cloud(path).points.nbytes:]
+        raw[32:40] = len(sizes).to_bytes(8, "little")
+        raw += np.array(sizes, dtype=[("r", "<f8"), ("n", "<u8")]).tobytes()
+        path.write_bytes(bytes(raw) + hashlib.sha256(raw).digest())
+        return path
+
+    @pytest.mark.parametrize("sizes,bad", [
+        ([(0.0, 1)], "radius 0.0, count 1"), ([(-0.5, 1)], "radius -0.5"),
+        ([(math.nan, 1)], "radius nan"), ([(0.5, 1), (0.5, 1)], "radius 0.5"),
+        ([(0.5, 2), (0.25, 4)], "radius 0.25"), ([(0.5, 0)], "radius 0.5, count 0"),
+        ([(0.5, 65)], "radius 0.5, count 65")],
+        ids=["zero", "negative", "nan", "repeated", "descending", "count-0", "count-65"])
+    def test_bad_cover_sizes_rejected(self, tmp_path, sizes, bad):
+        path = tmp_path / "c.ifsc"
+        cg.write_cloud(path, cg.cloud_at_depth(cg.cantor_ifs(), 6))   # 64 points
+        assert cg.read_cloud(self._with_sizes(path, [(0.5, 2), (math.inf, 1)])
+                             ).cover_sizes == {0.5: 2, math.inf: 1}
+        self._with_sizes(path, sizes)
+        with pytest.raises(ValidationError, match=re.escape(
+                f"{path}: bad cover size in cloud cache: {bad}")):
+            cg.read_cloud(path)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.ifsc"
