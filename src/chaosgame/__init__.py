@@ -21,13 +21,12 @@ from .errors import (CapExceededError, ChaosGameError, InternalInvariantError,
 from .harness import (PRESETS, ExperimentConfig, RunReport, emit_config,
                       load_preset, make_driver, parse_config, run_experiment)
 from .ifs import (AffineMap, AttractorCloud, IfsSystem, Orbit, build_cloud,
-                  cantor_ifs, cloud_at_depth, directed_hausdorff, fixed_point,
-                  halving_ifs, hausdorff_distance, read_cloud, run_orbit,
-                  scalar_map, segment_ifs, sierpinski_ifs, write_cloud)
+                  cantor_ifs, directed_hausdorff, fixed_point, halving_ifs,
+                  read_cloud, run_orbit, scalar_map, segment_ifs, sierpinski_ifs,
+                  write_cloud)
 from .metrics import (CoverEstimate, DimensionEstimate, RecoveryRecord,
                       box_dimension, coverage_holds, covering_estimate,
-                      iterated_log_rate, key_inequality_check, log_rate,
-                      rate_ratio, recovery_time)
+                      key_inequality_check, log_rate, rate_ratio, recovery_time)
 
 __version__ = "0.1.0"
 

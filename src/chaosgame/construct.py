@@ -19,16 +19,16 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .drivers import DriverStream, Run, Word, champernowne
+from .drivers import DriverStream, Run, champernowne
 from .errors import CapExceededError, InternalInvariantError, ValidationError
 from .ifs import AttractorCloud, IfsSystem, _hutchinson_points, fixed_point
-from .metrics import _greedy_walk, covering_estimate
+from .metrics import _greedy_walk, _range_min, _settle, covering_estimate
 
 DEFAULT_ADDRESS_BUDGET = 2 ** 24
 _MIN_OUTSIDE = 8   # cloud points a base map must leave outside its delta-ball
 _EXP_OVERFLOW = 700.0  # exp argument beyond which float64 overflows
-# Each run rebuilds its covering words; equal ones share one tuple (8 bytes a symbol).
-_shared_word = functools.lru_cache(maxsize=8)(Word)
+# Each run rebuilds its covering words; equal ones share one read-only array.
+_shared_word = functools.lru_cache(maxsize=8)(functools.partial(np.frombuffer, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -129,7 +129,7 @@ class BaseMapChoice:
 class ScheduleEntry:
     m: int            # address depth of this block
     p: int            # leading repetitions of i_star
-    sigma: Word       # covering word, length m * N_hat
+    sigma: np.ndarray  # covering word (read-only int64), length m * N_hat
     N_hat: int        # greedy cover size at radius C_m
     v: int            # cumulative symbols through this block
 
@@ -181,7 +181,7 @@ def choose_base_map(ifs: IfsSystem, cloud: AttractorCloud) -> BaseMapChoice:
 
 
 def build_sigma(ifs: IfsSystem, cloud: AttractorCloud, d: float, m: int,
-                budget: int = DEFAULT_ADDRESS_BUDGET) -> Word:
+                budget: int = DEFAULT_ADDRESS_BUDGET) -> np.ndarray:
     """Covering word: a greedy d-cover of the cloud by depth-m address points,
     serialized as the concatenation of the REVERSED address words.
 
@@ -191,14 +191,13 @@ def build_sigma(ifs: IfsSystem, cloud: AttractorCloud, d: float, m: int,
     d(x0, A) <= 1 therefore visits each cover center to within
     L^m * (diam A + 1), covering the cloud at radius 3*C_m.
 
-    One batched k-nearest query gives each cloud point its address point
-    (in _hutchinson_points order): the lowest index within a relative 1e-12
-    of the nearest distance.  metrics._greedy_walk, which covering_estimate
-    shares, centres each target's d-ball there, holding p when
-    abs(p - c) <= d in 1-d (as in recovery_time, cKDTree agrees while d**2
-    is a normal float, d above about 1.5e-154) and sum((p - c)**2) <= d**2
-    on cloud.grid in d dimensions.  A target's reversed word is its address
-    index in base K, least significant digit first.
+    Each cloud point's address point (its index in _hutchinson_points
+    order) comes from _nearest_address.  metrics._greedy_walk, which
+    covering_estimate shares, centres each target's d-ball there, holding p
+    when abs(p - c) <= d in 1-d (as in recovery_time, cKDTree agrees while
+    d**2 is a normal float, d above about 1.5e-154) and sum((p - c)**2) <=
+    d**2 on cloud.grid in d dimensions.  A target's reversed word is its
+    address index in base K, least significant digit first.
     """
     if d <= 0:
         raise ValidationError("cover radius d must be positive")
@@ -210,8 +209,7 @@ def build_sigma(ifs: IfsSystem, cloud: AttractorCloud, d: float, m: int,
             f"depth {m} needs {K ** m} address points, budget is {budget}"
         )
     addr = _hutchinson_points(ifs, m)
-    dist, idx = cKDTree(addr).query(cloud.points, k=range(1, min(8, K ** m) + 1))
-    chosen = np.where(dist <= dist[:, :1] * (1.0 + 1e-12), idx, K ** m).min(axis=1)
+    chosen = _nearest_address(addr, cloud.points)
     try:
         targets = _greedy_walk(cloud.points, cloud.grid)(d, addr[chosen])
     except ValidationError:
@@ -219,7 +217,29 @@ def build_sigma(ifs: IfsSystem, cloud: AttractorCloud, d: float, m: int,
             f"cover radius d={d:g} is too small for depth m={m}: the nearest "
             "address point cannot cover its own cylinder") from None
     digits = chosen[targets][:, None] // K ** np.arange(m) % K + 1
-    return _shared_word(tuple(digits.ravel().tolist()), K)
+    return _shared_word(digits.astype(np.int64, copy=False).tobytes())
+
+
+def _nearest_address(addr: np.ndarray, pts: np.ndarray) -> np.ndarray:
+    """Per point p, the lowest index among all addresses within (1 + 1e-12) of
+    p's nearest distance: abs(p - a) in 1-d, by a searchsorted window over the
+    distinct values; cKDTree's in d dims, by a k = 8 query (a ball query if all tie)."""
+    if addr.shape[1] == 1:
+        srt, first = np.unique(addr[:, 0], return_index=True)   # each value's lowest index
+        p = pts[:, 0]
+        j = np.searchsorted(srt, p)
+        tol = np.minimum(np.abs(p - srt[np.maximum(j - 1, 0)]),
+                         np.abs(srt[np.minimum(j, srt.size - 1)] - p)) * (1.0 + 1e-12)
+        lo = _settle(srt, np.searchsorted(srt, p - tol, "left"), lambda a, q: p[q] - a > tol[q])
+        hi = _settle(srt, np.searchsorted(srt, p + tol, "right"), lambda a, q: a - p[q] <= tol[q])
+        return _range_min(first, lo, hi)
+    tree, n = cKDTree(addr), addr.shape[0]
+    dist, idx = tree.query(pts, k=range(1, min(8, n) + 1))
+    tol = dist[:, 0] * (1.0 + 1e-12)
+    chosen = np.where(dist <= tol[:, None], idx, n).min(axis=1)
+    wide = np.flatnonzero(dist[:, -1] <= tol)
+    chosen[wide] = [min(hits) for hits in tree.query_ball_point(pts[wide], tol[wide])]
+    return chosen
 
 
 def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
@@ -333,7 +353,7 @@ def slow_driver(schedule: Schedule) -> DriverStream:
     def gen():
         for e in schedule.entries:
             yield Run(i_star, e.p)
-            yield e.sigma.symbols
+            yield e.sigma
         pos = 0
         while True:
             yield tail.segment(pos, pos + 4096)

@@ -60,10 +60,10 @@ class DriverStream:
     """An infinite symbol sequence, read by position with segment.
 
     The generator yields symbol sequences (int arrays or tuples; single
-    ints are accepted too) and Runs.  Each item is kept as one piece, a Run
-    as its symbol and count, so a run costs the same whatever its length,
-    and every read of a position gives the same symbol.  segment is the
-    only reader: it builds just the window it is asked for.
+    ints are accepted too) and Runs.  Each item is kept as one piece: a Run
+    as its symbol and count, whatever its length; a read-only int64 array
+    as it is; anything else as a copy, so every read of a position gives the
+    same symbol.  segment is the only reader: it builds just the window.
     """
 
     def __init__(self, kind: str, alphabet_size: int, generator_factory, params=None):
@@ -86,7 +86,8 @@ class DriverStream:
             if isinstance(item, Run):
                 size = item.count
             else:
-                item = np.array(item, dtype=np.int64, ndmin=1)   # a copy
+                shared = isinstance(item, np.ndarray) and not item.flags.writeable
+                item = np.array(item, dtype=np.int64, ndmin=1, copy=None if shared else True)
                 size = item.size
             if size > 0:
                 self._len += size

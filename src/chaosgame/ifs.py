@@ -10,6 +10,7 @@ point.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import hashlib
 import math
@@ -90,9 +91,9 @@ class AffineMap:
                 raise ValidationError(
                     f"{name} coefficients must be finite, got {coeffs.ravel().tolist()}")
         # Operator 2-norm (largest singular value) is an exact Lipschitz
-        # constant for an affine map; bump it by one ulp so it is a
+        # constant for an affine map; bump it by 1e-12 relative so it is a
         # certified upper bound under floating point.
-        lip = float(np.linalg.norm(matrix, 2)) * (1.0 + 1e-12)
+        lip = _operator_norm(matrix) * (1.0 + 1e-12)
         if not lip < 1.0:
             raise ValidationError(
                 f"not a contraction: Lipschitz constant {lip:.6g} >= 1"
@@ -127,6 +128,19 @@ class AffineMap:
             (((a, b), o), ((c, d), p)) = rows
             return lambda x: (a * x[0] + b * x[1] + o, c * x[0] + d * x[1] + p)
         return lambda x: tuple(_row_sums(rows, x))
+
+
+def _operator_norm(matrix: np.ndarray) -> float:
+    """Largest singular value; for d <= 2 in plain floats, the same bits on any
+    machine: sqrt((T + sqrt(D)) / 2) in 2-d, T the sum of the squared entries,
+    D = T**2 - 4 det**2 as a product of sums of squares (no cancellation)."""
+    if matrix.shape == (1, 1):
+        return abs(float(matrix[0, 0]))
+    if matrix.shape == (2, 2):
+        (a, b), (c, d) = matrix.tolist()
+        disc = ((a - d) * (a - d) + (b + c) * (b + c)) * ((a + d) * (a + d) + (b - c) * (b - c))
+        return math.sqrt((a * a + b * b + c * c + d * d + math.sqrt(disc)) / 2.0)
+    return float(np.linalg.norm(matrix, 2))
 
 
 def scalar_map(a: float, b: float) -> AffineMap:
@@ -272,10 +286,31 @@ def _lexsort_points(points: np.ndarray) -> np.ndarray:
     return points[order]
 
 
+def _line_walk(values: list, r: float, centres=None) -> list:
+    """The greedy r-cover of ascending values; see metrics._greedy_walk."""
+    own = centres is None
+    centres = values if own else centres[:, 0].tolist()
+    targets, i, n = [], 0, len(values)
+    while i < n:
+        c = centres[i]
+        targets.append(i)
+        j = bisect.bisect_right(values, c + r, i + 1)
+        while j < n and values[j] - c <= r:
+            j += 1
+        while values[j - 1] - c > r and j > i + 1:   # j > i + 1 only for a stray
+            j -= 1
+        i = j
+    if not own and any(abs(values[t] - centres[t]) > r for t in targets):
+        raise ValidationError(f"a target lies outside its own r={r:g} ball")
+    return targets
+
+
 def _dedupe(points: np.ndarray, threshold: float) -> tuple:
     """(kept, moved): the lexicographically-first point of every cluster of
     radius threshold, and the largest distance from a dropped point to the
-    kept ones; points must be lexsorted (_lexsort_points)."""
+    kept ones; points must be lexsorted (_lexsort_points).  A point is dropped
+    iff a kept earlier one is within the threshold, by a pair query, or on the
+    line by _line_walk over just the points with a neighbour that close."""
     if points.shape[0] >= 2:
         # Exact duplicates first (cheap, and maps with collapsing branches
         # can produce huge numbers of them): sorted, they are adjacent rows,
@@ -283,16 +318,15 @@ def _dedupe(points: np.ndarray, threshold: float) -> tuple:
         points = points[np.r_[True, (points[1:] != points[:-1]).any(axis=1)]]
     if threshold <= 0 or points.shape[0] < 2:
         return points, 0.0
-    tree = cKDTree(points)
-    pairs = tree.query_pairs(threshold, output_type="ndarray")
     drop = np.zeros(points.shape[0], dtype=bool)
-    if pairs.size:
-        lo = pairs.min(axis=1)
-        hi = pairs.max(axis=1)
-        # Greedy in canonical order: a point is dropped iff a kept earlier
-        # point sits within the threshold.
-        order = np.argsort(lo, kind="stable")
-        for a, b in zip(lo[order], hi[order]):
+    if points.shape[1] == 1:
+        close = np.diff(points[:, 0]) <= threshold
+        near = np.flatnonzero(np.r_[close, False] | np.r_[False, close])
+        drop[near] = True
+        drop[near[_line_walk(points[near, 0].tolist(), threshold)]] = False
+    else:
+        pairs = np.sort(cKDTree(points).query_pairs(threshold, output_type="ndarray"), axis=1)
+        for a, b in pairs[np.argsort(pairs[:, 0], kind="stable")].tolist():
             if not drop[a]:
                 drop[b] = True
     kept = points[~drop]
@@ -344,13 +378,6 @@ def _hutchinson_points(ifs: IfsSystem, depth: int, pts=None) -> np.ndarray:
     return pts
 
 
-def _check_budget(ifs: IfsSystem, depth: int, point_budget: int) -> None:
-    K = ifs.alphabet_size
-    if K ** depth > point_budget:
-        raise CapExceededError(f"resolution infeasible: depth {depth} needs "
-                               f"{K ** depth} points, budget is {point_budget}")
-
-
 def _certified_cloud(ifs: IfsSystem, pts: np.ndarray, depth: int,
                      target: float = math.inf) -> AttractorCloud | None:
     """Cloud of the depth-m composition points pts, or None while 2 L^m >= 1
@@ -390,25 +417,13 @@ def build_cloud(ifs: IfsSystem, target_resolution: float,
     pts = _hutchinson_points(ifs, 0)
     while True:
         depth += 1
-        _check_budget(ifs, depth, point_budget)
+        if (need := ifs.alphabet_size ** depth) > point_budget:
+            raise CapExceededError(f"resolution infeasible: depth {depth} needs {need} points, "
+                                   f"budget is {point_budget}")
         pts = _hutchinson_points(ifs, 1, pts)
         cloud = _certified_cloud(ifs, pts, depth, target_resolution)
         if cloud is not None:
             return cloud
-
-
-def cloud_at_depth(ifs: IfsSystem, depth: int) -> AttractorCloud:
-    """Cloud from all depth-m compositions, with the same certificate."""
-    _check_budget(ifs, depth, DEFAULT_POINT_BUDGET)
-    cloud = _certified_cloud(ifs, _hutchinson_points(ifs, depth), depth)
-    if cloud is None:
-        raise ValidationError(f"depth {depth} too shallow to certify a diameter bound")
-    return cloud
-
-
-def hausdorff_distance(set_a, set_b) -> float:
-    """Symmetric Hausdorff distance between two finite point sets."""
-    return max(directed_hausdorff(set_a, set_b), directed_hausdorff(set_b, set_a))
 
 
 def directed_hausdorff(set_a, set_b) -> float:

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import CapExceededError, ValidationError
-from .ifs import AttractorCloud, IfsSystem, _as_vector, _point_set
+from .ifs import AttractorCloud, IfsSystem, _as_vector, _line_walk, _point_set, run_orbit
 
 DEFAULT_ORBIT_CAP = 10 ** 7
 _FIRST_CHUNK = 128
@@ -80,9 +80,9 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
     from _FIRST_CHUNK to _CHUNK symbols, so a small n steps few points.
     Each chunk is checked against the still-uncovered cloud points, and the
     returned n is the exact deterministic minimum.  The orbit is stepped in
-    plain floats with AffineMap's arithmetic (on_floats), one run of equal
-    symbols at a time; once f(x) == x the rest of the run repeats x, so it
-    is skipped: it adds no point, and a chunk that adds none is not checked.
+    plain floats with AffineMap's arithmetic (on_floats), one symbol at a
+    time; once f(x) == x the rest of the run of equal symbols repeats x, so
+    it is skipped: it adds no point, and a chunk that adds none is not checked.
     A repeated point covers nothing that its first copy, earlier in the
     orbit, did not, so no first hit, and not n, can fall on it.  The test is
     float equality, under which +0 and -0 are equal: a repeat can differ
@@ -149,28 +149,29 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
 
 def _stepper(ifs: IfsSystem):
     """step(x, symbols) -> (points, at, x): the orbit from x (a float in 1-d,
-    a tuple of floats in d dimensions) run by run, and the offsets in
-    symbols of the steps that gave the points.  Once f(x) == x the rest of
-    the run repeats x: it is skipped and adds no point."""
-    maps = [m.on_floats for m in ifs.maps]
-    K = len(maps)
+    a tuple of floats in d dimensions) one symbol at a time, and the offsets
+    in symbols of the steps that gave the points.  Once f(x) == x the rest
+    of the run repeats x and is skipped, run ends found then, once a chunk."""
+    maps, K = [None, *(m.on_floats for m in ifs.maps)], len(ifs.maps)
 
     def step(x, symbols: np.ndarray):
         if symbols.min() < 1 or symbols.max() > K:
             raise ValidationError(f"invalid symbol in driver chunk, alphabet is 1..{K}")
-        bounds = [0, *(np.flatnonzero(np.diff(symbols)) + 1).tolist(), len(symbols)]
-        runs = symbols[bounds[:-1]].tolist()
+        syms, n = memoryview(symbols), len(symbols)
         out: list = []
-        kept = np.ones(len(symbols), dtype=bool)
-        for s, lo, hi in zip(runs, bounds, bounds[1:]):
-            f = maps[s - 1]
-            for i in range(lo, hi):
-                y = f(x)
-                if y == x:
-                    kept[i:hi] = False
-                    break
-                x = y
-                out.append(x)
+        kept, ends, i = np.ones(n, dtype=bool), None, 0
+        while i < n:
+            y = maps[syms[i]](x)
+            if y == x:
+                if ends is None:
+                    ends = [*(np.flatnonzero(np.diff(symbols)) + 1).tolist(), n]
+                end = ends[bisect.bisect_right(ends, i)]
+                kept[i:end] = False
+                i = end
+                continue
+            x = y
+            out.append(x)
+            i += 1
         return np.array(out), np.flatnonzero(kept), x
 
     return step
@@ -294,8 +295,6 @@ def coverage_holds(ifs: IfsSystem, driver, x0, eps: float,
     the rounded distance with eps instead can disagree with it, in d > 1,
     when the distance is within an ulp of eps.)
     """
-    from .ifs import run_orbit
-
     orbit = run_orbit(ifs, driver, x0, n)
     nearest = cKDTree(orbit.points).query(cloud.points)[1]
     gap = cloud.points - orbit.points[nearest]
@@ -347,24 +346,6 @@ def _greedy_walk(pts: np.ndarray, grid: cKDTree | None = None):
     if pts.shape[1] == 1 and (pts[1:, 0] >= pts[:-1, 0]).all():
         return functools.partial(_line_walk, pts[:, 0].tolist())
     return functools.partial(_tree_walk, cKDTree(pts) if grid is None else grid, pts)
-
-
-def _line_walk(values: list, r: float, centres=None) -> list:
-    own = centres is None
-    centres = values if own else centres[:, 0].tolist()
-    targets, i, n = [], 0, len(values)
-    while i < n:
-        c = centres[i]
-        targets.append(i)
-        j = bisect.bisect_right(values, c + r, i + 1)
-        while j < n and values[j] - c <= r:
-            j += 1
-        while values[j - 1] - c > r and j > i + 1:   # j > i + 1 only for a stray
-            j -= 1
-        i = j
-    if not own and any(abs(values[t] - centres[t]) > r for t in targets):
-        raise ValidationError(f"a target lies outside its own r={r:g} ball")
-    return targets
 
 
 def _tree_walk(tree: cKDTree, pts: np.ndarray, r: float, centres=None) -> list:
@@ -430,22 +411,6 @@ def log_rate(n: int, eps: float) -> float | None:
     if n == 0:
         return None
     return math.log(n) / math.log(1.0 / eps)
-
-
-def iterated_log_rate(n: int, eps: float, order: int) -> float:
-    """ln^(order)(n)/ln(1/eps), with -inf when the iterated log is undefined."""
-    if order < 1:
-        raise ValidationError("iterated log order must be >= 1")
-    if not 0.0 < eps < 1.0:
-        raise ValidationError("iterated log rate needs 0 < eps < 1")
-    if n < 1:
-        raise ValidationError("iterated log rate needs n >= 1")
-    x = float(n)
-    for _ in range(order):
-        if x <= 0.0:
-            return float("-inf")
-        x = math.log(x)
-    return x / math.log(1.0 / eps)
 
 
 def rate_ratio(n: int, psi, eps: float) -> float:

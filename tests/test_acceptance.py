@@ -216,7 +216,7 @@ def test_criterion_06_covering_word_radius(cantor, cantor_cloud_coarse):
     ok = True
     for m in range(2, 9):
         c_m = L ** m * (cloud.diam_upper + 1.0)
-        sigma = cg.build_sigma(cantor, cloud, c_m, m)
+        sigma = cg.Word(tuple(cg.build_sigma(cantor, cloud, c_m, m).tolist()), 2)
         for _ in range(10):
             x0 = rng.uniform(-1.0, 2.0)
             orbit = cg.run_orbit(cantor, cg.literal_driver(sigma), [x0],

@@ -13,6 +13,7 @@ from scipy.spatial import cKDTree
 
 import chaosgame as cg
 from chaosgame.errors import CapExceededError, ValidationError
+from helpers import cloud_at_depth
 
 
 class TestRateFunction:
@@ -109,8 +110,8 @@ class TestBuildSigma:
             sigma = cg.build_sigma(cantor, cloud, d, m)
             for _ in range(10):
                 x0 = rng.uniform(-1.0, 2.0)   # within distance 1 of A = [0,1] part
-                orbit = cg.run_orbit(cantor, cg.literal_driver(sigma),
-                                     [x0], len(sigma))
+                word = cg.Word(tuple(sigma.tolist()), 2)
+                orbit = cg.run_orbit(cantor, cg.literal_driver(word), [x0], len(sigma))
                 worst = cKDTree(orbit.points).query(cloud.points)[0].max()
                 assert worst <= 3 * d + cloud.resolution
 
@@ -129,7 +130,7 @@ class TestBuildSigma:
 
     def test_radius_too_small_plane(self):
         ifs = cg.sierpinski_ifs()
-        cloud = cg.cloud_at_depth(ifs, 5)
+        cloud = cloud_at_depth(ifs, 5)
         with pytest.raises(ValidationError,
                            match="cover radius d=0.01 is too small for depth m=2"):
             cg.build_sigma(ifs, cloud, 0.01, 2)
@@ -147,15 +148,20 @@ class TestBuildSigma:
             ifs, cloud, cg.power_rate(cfg.param("z")), cg.choose_base_map(ifs, cloud),
             k_max=cfg.param("k_max"), step_cap=cfg.param("step_cap"),
             budget=cfg.point_budget)
-        words = [e.sigma.symbols for e in schedule.entries]
+        words = [e.sigma for e in schedule.entries]
         assert [len(w) for w in words] == [24, 2048, 245760]
-        digest = hashlib.sha256(b"".join(bytes(w) for w in words)).hexdigest()
+        digest = hashlib.sha256(b"".join(w.astype(np.uint8).tobytes()
+                                         for w in words)).hexdigest()
         assert digest == "4543cd9c3a48e27ad833e649843d6ea115dea33081ac4dcf1666e5bf2749ca65"
 
 
 def _sigma_oracle(ifs, cloud, d, m, budget=2 ** 24):
     """Reference covering word: the greedy loop with one nearest-address
-    query and one cloud ball query per centre, words from itertools.product."""
+    search and one cloud ball query per centre, words from itertools.product.
+
+    A cloud point's address is the lowest index among all addresses within
+    (1 + 1e-12) of its nearest distance: abs(p - a) in 1-d, cKDTree's
+    distance in d dimensions, each over every address."""
     K = ifs.alphabet_size
     if K ** m > budget:
         raise CapExceededError("address budget")
@@ -172,15 +178,20 @@ def _sigma_oracle(ifs, cloud, d, m, budget=2 ** 24):
             cursor += 1
         if cursor == cloud.size:
             break
-        dist, idx = addr_tree.query(cloud.points[cursor], k=min(8, len(words)))
-        dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
-        best = int(idx[dist <= dist[0] * (1.0 + 1e-12)].min())
+        p = cloud.points[cursor]
+        if ifs.dim == 1:
+            dist = np.abs(pts[:, 0] - p[0])
+            best = int(np.flatnonzero(dist <= dist.min() * (1.0 + 1e-12))[0])
+        else:
+            dist, idx = addr_tree.query(p, k=len(words))
+            dist, idx = np.atleast_1d(dist), np.atleast_1d(idx)
+            best = int(idx[dist <= dist[0] * (1.0 + 1e-12)].min())
         hits = cloud.grid.query_ball_point(pts[best], d)
         if cursor not in hits:
             raise ValidationError("cover radius is too small")
         covered[hits] = True
         symbols.extend(reversed(words[best]))
-    return tuple(symbols)
+    return symbols
 
 
 # Coefficients from small sets make exact ties: coinciding address points
@@ -227,14 +238,32 @@ class TestBuildSigmaOracle:
             with pytest.raises(ValidationError, match="is too small for depth"):
                 cg.build_sigma(ifs, cloud, d, m)
             return
-        assert cg.build_sigma(ifs, cloud, d, m).symbols == expected
+        assert cg.build_sigma(ifs, cloud, d, m).tolist() == expected
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    @pytest.mark.parametrize("m", [4, 5])
+    @pytest.mark.parametrize("d", [0.75, 1.2])
+    def test_more_than_eight_tied_addresses(self, dim, m, d):
+        # Two constant maps: the 2**(m-1) addresses whose outer map is the
+        # first sit at its point, the others at the second map's, and a
+        # cloud point halfway between is as near to all 2**m of them.  It
+        # takes the lowest index among every tied address, an all-ones
+        # word, which a k = 8 query need not return.
+        ifs = cg.IfsSystem.create([cg.AffineMap.create(np.zeros((dim, dim)), [0.0] * dim),
+                                   cg.AffineMap.create(np.zeros((dim, dim)),
+                                                       [1.0] + [0.0] * (dim - 1))])
+        points = [[0.5], [1.0]] if dim == 1 else [[0.5, 0.0], [0.5, 0.5], [1.0, 0.0]]
+        cloud = cg.AttractorCloud.from_points(points, resolution=0.0)
+        sigma = cg.build_sigma(ifs, cloud, d, m)
+        assert sigma.tolist() == _sigma_oracle(ifs, cloud, d, m)
+        assert sigma[:m].tolist() == [1] * m      # the first centre, halfway
 
     @pytest.mark.parametrize("depth,m", [(7, 2), (7, 5), (9, 3), (9, 8)])
     def test_sierpinski_clouds(self, depth, m):
         ifs = cg.sierpinski_ifs()
-        cloud = cg.cloud_at_depth(ifs, depth)
+        cloud = cloud_at_depth(ifs, depth)
         d = ifs.lip_max ** m * (cloud.diam_upper + 1.0)
-        assert cg.build_sigma(ifs, cloud, d, m).symbols == _sigma_oracle(ifs, cloud, d, m)
+        assert cg.build_sigma(ifs, cloud, d, m).tolist() == _sigma_oracle(ifs, cloud, d, m)
 
 
 @pytest.fixture(scope="module")
@@ -270,6 +299,17 @@ class TestBuildSchedule:
             assert len(e.sigma) == e.m * e.N_hat
             v += e.p + e.m * e.N_hat
             assert e.v == v
+
+    def test_equal_words_are_one_array(self, cantor, cantor_cloud_fine):
+        # Every run rebuilds its schedule; a report that keeps one must not
+        # keep another copy of each word.
+        base = cg.choose_base_map(cantor, cantor_cloud_fine)
+        first, again = (cg.build_schedule(cantor, cantor_cloud_fine, cg.power_rate(1.0),
+                                          base, k_max=3) for _ in range(2))
+        assert len(first.entries) == 3
+        for a, b in zip(first.entries, again.entries, strict=True):
+            assert a.sigma is b.sigma
+            assert a.sigma.dtype == np.int64 and not a.sigma.flags.writeable
 
     def test_first_scale_below_half_delta(self, schedule):
         assert schedule.C_of(schedule.entries[0].m) < schedule.base.delta / 2
@@ -309,8 +349,8 @@ class TestSlowDriver:
         e1 = schedule.entries[0]
         prefix = list(d.segment(0, e1.v))
         assert all(s == schedule.base.i_star for s in prefix[:e1.p])
-        assert prefix[e1.v - 1] == e1.sigma.symbols[-1]
-        assert tuple(prefix[e1.p:e1.v]) == e1.sigma.symbols
+        assert prefix[e1.v - 1] == e1.sigma[-1]
+        assert prefix[e1.p:e1.v] == e1.sigma.tolist()
 
     def test_tail_is_champernowne(self, schedule):
         d = cg.slow_driver(schedule)

@@ -345,9 +345,13 @@ class TestRunStorage:
         i_star = schedule.base.i_star
         assert [p for p in d._pieces if isinstance(p, cg.Run)] == \
             [cg.Run(i_star, e.p) for e in schedule.entries]
-        # The sigma words and one tail block; the runs add nothing.
-        stored = sum(p.size for p in d._pieces if not isinstance(p, cg.Run))
-        assert stored == sum(len(e.sigma) for e in schedule.entries) + 4096
+        # The sigma words, kept as the schedule's own arrays, and one tail
+        # block; the runs add nothing.
+        arrays = [p for p in d._pieces if not isinstance(p, cg.Run)]
+        assert len(arrays) == len(schedule.entries) + 1
+        assert all(p is e.sigma for p, e in zip(arrays, schedule.entries))
+        assert sum(p.size for p in arrays) == \
+            sum(len(e.sigma) for e in schedule.entries) + 4096
 
     def test_example4_stores_only_runs(self):
         d = cg.example4_driver(1.0)

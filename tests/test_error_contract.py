@@ -19,6 +19,7 @@ import chaosgame as cg
 from chaosgame.cli import main
 from chaosgame.errors import ChaosGameError
 from chaosgame.harness import PRESETS, parse_config, run_experiment
+from helpers import cloud_at_depth
 
 _PLANE_MAPS = """\
 [experiment]
@@ -83,7 +84,7 @@ def test_parse_config_raises_only_package_errors(text):
 
 def _cloud_bytes(dim):
     ifs = cg.cantor_ifs() if dim == 1 else cg.sierpinski_ifs()
-    cloud = cg.cloud_at_depth(ifs, 4)
+    cloud = cloud_at_depth(ifs, 4)
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.ifsc"
         cg.write_cloud(path, cloud)
@@ -128,7 +129,7 @@ def test_read_cloud_raises_only_package_errors(dim, data):
 
 
 def _covers_bytes():
-    cloud = cg.cloud_at_depth(cg.cantor_ifs(), 4)
+    cloud = cloud_at_depth(cg.cantor_ifs(), 4)
     for eps in (0.3, 0.1, 0.01):
         cg.covering_estimate(cloud, eps)
     with tempfile.TemporaryDirectory() as tmp:

@@ -15,9 +15,11 @@ import numpy as np
 import pytest
 from hypothesis import example, given, reject, settings
 from hypothesis import strategies as st
+from scipy.spatial import cKDTree
 
 import chaosgame as cg
 from chaosgame.errors import CapExceededError, ValidationError
+from helpers import cloud_at_depth, hausdorff_distance
 
 
 def _row_sum(row, o, x):
@@ -109,9 +111,10 @@ class TestAffineMap:
         assert abs(m(x)[0] - x[0]) <= 1e-10 * (1 + abs(x[0]))
 
 
-# A rotated planar system: LAPACK's solve for the first map's fixed point
-# and BLAS's matrix products for its cloud and orbit both round differently
-# under OpenBLAS's default x86 kernel and under its Nehalem kernel.
+# A rotated planar system: LAPACK's solve for the first map's fixed point,
+# BLAS's matrix products for its cloud and orbit and LAPACK's SVD for its
+# maps' Lipschitz bounds all round differently under OpenBLAS's default x86
+# kernel and under its Nehalem kernel.
 _ROTATED_RUN = """
 import hashlib
 import chaosgame as cg
@@ -122,8 +125,11 @@ ifs = cg.IfsSystem.create([cg.AffineMap.create([[0.01, 0.41], [-0.32, 0.4]], [-0
 cloud = cg.build_cloud(ifs, 0.05)
 orbit = cg.run_orbit(ifs, cg.random_driver(3, 1), [0.1, 0.2], 2000)
 rec = cg.recovery_time(ifs, cg.random_driver(3, 1), [0.1, 0.2], 0.1, cloud)
+# LAPACK's SVD gives this map's norm one ulp apart under the two kernels.
+odd = cg.AffineMap.create([[0.108, 0.446], [0.404, -0.036]], [0.0, 0.0])
 print(hashlib.sha256(cloud.points.tobytes()).hexdigest(),
-      hashlib.sha256(orbit.points.tobytes()).hexdigest(), rec.n)
+      hashlib.sha256(orbit.points.tobytes()).hexdigest(), rec.n,
+      *(m.lip.hex() for m in (*ifs.maps, odd)))
 """
 
 
@@ -204,13 +210,13 @@ class TestOrbit:
 
 class TestCloud:
     def test_depth_one_and_two_points(self, cantor):
-        c1 = cg.cloud_at_depth(cantor, 3)
+        c1 = cloud_at_depth(cantor, 3)
         assert {round(v, 12) for v in c1.points.ravel()} >= {0.0, round(2 / 9, 12),
                                                              round(2 / 3, 12),
                                                              round(8 / 9, 12)}
 
     def test_halving_cloud_is_dyadic(self, halving):
-        cloud = cg.cloud_at_depth(halving, 6)
+        cloud = cloud_at_depth(halving, 6)
         expected = sorted([0.0] + [2.0 ** -j for j in range(6)])
         assert np.allclose(sorted(cloud.points.ravel()), expected)
 
@@ -223,13 +229,13 @@ class TestCloud:
         # Refinement soundness: a depth m+1 cloud stays within the certified
         # resolution of the depth m cloud.
         for m in (4, 6):
-            coarse = cg.cloud_at_depth(cantor, m)
-            fine = cg.cloud_at_depth(cantor, m + 1)
+            coarse = cloud_at_depth(cantor, m)
+            fine = cloud_at_depth(cantor, m + 1)
             d = cg.directed_hausdorff(fine.points, coarse.points)
             assert d <= coarse.resolution * (1 + 1e-12)
 
     def test_diam_monotone_in_depth(self, cantor):
-        diams = [cg.cloud_at_depth(cantor, m).diam_lower for m in range(2, 7)]
+        diams = [cloud_at_depth(cantor, m).diam_lower for m in range(2, 7)]
         assert all(b >= a for a, b in zip(diams, diams[1:]))
 
     def test_points_sorted_and_deduped(self, cantor_cloud):
@@ -247,22 +253,22 @@ class TestCloud:
 
 class TestHausdorff:
     def test_singletons(self):
-        assert cg.hausdorff_distance([[0.0]], [[1.0]]) == 1.0
+        assert hausdorff_distance([[0.0]], [[1.0]]) == 1.0
 
     def test_asymmetric_sets(self):
-        assert cg.hausdorff_distance([[0.0], [1.0]], [[0.0]]) == 1.0
+        assert hausdorff_distance([[0.0], [1.0]], [[0.0]]) == 1.0
 
     def test_midpoint(self):
-        assert cg.hausdorff_distance([[0.0], [0.5], [1.0]], [[0.0], [1.0]]) == 0.5
+        assert hausdorff_distance([[0.0], [0.5], [1.0]], [[0.0], [1.0]]) == 0.5
 
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
-            cg.hausdorff_distance(np.empty((0, 1)), [[0.0]])
+            hausdorff_distance(np.empty((0, 1)), [[0.0]])
 
     def test_flat_lists_are_points_on_the_line(self):
         # A flat list used to become one n-dimensional point, and scipy's
         # ValueError on the mismatched dimensions escaped.
-        assert cg.hausdorff_distance([0, 1], [0]) == 1.0
+        assert hausdorff_distance([0, 1], [0]) == 1.0
         assert cg.directed_hausdorff([0, 0.5, 1], [0, 1]) == 0.5
         assert cg.directed_hausdorff([0, 1], [[0.0], [1.0]]) == 0.0
 
@@ -273,12 +279,12 @@ class TestHausdorff:
         with pytest.raises(ValidationError):
             cg.directed_hausdorff(a, b)
         with pytest.raises(ValidationError):
-            cg.hausdorff_distance(b, a)
+            hausdorff_distance(b, a)
 
     def test_ragged_rejected(self):
         # numpy's "inhomogeneous shape" ValueError used to escape.
         with pytest.raises(ValidationError, match="array of numbers"):
-            cg.hausdorff_distance([[0], [0, 1]], [0])
+            hausdorff_distance([[0], [0, 1]], [0])
 
 
 class TestFromPoints:
@@ -322,9 +328,62 @@ def test_dedupe_drops_the_exact_duplicates_np_unique_drops(rows):
     assert np.array_equal(out, np.unique(pts, axis=0))
 
 
+def _pair_greedy(points, threshold):
+    """Oracle for _dedupe's thinning: every pair within the threshold from
+    one kd-tree query, taken by lower index; a point is dropped iff a kept
+    earlier point is in a pair with it."""
+    pairs = cKDTree(points).query_pairs(threshold, output_type="ndarray")
+    drop = np.zeros(points.shape[0], dtype=bool)
+    for a, b in sorted(map(tuple, np.sort(pairs, axis=1).tolist())):
+        if not drop[a]:
+            drop[b] = True
+    return points[~drop]
+
+
+@given(values=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(-2.0, 2.0),
+                       min_size=1, max_size=200),
+       threshold=st.sampled_from([0.25, 0.5, 1e-3]) | st.floats(1e-6, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_line_thinning_matches_the_pair_greedy(values, threshold):
+    # On the line _dedupe walks the sorted points instead of listing pairs;
+    # distances of exactly the threshold come from the dyadic values.
+    from chaosgame.ifs import _dedupe, _lexsort_points
+
+    pts = _lexsort_points(np.array(values)[:, None])
+    unique = pts[np.r_[True, pts[1:, 0] != pts[:-1, 0]]]
+    kept, moved = _dedupe(pts, threshold)
+    want = _pair_greedy(unique, threshold)
+    assert kept.tobytes() == want.tobytes()
+    dropped = np.setdiff1d(unique[:, 0], kept[:, 0])
+    assert moved == (cKDTree(kept).query(dropped[:, None])[0].max() if dropped.size else 0.0)
+
+
+def test_dense_line_system_thins_without_a_pair_array():
+    # Depth 9 has 262,144 points with about 183M pairs within resolution/4,
+    # 2.9 GB as a pair array.  Walked on the line, the build stays small,
+    # and deeper composition points still lie within the resolution.
+    import tracemalloc
+
+    from chaosgame.ifs import _hutchinson_points
+
+    a = (0.416491, 0.58797, 0.449396, 0.566919)
+    b = (-0.678696, -0.768269, 0.226007, 0.057179)
+    ifs = cg.IfsSystem.create(cg.scalar_map(u, v) for u, v in zip(a, b))
+    tracemalloc.start()
+    try:
+        cloud = cg.build_cloud(ifs, 0.031, point_budget=2 ** 18)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert cloud.depth == 9 and cloud.resolution <= 0.031
+    assert peak < 100 * 2 ** 20
+    deep = _hutchinson_points(ifs, 10)
+    assert cloud.grid.query(deep)[0].max() <= cloud.resolution
+
+
 _RADII = (st.floats(min_value=0.0, exclude_min=True, allow_nan=False)
           | st.sampled_from([5e-324, 2.0 ** -1070, 1.7976931348623157e308, math.inf]))
-_SIZES_CLOUD = cg.cloud_at_depth(cg.cantor_ifs(), 6)
+_SIZES_CLOUD = cloud_at_depth(cg.cantor_ifs(), 6)
 
 
 @given(sizes=st.dictionaries(_RADII, st.integers(1, _SIZES_CLOUD.size), max_size=30))
@@ -455,7 +514,7 @@ class TestCloudCache:
         ids=["zero", "negative", "nan", "repeated", "descending", "count-0", "count-65"])
     def test_bad_cover_sizes_rejected(self, tmp_path, sizes, bad):
         path = tmp_path / "c.ifsc"
-        cg.write_cloud(path, cg.cloud_at_depth(cg.cantor_ifs(), 6))   # 64 points
+        cg.write_cloud(path, cloud_at_depth(cg.cantor_ifs(), 6))   # 64 points
         assert cg.read_cloud(self._with_sizes(path, [(0.5, 2), (math.inf, 1)])
                              ).cover_sizes == {0.5: 2, math.inf: 1}
         self._with_sizes(path, sizes)

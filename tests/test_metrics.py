@@ -11,6 +11,7 @@ from scipy.spatial import cKDTree
 import chaosgame as cg
 from chaosgame import metrics
 from chaosgame.errors import CapExceededError, ValidationError
+from helpers import cloud_at_depth
 
 
 class TestRecoveryTime:
@@ -163,14 +164,6 @@ class TestLogRates:
         assert cg.log_rate(8, 0.5) == pytest.approx(3.0)
         assert cg.log_rate(1, 0.7) == 0.0
         assert cg.log_rate(0, 0.5) is None
-
-    def test_iterated_log_rate(self):
-        assert cg.iterated_log_rate(1619, math.exp(-1), 2) == \
-            pytest.approx(2.0, abs=0.01)
-        assert cg.iterated_log_rate(2, 0.5, 3) == float("-inf")
-        n, eps = 1000, 0.1
-        assert cg.iterated_log_rate(n, eps, 1) == pytest.approx(
-            cg.log_rate(n, eps))
 
     def test_rate_ratio(self):
         psi = cg.power_rate(1.0)
@@ -500,6 +493,74 @@ def test_two_cycle_run_is_stepped_in_full():
     assert n == 20001
 
 
+def _run_by_run_stepper(ifs):
+    """Oracle for metrics._stepper: the chunk cut into runs of equal symbols
+    up front, each run stepped until it ends or f(x) == x."""
+    maps = [m.on_floats for m in ifs.maps]
+
+    def step(x, symbols):
+        bounds = [0, *(np.flatnonzero(np.diff(symbols)) + 1).tolist(), len(symbols)]
+        out, kept = [], np.ones(len(symbols), dtype=bool)
+        for lo, hi in zip(bounds, bounds[1:]):
+            f = maps[int(symbols[lo]) - 1]
+            for i in range(lo, hi):
+                y = f(x)
+                if y == x:
+                    kept[i:hi] = False
+                    break
+                x = y
+                out.append(x)
+        return np.array(out), np.flatnonzero(kept), x
+
+    return step
+
+
+_STEP_COEF = st.sampled_from([0.0, 0.5, -0.5]) | st.floats(-0.6, 0.6)
+_STEP_OFFSET = st.sampled_from([0.0, 1.0, -0.5]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _step_case(draw):
+    """A 1-d or 2-d system whose first map is constant, so each run of it
+    past its first symbol is a fixed-point run, a start point that is often
+    a map's fixed point, and a chunk of runs ending anywhere."""
+    dim = draw(st.sampled_from([1, 2]))
+    K = draw(st.integers(2, 3))
+    maps = [cg.AffineMap.create(np.zeros((dim, dim)), [draw(_STEP_OFFSET) for _ in range(dim)])]
+    for _ in range(K - 1):
+        a, b = draw(_STEP_COEF), draw(_STEP_COEF)
+        matrix = [[a]] if dim == 1 else [[a, -b], [b, a]]
+        maps.append(cg.AffineMap.create(matrix, [draw(_STEP_OFFSET) for _ in range(dim)]))
+    ifs = cg.IfsSystem.create(maps)
+    start = draw(st.sampled_from([*(cg.fixed_point(m).tolist() for m in maps),
+                                  [draw(_STEP_OFFSET) for _ in range(dim)]]))
+    x = start[0] if dim == 1 else tuple(start)
+    runs = draw(st.lists(st.tuples(st.integers(1, K),
+                                   st.sampled_from([1, 2, 3, 64]) | st.integers(1, 300)),
+                         min_size=1, max_size=25))
+    symbols = np.concatenate([np.full(n, s, dtype=np.int64) for s, n in runs])
+    return ifs, x, symbols
+
+
+@given(case=_step_case(), cut=st.floats(0.0, 1.0))
+@settings(max_examples=200, deadline=None)
+def test_stepper_matches_run_by_run_oracle(case, cut):
+    # The chunk is also stepped in two parts, x carried across, so that
+    # fixed-point runs fall inside a chunk and at its end.
+    ifs, x0, symbols = case
+    step, oracle = metrics._stepper(ifs), _run_by_run_stepper(ifs)
+    split = int(cut * len(symbols))
+    for parts in ([symbols], [symbols[:split], symbols[split:]]):
+        x, y = x0, x0
+        for part in parts:
+            if len(part) == 0:
+                continue
+            (got, at, x), (want, at_want, y) = step(x, part), oracle(y, part)
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
+            assert np.array_equal(at, at_want)
+            assert repr(x) == repr(y)
+
+
 def _tree_greedy(points, r):
     """Reference: greedy ball cover over cKDTree ball queries, in index order."""
     tree = cKDTree(points)
@@ -549,7 +610,7 @@ class TestPlaneCovering:
         assert est.lower == _tree_greedy(pts, 2.0 * eps)
 
     def test_cloud_reuses_its_tree(self, monkeypatch):
-        cloud = cg.cloud_at_depth(cg.sierpinski_ifs(), 7)
+        cloud = cloud_at_depth(cg.sierpinski_ifs(), 7)
         expected = [cg.covering_estimate(cloud.points, 2.0 ** -k) for k in (2, 5, 8)]
 
         def no_new_tree(*args, **kwargs):
@@ -592,7 +653,7 @@ class TestCoverMemo:
     @pytest.mark.parametrize("order", ["ascending", "descending", "repeated"])
     @pytest.mark.parametrize("eps_list", [_LADDER, _ARBITRARY], ids=["ladder", "arbitrary"])
     def test_cloud_matches_plain_points(self, system, depth, order, eps_list):
-        cloud = cg.cloud_at_depth(system(), depth)
+        cloud = cloud_at_depth(system(), depth)
         eps_list = {"ascending": sorted(eps_list),
                     "descending": sorted(eps_list, reverse=True),
                     "repeated": eps_list + eps_list[::-1] + eps_list}[order]
@@ -603,7 +664,7 @@ class TestCoverMemo:
     @pytest.mark.parametrize("system,depth", [(cg.cantor_ifs, 8), (cg.sierpinski_ifs, 6)],
                              ids=["1-d", "2-d"])
     def test_each_radius_walked_once(self, monkeypatch, system, depth):
-        cloud = cg.cloud_at_depth(system(), depth)
+        cloud = cloud_at_depth(system(), depth)
         radii = _walk_radii(monkeypatch)
         for eps in _LADDER:
             cg.covering_estimate(cloud, eps)
@@ -615,7 +676,7 @@ class TestCoverMemo:
                                          for r in (e, 2.0 * e)})
 
     def test_box_dimension_after_the_ladder_walks_nothing(self, monkeypatch):
-        cloud = cg.cloud_at_depth(cg.sierpinski_ifs(), 8)
+        cloud = cloud_at_depth(cg.sierpinski_ifs(), 8)
         covers = [cg.covering_estimate(cloud, 2.0 ** -k) for k in range(2, 7)]
         radii = _walk_radii(monkeypatch)
         est = cg.box_dimension(cloud, 1.0, 0.5, 2, 6)
@@ -633,7 +694,7 @@ class TestCoverMemo:
         assert len(on_cloud) == len(set(on_cloud))
 
     def test_plain_points_are_not_memoized(self, monkeypatch):
-        pts = cg.cloud_at_depth(cg.cantor_ifs(), 6).points
+        pts = cloud_at_depth(cg.cantor_ifs(), 6).points
         radii = _walk_radii(monkeypatch)
         cg.covering_estimate(pts, 0.1)
         cg.covering_estimate(pts, 0.1)
@@ -654,7 +715,7 @@ def test_pair_cover_rebuilds_over_uncovered_points(monkeypatch):
     # exact minimum.
     monkeypatch.setattr(metrics, "_PairCover", _CountingPairCover)
     ifs = cg.sierpinski_ifs()
-    cloud = cg.cloud_at_depth(ifs, 7)
+    cloud = cloud_at_depth(ifs, 7)
     assert cloud.size == 2187
     _CountingPairCover.shrinks = 0
     n = _check_minimal(ifs, lambda: cg.infinite_de_bruijn(3), [0.1, 0.1], cloud,
