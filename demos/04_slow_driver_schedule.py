@@ -13,13 +13,11 @@ import chaosgame as cg
 def main() -> None:
     cantor = cg.cantor_ifs()
     cloud = cg.build_cloud(cantor, 3e-7)
-    base = cg.choose_base_map(cantor, cloud)
+    psi = cg.power_rate(1.0)
+    schedule = cg.build_schedule(cantor, cloud, psi, k_max=3, step_cap=5 * 10 ** 6)
+    base = schedule.base
     print(f"Base map: index {base.i_star}, fixed point {base.x_star[0]:g}, "
           f"delta = {base.delta:g}")
-
-    psi = cg.power_rate(1.0)
-    schedule = cg.build_schedule(cantor, cloud, psi, base, k_max=3,
-                                 step_cap=5 * 10 ** 6)
     print("\nSchedule (psi(eps) = 1/eps):")
     print("  k  m_k  p_k        N_k    v_k        eps_k")
     for k, e in enumerate(schedule.entries, start=1):

@@ -23,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import drivers as drv
-from .construct import RATE_KINDS, build_schedule, choose_base_map, slow_driver
+from .construct import RATE_KINDS, build_schedule, slow_driver
 from .errors import (CapExceededError, ChaosGameError, InternalInvariantError,
                      ValidationError)
 from .harness import (_IFS_FACTORIES, PRESETS, _dimension_csv, _fmt, _schedule_csv,
@@ -125,8 +125,7 @@ def _cmd_schedule(args) -> int:
     psi = RATE_KINDS[args.psi](vars(args))
     ifs = _IFS_FACTORIES[args.ifs]()
     cloud = build_cloud(ifs, args.resolution)
-    schedule = build_schedule(ifs, cloud, psi, choose_base_map(ifs, cloud),
-                              k_max=k_max, step_cap=step_cap)
+    schedule = build_schedule(ifs, cloud, psi, k_max=k_max, step_cap=step_cap)
     sys.stdout.write(_schedule_csv(schedule))
     if schedule.truncated:
         print("# truncated at the step cap", file=sys.stderr)

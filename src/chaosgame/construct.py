@@ -19,10 +19,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .drivers import DriverStream, Run, champernowne
+from .drivers import DriverStream, Run, _champernowne_blocks
 from .errors import CapExceededError, InternalInvariantError, ValidationError
-from .ifs import AttractorCloud, IfsSystem, _hutchinson_points, fixed_point
-from .metrics import _greedy_walk, _range_min, _settle, covering_estimate
+from .ifs import AttractorCloud, IfsSystem, _greedy_walk, _hutchinson_points, fixed_point
+from .metrics import _range_min, _window, covering_estimate
 
 DEFAULT_ADDRESS_BUDGET = 2 ** 24
 _MIN_OUTSIDE = 8   # cloud points a base map must leave outside its delta-ball
@@ -37,10 +37,8 @@ class RateFunction:
 
     name is how drivers describe it, for example power(z=1); formula gives
     psi from 1/eps.  The builders:
-      power_rate(z):      psi(eps) = (1/eps)^z, z > 0
-      iterexp_rate(n):    psi(eps) = exp applied (n-1) times to 1/eps
-      bounding_rate(...): K * alpha * (base_distance)^q * (1/eps)^q
-      table_rate(pairs):  log-log interpolation through (eps, value) samples
+      power_rate(z):    psi(eps) = (1/eps)^z, z > 0
+      iterexp_rate(n):  psi(eps) = exp applied (n-1) times to 1/eps
     """
 
     name: str
@@ -72,37 +70,6 @@ def iterexp_rate(n: int) -> RateFunction:
         return x
 
     return RateFunction(f"iterexp(n={n})", formula)
-
-
-def bounding_rate(K: int, alpha: int, base_distance: float, exponent: float) -> RateFunction:
-    """The closed-form recovery upper-rate for disjunctive drivers:
-    psi(eps) = K * alpha * base_distance^q * (1/eps)^q, where base_distance
-    is diam A + d(x0, A) and q = ln K / ln(1/L)."""
-    if K < 2 or alpha < 1 or base_distance <= 0 or exponent <= 0:
-        raise ValidationError("bounding rate needs K >= 2, alpha >= 1 and positive "
-                              "base distance and exponent")
-    K, alpha, d, q = int(K), int(alpha), float(base_distance), float(exponent)
-    name = f"bounding(K={K},alpha={alpha},base_distance={d:g},exponent={q:g})"
-    return RateFunction(name, lambda t: K * alpha * d ** q * t ** q)
-
-
-def table_rate(pairs) -> RateFunction:
-    """Rate from (eps, value) samples, interpolated linearly in log-log space.
-
-    Values must be positive and increase as eps decreases (divergence check).
-    """
-    pairs = sorted(((float(e), float(v)) for e, v in pairs), reverse=True)
-    if len(pairs) < 2:
-        raise ValidationError("table rate needs at least two samples")
-    if any(e <= 0 or v <= 0 for e, v in pairs):
-        raise ValidationError("table rate samples must be positive")
-    values = [v for _, v in pairs]
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValidationError("table rate must increase as eps decreases")
-    xs = [math.log(1.0 / e) for e, _ in pairs]
-    ys = [math.log(v) for v in values]
-    return RateFunction(f"table({len(pairs)} samples)",
-                        lambda t: math.exp(float(np.interp(math.log(t), xs, ys))))
 
 
 # The slow driver's psi kinds -> constructor(params); params supply z or order.
@@ -162,6 +129,11 @@ def choose_base_map(ifs: IfsSystem, cloud: AttractorCloud) -> BaseMapChoice:
     of those points sit within twice the cloud resolution of each other
     (accumulation at the deepest refinement).
     """
+    return _base_and_outside(ifs, cloud)[0]
+
+
+def _base_and_outside(ifs: IfsSystem, cloud: AttractorCloud) -> tuple:
+    """(choose_base_map's choice, the cloud points outside its delta-ball)."""
     if cloud.size < 2 * _MIN_OUTSIDE:
         raise ValidationError("cloud too small to certify an infinite attractor")
     delta = cloud.diam_lower / 4.0
@@ -174,7 +146,7 @@ def choose_base_map(ifs: IfsSystem, cloud: AttractorCloud) -> BaseMapChoice:
         pairs = cKDTree(outside).query_pairs(2.0 * cloud.resolution)
         if pairs:
             return BaseMapChoice(i_star=i, x_star=x, delta=delta,
-                                 outside_count=int(outside.shape[0]))
+                                 outside_count=int(outside.shape[0])), outside
     raise ValidationError(
         "attractor appears finite or concentrated at all fixed points"
     )
@@ -192,7 +164,7 @@ def build_sigma(ifs: IfsSystem, cloud: AttractorCloud, d: float, m: int,
     L^m * (diam A + 1), covering the cloud at radius 3*C_m.
 
     Each cloud point's address point (its index in _hutchinson_points
-    order) comes from _nearest_address.  metrics._greedy_walk, which
+    order) comes from _nearest_address.  ifs._greedy_walk, which
     covering_estimate shares, centres each target's d-ball there, holding p
     when abs(p - c) <= d in 1-d (as in recovery_time, cKDTree agrees while
     d**2 is a normal float, d above about 1.5e-154) and sum((p - c)**2) <=
@@ -230,9 +202,7 @@ def _nearest_address(addr: np.ndarray, pts: np.ndarray) -> np.ndarray:
         j = np.searchsorted(srt, p)
         tol = np.minimum(np.abs(p - srt[np.maximum(j - 1, 0)]),
                          np.abs(srt[np.minimum(j, srt.size - 1)] - p)) * (1.0 + 1e-12)
-        lo = _settle(srt, np.searchsorted(srt, p - tol, "left"), lambda a, q: p[q] - a > tol[q])
-        hi = _settle(srt, np.searchsorted(srt, p + tol, "right"), lambda a, q: a - p[q] <= tol[q])
-        return _range_min(first, lo, hi)
+        return _range_min(first, *_window(srt, p, tol))
     tree, n = cKDTree(addr), addr.shape[0]
     dist, idx = tree.query(pts, k=range(1, min(8, n) + 1))
     tol = dist[:, 0] * (1.0 + 1e-12)
@@ -243,12 +213,13 @@ def _nearest_address(addr: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
-                   base: BaseMapChoice, k_max: int,
-                   step_cap: int = 5 * 10 ** 6,
+                   k_max: int, step_cap: int = 5 * 10 ** 6,
                    budget: int = DEFAULT_ADDRESS_BUDGET) -> Schedule:
     """Block schedule (m_k, p_k, sigma_k) realizing recovery times ~ psi.
 
-    Conditions enforced per block, with eps_k = 3*C_{m_k}:
+    The base map is choose_base_map's, whose delta-ball leaves at least
+    _MIN_OUTSIDE cloud points outside.  Conditions enforced per block, with
+    eps_k = 3*C_{m_k}:
       - C_{m_1} < delta/2 picks m_1;
       - p_k = ceil(psi(3*C_{m_k}));
       - m_{k+1} is the smallest value > m_k + k whose packing lower bounds
@@ -266,6 +237,7 @@ def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
     """
     if k_max < 1:
         raise ValidationError("schedule needs k_max >= 1")
+    base, outside_pts = _base_and_outside(ifs, cloud)
     empty = Schedule(psi=psi, base=base, entries=(), lip_max=ifs.lip_max,
                      diam_upper=cloud.diam_upper, alphabet_size=ifs.alphabet_size,
                      truncated=False)
@@ -294,11 +266,6 @@ def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
         if m1 > 512:
             raise InternalInvariantError("C_m failed to fall below delta/2")
 
-    dists = np.linalg.norm(cloud.points - base.x_star, axis=1)
-    outside_pts = cloud.points[dists > base.delta]
-    if outside_pts.shape[0] == 0:
-        raise ValidationError(f"no cloud point lies outside the base map's "
-                              f"delta={base.delta:g} ball")
     outside = _greedy_walk(outside_pts)
 
     entries = []
@@ -348,18 +315,14 @@ def slow_driver(schedule: Schedule) -> DriverStream:
         raise ValidationError("slow driver needs a schedule with >= 1 entry")
     K = schedule.alphabet_size
     i_star = schedule.base.i_star
-    tail = champernowne(K)
 
     def gen():
         for e in schedule.entries:
             yield Run(i_star, e.p)
             yield e.sigma
-        pos = 0
-        while True:
-            yield tail.segment(pos, pos + 4096)
-            pos += 4096
+        yield from _champernowne_blocks(K)
 
     params = {"i_star": i_star, "blocks": len(schedule.entries),
               "psi": schedule.psi.name, "v_last": schedule.entries[-1].v,
-              "tail": tail.kind}
+              "tail": "champernowne"}
     return DriverStream("slow", K, gen, params)

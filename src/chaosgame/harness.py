@@ -58,8 +58,7 @@ from pathlib import Path
 import numpy as np
 
 from . import drivers as drv
-from .construct import (RATE_KINDS, Schedule, build_schedule, choose_base_map,
-                        power_rate, slow_driver)
+from .construct import RATE_KINDS, Schedule, build_schedule, power_rate, slow_driver
 from .errors import ValidationError
 from .ifs import (AffineMap, AttractorCloud, IfsSystem, build_cloud, cantor_ifs,
                   halving_ifs, read_cloud, segment_ifs, sierpinski_ifs, write_cloud)
@@ -69,7 +68,7 @@ from .metrics import (CoverEstimate, DimensionEstimate, RecoveryRecord,
 
 SCHEMA_VERSION = 1
 
-_IFS_FACTORIES = {   # cached: building a system takes an SVD per map
+_IFS_FACTORIES = {   # cached: each map keeps its plain-float form (on_floats)
     "cantor": functools.cache(cantor_ifs),
     "segment": functools.cache(segment_ifs),
     "halving": functools.cache(halving_ifs),
@@ -511,10 +510,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
 
     schedule = None
     if cfg.driver_kind == "slow":
-        base = choose_base_map(ifs, cloud)
         psi = RATE_KINDS[cfg.param("psi")](dict(cfg.driver_params))
-        schedule = build_schedule(ifs, cloud, psi, base,
-                                  k_max=cfg.param("k_max"),
+        schedule = build_schedule(ifs, cloud, psi, k_max=cfg.param("k_max"),
                                   step_cap=cfg.param("step_cap"),
                                   budget=cfg.point_budget)
         eps_values = tuple(schedule.eps_of(k)

@@ -287,7 +287,7 @@ def _lexsort_points(points: np.ndarray) -> np.ndarray:
 
 
 def _line_walk(values: list, r: float, centres=None) -> list:
-    """The greedy r-cover of ascending values; see metrics._greedy_walk."""
+    """The greedy r-cover of ascending values; see _greedy_walk."""
     own = centres is None
     centres = values if own else centres[:, 0].tolist()
     targets, i, n = [], 0, len(values)
@@ -305,12 +305,44 @@ def _line_walk(values: list, r: float, centres=None) -> list:
     return targets
 
 
+def _greedy_walk(pts: np.ndarray, grid: cKDTree | None = None):
+    """walk(r, centres=None) -> the targets of the greedy r-cover of pts in
+    order: each is the first uncovered point, its ball is centred at
+    centres[target] (default: the target), and one outside its own ball
+    raises ValidationError.  On ascending 1-d input the covered points form
+    a prefix, so the next target is the first p with p - c > r: bisection
+    settled by the exact test.  Other input ball-queries grid (built over
+    pts when None) and skips covered runs in numpy slices."""
+    if pts.shape[1] == 1 and (pts[1:, 0] >= pts[:-1, 0]).all():
+        return functools.partial(_line_walk, pts[:, 0].tolist())
+    return functools.partial(_tree_walk, cKDTree(pts) if grid is None else grid, pts)
+
+
+def _tree_walk(tree: cKDTree, pts: np.ndarray, r: float, centres=None) -> list:
+    centres = pts if centres is None else centres
+    targets, i, covered = [], 0, np.zeros(pts.shape[0], dtype=bool)
+    while i < covered.size:
+        covered[tree.query_ball_point(centres[i], r, return_sorted=False)] = True
+        if not covered[i]:
+            raise ValidationError(f"point {i} lies outside its own r={r:g} ball")
+        targets.append(i)
+        width = 64
+        while i < covered.size and covered[i]:
+            window = covered[i:i + width]
+            k = int(window.argmin())
+            i += window.size if window[k] else k
+            width *= 2
+    return targets
+
+
 def _dedupe(points: np.ndarray, threshold: float) -> tuple:
     """(kept, moved): the lexicographically-first point of every cluster of
     radius threshold, and the largest distance from a dropped point to the
     kept ones; points must be lexsorted (_lexsort_points).  A point is dropped
-    iff a kept earlier one is within the threshold, by a pair query, or on the
-    line by _line_walk over just the points with a neighbour that close."""
+    iff a kept earlier one is within the threshold, so the kept points are
+    the greedy threshold-cover's targets (_greedy_walk), walked over just the
+    points with a neighbour that close: adjacent on the line, in a pair
+    query in d dimensions."""
     if points.shape[0] >= 2:
         # Exact duplicates first (cheap, and maps with collapsing branches
         # can produce huge numbers of them): sorted, they are adjacent rows,
@@ -318,20 +350,18 @@ def _dedupe(points: np.ndarray, threshold: float) -> tuple:
         points = points[np.r_[True, (points[1:] != points[:-1]).any(axis=1)]]
     if threshold <= 0 or points.shape[0] < 2:
         return points, 0.0
-    drop = np.zeros(points.shape[0], dtype=bool)
+    drop = np.zeros(points.shape[0], dtype=bool)   # first: has a neighbour that close
     if points.shape[1] == 1:
         close = np.diff(points[:, 0]) <= threshold
-        near = np.flatnonzero(np.r_[close, False] | np.r_[False, close])
-        drop[near] = True
-        drop[near[_line_walk(points[near, 0].tolist(), threshold)]] = False
+        drop[:-1] |= close
+        drop[1:] |= close
     else:
-        pairs = np.sort(cKDTree(points).query_pairs(threshold, output_type="ndarray"), axis=1)
-        for a, b in pairs[np.argsort(pairs[:, 0], kind="stable")].tolist():
-            if not drop[a]:
-                drop[b] = True
+        drop[cKDTree(points).query_pairs(threshold, output_type="ndarray")] = True
+    near = np.flatnonzero(drop)
+    if near.size == 0:
+        return points, 0.0
+    drop[near[_greedy_walk(points[near])(threshold)]] = False
     kept = points[~drop]
-    if not drop.any():
-        return kept, 0.0
     return kept, float(cKDTree(kept).query(points[drop])[0].max())
 
 

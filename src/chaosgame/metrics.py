@@ -12,7 +12,6 @@ are recoverable.
 from __future__ import annotations
 
 import bisect
-import functools
 import math
 from dataclasses import dataclass
 
@@ -20,7 +19,7 @@ import numpy as np
 from scipy.spatial import cKDTree
 
 from .errors import CapExceededError, ValidationError
-from .ifs import AttractorCloud, IfsSystem, _as_vector, _line_walk, _point_set, run_orbit
+from .ifs import AttractorCloud, IfsSystem, _as_vector, _greedy_walk, _point_set, run_orbit
 
 DEFAULT_ORBIT_CAP = 10 ** 7
 _FIRST_CHUNK = 128
@@ -193,22 +192,28 @@ class _LineCover:
         eps, p = self.eps, self.uncovered
         order = np.argsort(ys, kind="stable")
         srt = ys[order]
-        # Only cloud points within eps of the chunk's range can be hit.
-        lowest, highest = srt[0], srt[-1]
-        a = _settle(p, np.searchsorted(p, [lowest - eps], "left"),
-                    lambda v, q: lowest - v > eps)[0]
-        b = _settle(p, np.searchsorted(p, [highest + eps], "right"),
-                    lambda v, q: v - highest <= eps)[0]
+        # Only cloud points within eps of the chunk's range can be hit: from
+        # the first near its lowest point to the last near its highest.
+        (a, _), (_, b) = _window(p, srt[[0, -1]], eps)
         near = p[a:b]
-        lo = _settle(srt, np.searchsorted(srt, near - eps, "left"),
-                     lambda y, q: y - near[q] < -eps)
-        hi = _settle(srt, np.searchsorted(srt, near + eps, "right"),
-                     lambda y, q: y - near[q] <= eps)
+        lo, hi = _window(srt, near, eps)
         hit = lo < hi
         if hit.all() and near.size == p.size:
             return int(at[_range_min(order, lo, hi).max()])
         self.uncovered = np.concatenate([p[:a], near[~hit], p[b:]])
         return None
+
+
+def _window(srt: np.ndarray, centres: np.ndarray, r) -> tuple:
+    """(lo, hi) per centre c: srt[lo:hi] are the values y of the ascending
+    array srt with abs(y - c) <= r in floating point (r a float or one per
+    centre), found by searchsorted and settled by that exact test."""
+    r = np.full(centres.shape, r)
+    lo = _settle(srt, np.searchsorted(srt, centres - r, "left"),
+                 lambda y, q: y - centres[q] < -r[q])
+    hi = _settle(srt, np.searchsorted(srt, centres + r, "right"),
+                 lambda y, q: y - centres[q] <= r[q])
+    return lo, hi
 
 
 def _settle(srt: np.ndarray, guess: np.ndarray, below) -> np.ndarray:
@@ -313,11 +318,12 @@ def covering_estimate(points, eps: float) -> CoverEstimate:
     cloud a radius is walked once: lower(eps) of an r = 1/2 ladder is
     upper(2*eps).  With a cache directory the memo is kept in the cloud's
     cache file (read_cloud, and run_experiment's rewrite through
-    write_cloud), so a radius walked in one run is not walked in the next.  Both counts come from _greedy_walk,
-    shared with build_sigma: a ball at c holds p when abs(p - c) <= r in
-    1-d, and sum((p - c)**2) <= r**2, cKDTree's test, in d dimensions.  As
-    in recovery_time, cKDTree applies the 1-d test too while r**2 is a
-    normal float (r > ~1.5e-154).
+    write_cloud), so a radius walked in one run is not walked in the next.
+    Both counts come from ifs._greedy_walk, shared with build_sigma and
+    cloud thinning: a ball at c holds p when abs(p - c) <= r in 1-d, and
+    sum((p - c)**2) <= r**2, cKDTree's test, in d dimensions.  As in
+    recovery_time, cKDTree applies the 1-d test too while r**2 is a normal
+    float (r > ~1.5e-154).
     """
     memo, grid = {}, None
     if isinstance(points, AttractorCloud):
@@ -333,36 +339,6 @@ def covering_estimate(points, eps: float) -> CoverEstimate:
             walk = walk or _greedy_walk(pts, grid)
             memo[r] = len(walk(r))
     return CoverEstimate(eps=float(eps), lower=memo[2.0 * eps], upper=memo[eps])
-
-
-def _greedy_walk(pts: np.ndarray, grid: cKDTree | None = None):
-    """walk(r, centres=None) -> the targets of the greedy r-cover of pts in
-    order: each is the first uncovered point, its ball is centred at
-    centres[target] (default: the target), and one outside its own ball
-    raises ValidationError.  On ascending 1-d input the covered points form
-    a prefix, so the next target is the first p with p - c > r: bisection
-    settled by the exact test.  Other input ball-queries grid (built over
-    pts when None) and skips covered runs in numpy slices."""
-    if pts.shape[1] == 1 and (pts[1:, 0] >= pts[:-1, 0]).all():
-        return functools.partial(_line_walk, pts[:, 0].tolist())
-    return functools.partial(_tree_walk, cKDTree(pts) if grid is None else grid, pts)
-
-
-def _tree_walk(tree: cKDTree, pts: np.ndarray, r: float, centres=None) -> list:
-    centres = pts if centres is None else centres
-    targets, i, covered = [], 0, np.zeros(pts.shape[0], dtype=bool)
-    while i < covered.size:
-        covered[tree.query_ball_point(centres[i], r, return_sorted=False)] = True
-        if not covered[i]:
-            raise ValidationError(f"point {i} lies outside its own r={r:g} ball")
-        targets.append(i)
-        width = 64
-        while i < covered.size and covered[i]:
-            window = covered[i:i + width]
-            k = int(window.argmin())
-            i += window.size if window[k] else k
-            width *= 2
-    return targets
 
 
 def box_dimension(cloud: AttractorCloud, a: float, r: float,

@@ -29,9 +29,8 @@ def sierpinski_cloud():
 
 @pytest.fixture(scope="module")
 def slow_schedule(cantor, cantor_cloud_fine):
-    base = cg.choose_base_map(cantor, cantor_cloud_fine)
     return cg.build_schedule(cantor, cantor_cloud_fine, cg.power_rate(1.0),
-                             base, k_max=3, step_cap=5 * 10 ** 6)
+                             k_max=3, step_cap=5 * 10 ** 6)
 
 
 def _dist_to_attractor(cloud, x0) -> float:

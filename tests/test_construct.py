@@ -1,6 +1,5 @@
 """Rate functions, base-map choice, covering words, slow-driver schedules."""
 
-import dataclasses
 import hashlib
 import itertools
 import math
@@ -29,33 +28,11 @@ class TestRateFunction:
         assert cg.iterexp_rate(3)(0.9) == pytest.approx(math.exp(math.exp(1 / 0.9)))
         assert math.isinf(cg.iterexp_rate(2)(1e-4))   # saturates, flagged by callers
 
-    def test_bounding_self_check(self):
-        # For a point on the attractor (base_distance = diam A = 1) the
-        # bounding rate evaluated at c_{m-1} = L^{m-1} * diam A returns
-        # K^m * alpha(K) exactly (with exponent q = ln K / ln(1/L)).
-        K, L, alpha = 2, 1 / 3, 2
-        q = math.log(K) / math.log(1 / L)
-        psi = cg.bounding_rate(K, alpha, 1.0, q)
-        for m in (3, 5, 8):
-            eps = L ** (m - 1)
-            assert psi(eps) == pytest.approx(K ** m * alpha, rel=1e-9)
-
-    def test_table_interpolation_and_divergence_check(self):
-        psi = cg.table_rate([(0.1, 10.0), (0.01, 100.0)])
-        assert psi(0.1) == pytest.approx(10.0)
-        assert psi(0.01) == pytest.approx(100.0)
-        assert psi(0.031622776601683794) == pytest.approx(31.62, rel=1e-2)
-        with pytest.raises(ValidationError, match="increase"):
-            cg.table_rate([(0.1, 10.0), (0.01, 5.0)])
-
     def test_names_pinned(self):
         # The slow driver's description, and so every recovery.csv row it
         # drives, embeds these names.
         assert cg.power_rate(1).name == "power(z=1)"
         assert cg.iterexp_rate(2).name == "iterexp(n=2)"
-        assert cg.bounding_rate(2, 2, 1.5, 0.63).name == \
-            "bounding(K=2,alpha=2,base_distance=1.5,exponent=0.63)"
-        assert cg.table_rate([(0.1, 10.0), (0.01, 100.0)]).name == "table(2 samples)"
 
 
 class TestChooseBaseMap:
@@ -145,9 +122,8 @@ class TestBuildSigma:
         ifs = cfg.build_ifs()
         cloud = cg.build_cloud(ifs, cfg.resolution, cfg.point_budget)
         schedule = cg.build_schedule(
-            ifs, cloud, cg.power_rate(cfg.param("z")), cg.choose_base_map(ifs, cloud),
-            k_max=cfg.param("k_max"), step_cap=cfg.param("step_cap"),
-            budget=cfg.point_budget)
+            ifs, cloud, cg.power_rate(cfg.param("z")), k_max=cfg.param("k_max"),
+            step_cap=cfg.param("step_cap"), budget=cfg.point_budget)
         words = [e.sigma for e in schedule.entries]
         assert [len(w) for w in words] == [24, 2048, 245760]
         digest = hashlib.sha256(b"".join(w.astype(np.uint8).tobytes()
@@ -268,9 +244,8 @@ class TestBuildSigmaOracle:
 
 @pytest.fixture(scope="module")
 def schedule(cantor, cantor_cloud_fine):
-    base = cg.choose_base_map(cantor, cantor_cloud_fine)
     return cg.build_schedule(cantor, cantor_cloud_fine, cg.power_rate(1.0),
-                             base, k_max=3, step_cap=5 * 10 ** 6)
+                             k_max=3, step_cap=5 * 10 ** 6)
 
 
 class TestBuildSchedule:
@@ -303,9 +278,8 @@ class TestBuildSchedule:
     def test_equal_words_are_one_array(self, cantor, cantor_cloud_fine):
         # Every run rebuilds its schedule; a report that keeps one must not
         # keep another copy of each word.
-        base = cg.choose_base_map(cantor, cantor_cloud_fine)
         first, again = (cg.build_schedule(cantor, cantor_cloud_fine, cg.power_rate(1.0),
-                                          base, k_max=3) for _ in range(2))
+                                          k_max=3) for _ in range(2))
         assert len(first.entries) == 3
         for a, b in zip(first.entries, again.entries, strict=True):
             assert a.sigma is b.sigma
@@ -315,32 +289,23 @@ class TestBuildSchedule:
         assert schedule.C_of(schedule.entries[0].m) < schedule.base.delta / 2
 
     def test_too_slow_rate_rejected(self, cantor, cantor_cloud_fine):
-        # psi(eps) = ln(1/eps): the ratio m*N(C_m)/psi(3*C_m) rises, so the
-        # divergence precondition fails.
-        L = cantor.lip_max
-        samples = [(3 * L ** m * 2.0, math.log(1 / (3 * L ** m * 2.0)))
-                   for m in range(2, 17)]
-        psi = cg.table_rate(samples)
-        base = cg.choose_base_map(cantor, cantor_cloud_fine)
+        # psi(eps) = ln(1 + 1/eps): the ratio m*N(C_m)/psi(3*C_m) rises, so
+        # the divergence precondition fails.
+        psi = cg.RateFunction("log1p", math.log1p)
         with pytest.raises(ValidationError, match="too slowly"):
-            cg.build_schedule(cantor, cantor_cloud_fine, psi, base, k_max=2)
+            cg.build_schedule(cantor, cantor_cloud_fine, psi, k_max=2)
 
     def test_truncation_flag(self, cantor, cantor_cloud_fine):
-        base = cg.choose_base_map(cantor, cantor_cloud_fine)
         sch = cg.build_schedule(cantor, cantor_cloud_fine, cg.power_rate(1.0),
-                                base, k_max=5, step_cap=10 ** 4)
+                                k_max=5, step_cap=10 ** 4)
         assert sch.truncated
         assert len(sch.entries) >= 1
 
-    def test_base_ball_holding_the_whole_cloud_rejected(self, cantor,
-                                                        cantor_cloud_coarse):
-        # With no cloud point outside B(x_star, delta) the outside cover is
-        # empty, so no depth could ever pass the m-search.
-        base = dataclasses.replace(cg.choose_base_map(cantor, cantor_cloud_coarse),
-                                   delta=2.0)
-        with pytest.raises(ValidationError, match="outside the base map's delta=2 ball"):
-            cg.build_schedule(cantor, cantor_cloud_coarse, cg.power_rate(1.0), base,
-                              k_max=1)
+    def test_base_map_is_choose_base_maps(self, schedule, cantor, cantor_cloud_fine):
+        base = cg.choose_base_map(cantor, cantor_cloud_fine)
+        assert (schedule.base.i_star, schedule.base.delta, schedule.base.outside_count) == \
+            (base.i_star, base.delta, base.outside_count)
+        assert schedule.base.x_star.tobytes() == base.x_star.tobytes()
 
 
 class TestSlowDriver:

@@ -235,9 +235,7 @@ class TestWordCoverage:
 def _slow_schedule():
     cantor = cg.cantor_ifs()
     cloud = cg.build_cloud(cantor, 1e-5)
-    base = cg.choose_base_map(cantor, cloud)
-    return cg.build_schedule(cantor, cloud, cg.power_rate(1.0), base,
-                             k_max=2, step_cap=100000)
+    return cg.build_schedule(cantor, cloud, cg.power_rate(1.0), k_max=2, step_cap=100000)
 
 
 def _slow_driver():
@@ -345,13 +343,14 @@ class TestRunStorage:
         i_star = schedule.base.i_star
         assert [p for p in d._pieces if isinstance(p, cg.Run)] == \
             [cg.Run(i_star, e.p) for e in schedule.entries]
-        # The sigma words, kept as the schedule's own arrays, and one tail
-        # block; the runs add nothing.
+        # The sigma words, kept as the schedule's own arrays, and the tail's
+        # first Champernowne block, its K words of length 1; the runs add
+        # nothing.
         arrays = [p for p in d._pieces if not isinstance(p, cg.Run)]
         assert len(arrays) == len(schedule.entries) + 1
         assert all(p is e.sigma for p, e in zip(arrays, schedule.entries))
         assert sum(p.size for p in arrays) == \
-            sum(len(e.sigma) for e in schedule.entries) + 4096
+            sum(len(e.sigma) for e in schedule.entries) + schedule.alphabet_size
 
     def test_example4_stores_only_runs(self):
         d = cg.example4_driver(1.0)

@@ -329,33 +329,47 @@ def test_dedupe_drops_the_exact_duplicates_np_unique_drops(rows):
 
 
 def _pair_greedy(points, threshold):
-    """Oracle for _dedupe's thinning: every pair within the threshold from
-    one kd-tree query, taken by lower index; a point is dropped iff a kept
-    earlier point is in a pair with it."""
+    """Oracle for _dedupe's thinning, (kept, moved): every pair within the
+    threshold from one kd-tree query, taken by lower index; a point is
+    dropped iff a kept earlier point is in a pair with it."""
     pairs = cKDTree(points).query_pairs(threshold, output_type="ndarray")
     drop = np.zeros(points.shape[0], dtype=bool)
     for a, b in sorted(map(tuple, np.sort(pairs, axis=1).tolist())):
         if not drop[a]:
             drop[b] = True
-    return points[~drop]
+    kept = points[~drop]
+    return kept, (cKDTree(kept).query(points[drop])[0].max() if drop.any() else 0.0)
 
 
-@given(values=st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(-2.0, 2.0),
-                       min_size=1, max_size=200),
-       threshold=st.sampled_from([0.25, 0.5, 1e-3]) | st.floats(1e-6, 1.0))
-@settings(max_examples=200, deadline=None)
-def test_line_thinning_matches_the_pair_greedy(values, threshold):
-    # On the line _dedupe walks the sorted points instead of listing pairs;
-    # distances of exactly the threshold come from the dyadic values.
+def _check_thinning(rows, threshold):
     from chaosgame.ifs import _dedupe, _lexsort_points
 
-    pts = _lexsort_points(np.array(values)[:, None])
-    unique = pts[np.r_[True, pts[1:, 0] != pts[:-1, 0]]]
+    pts = _lexsort_points(np.array(rows))
+    unique = pts[np.r_[True, (pts[1:] != pts[:-1]).any(axis=1)]]
     kept, moved = _dedupe(pts, threshold)
-    want = _pair_greedy(unique, threshold)
+    want, want_moved = _pair_greedy(unique, threshold)
     assert kept.tobytes() == want.tobytes()
-    dropped = np.setdiff1d(unique[:, 0], kept[:, 0])
-    assert moved == (cKDTree(kept).query(dropped[:, None])[0].max() if dropped.size else 0.0)
+    assert moved == want_moved
+
+
+# Dyadic coordinates give distances of exactly the threshold.
+_COORDS = st.sampled_from([0.0, 0.25, 0.5, 1.0]) | st.floats(-2.0, 2.0)
+_THRESHOLDS = st.sampled_from([0.25, 0.5, 1e-3]) | st.floats(1e-6, 1.0)
+
+
+@given(values=st.lists(_COORDS, min_size=1, max_size=200), threshold=_THRESHOLDS)
+@settings(max_examples=200, deadline=None)
+def test_line_thinning_matches_the_pair_greedy(values, threshold):
+    # On the line _dedupe walks the sorted points instead of listing pairs.
+    _check_thinning(np.array(values)[:, None], threshold)
+
+
+@given(rows=st.lists(st.tuples(_COORDS, _COORDS), min_size=1, max_size=200),
+       threshold=_THRESHOLDS)
+@settings(max_examples=200, deadline=None)
+def test_plane_thinning_matches_the_pair_greedy(rows, threshold):
+    # In the plane _dedupe ball-queries the points that have a pair.
+    _check_thinning(rows, threshold)
 
 
 def test_dense_line_system_thins_without_a_pair_array():
@@ -379,6 +393,32 @@ def test_dense_line_system_thins_without_a_pair_array():
     assert peak < 100 * 2 ** 20
     deep = _hutchinson_points(ifs, 10)
     assert cloud.grid.query(deep)[0].max() <= cloud.resolution
+
+
+def test_dense_plane_system_thins_without_a_pair_loop():
+    # Four maps 0.6 I with nearby offsets: depth 8 has 65,536 points with
+    # 461,336 pairs within resolution/4.  The walk keeps what the pair loop
+    # kept and holds little beyond the input points.
+    import tracemalloc
+
+    from chaosgame.ifs import _dedupe, _diameter, _hutchinson_points, _lexsort_points
+
+    rng = np.random.default_rng(1)
+    ifs = cg.IfsSystem.create(cg.AffineMap.create(0.6 * np.eye(2), rng.random(2) * 0.2)
+                              for _ in range(4))
+    pts = _lexsort_points(_hutchinson_points(ifs, 8))
+    shrink = ifs.lip_max ** 8
+    threshold = shrink * (_diameter(pts) / (1.0 - 2.0 * shrink)) / 4.0
+    tracemalloc.start()
+    try:
+        kept, moved = _dedupe(pts, threshold)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2 ** 20
+    want, want_moved = _pair_greedy(pts, threshold)
+    assert kept.shape[0] == 10333
+    assert kept.tobytes() == want.tobytes() and moved == want_moved
 
 
 _RADII = (st.floats(min_value=0.0, exclude_min=True, allow_nan=False)

@@ -616,7 +616,7 @@ class TestPlaneCovering:
         def no_new_tree(*args, **kwargs):
             raise AssertionError("covering_estimate built a kd-tree")
 
-        monkeypatch.setattr(metrics, "cKDTree", no_new_tree)
+        monkeypatch.setattr(cg.ifs, "cKDTree", no_new_tree)
         assert [cg.covering_estimate(cloud, 2.0 ** -k) for k in (2, 5, 8)] == expected
 
 
@@ -624,7 +624,7 @@ def _walk_radii(monkeypatch):
     """Record (size of the walked set, r) for every greedy walk centred on
     its own targets; build_sigma's walks, centred elsewhere, are left out."""
     radii = []
-    line, tree = metrics._line_walk, metrics._tree_walk
+    line, tree = cg.ifs._line_walk, cg.ifs._tree_walk
 
     def line_walk(values, r, centres=None):
         if centres is None:
@@ -636,8 +636,8 @@ def _walk_radii(monkeypatch):
             radii.append((len(pts), r))
         return tree(grid, pts, r, centres)
 
-    monkeypatch.setattr(metrics, "_line_walk", line_walk)
-    monkeypatch.setattr(metrics, "_tree_walk", tree_walk)
+    monkeypatch.setattr(cg.ifs, "_line_walk", line_walk)
+    monkeypatch.setattr(cg.ifs, "_tree_walk", tree_walk)
     return radii
 
 
@@ -685,9 +685,8 @@ class TestCoverMemo:
 
     def test_build_schedule_walks_each_cloud_radius_once(self, monkeypatch, cantor):
         cloud = cg.build_cloud(cantor, 3e-7)     # the slow-cantor cloud
-        base = cg.choose_base_map(cantor, cloud)
         radii = _walk_radii(monkeypatch)
-        schedule = cg.build_schedule(cantor, cloud, cg.power_rate(1.0), base,
+        schedule = cg.build_schedule(cantor, cloud, cg.power_rate(1.0),
                                      k_max=3, step_cap=5 * 10 ** 6)
         on_cloud = [r for size, r in radii if size == cloud.size]
         assert len(schedule.entries) == 3 and on_cloud
