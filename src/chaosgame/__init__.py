@@ -7,8 +7,8 @@ experiments from the CLI.
 """
 
 from .construct import (BaseMapChoice, RateFunction, Schedule, ScheduleEntry,
-                        build_schedule, build_sigma, choose_base_map,
-                        iterexp_rate, power_rate, slow_driver)
+                        build_schedule, build_sigma, iterexp_rate, power_rate,
+                        slow_driver)
 from .drivers import (CoverageStat, DriverStream, Run, Word, alpha, champernowne,
                       champernowne_coverage_bound, de_bruijn_word,
                       example4_block_start, example4_driver, example4_k0,

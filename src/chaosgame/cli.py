@@ -23,13 +23,14 @@ from pathlib import Path
 import numpy as np
 
 from . import drivers as drv
-from .construct import RATE_KINDS, build_schedule, slow_driver
+from .construct import DEFAULT_STEP_CAP, RATE_KINDS, build_schedule, slow_driver
 from .errors import (CapExceededError, ChaosGameError, InternalInvariantError,
                      ValidationError)
-from .harness import (_IFS_FACTORIES, PRESETS, _dimension_csv, _fmt, _schedule_csv,
-                      load_preset, parse_config, run_experiment, write_artifacts)
-from .ifs import build_cloud, read_cloud, write_cloud
-from .metrics import box_dimension, log_rate, recovery_time
+from .harness import (_IFS_FACTORIES, PRESETS, _dimension_csv, _fmt, _recovery_csv,
+                      _schedule_csv, load_preset, parse_config, run_experiment,
+                      write_artifacts)
+from .ifs import DEFAULT_POINT_BUDGET, build_cloud, read_cloud, write_cloud
+from .metrics import DEFAULT_ORBIT_CAP, box_dimension, recovery_time
 
 # The driver kinds the CLI can build: the literal one needs a word.
 _CLI_DRIVERS = [kind for kind in drv.DRIVER_KINDS if kind != "literal"]
@@ -102,11 +103,7 @@ def _cmd_recover(args) -> int:
     record = recovery_time(ifs, driver, x0, args.eps, cloud, cap=cap)
     if record.n is None:
         raise CapExceededError(f"recovery did not complete within cap {cap}")
-    rate = log_rate(record.n, record.eps)
-    rate_field = "undefined" if rate is None else _fmt(rate)
-    print("driver,x0,eps,n,guard,log_rate")
-    print(f"{record.driver},{args.x0},{_fmt(record.eps)},{record.n},"
-          f"{_fmt(record.guard)},{rate_field}")
+    sys.stdout.write(_recovery_csv([record]))
     return 0
 
 
@@ -122,7 +119,8 @@ def _cmd_schedule(args) -> int:
     drv.check_segment(0, args.emit)
     k_max = _least("--k-max", args.k_max, 1)
     step_cap = _least("--step-cap", args.step_cap, 1)
-    psi = RATE_KINDS[args.psi](vars(args))
+    key, rate = RATE_KINDS[args.psi]
+    psi = rate(getattr(args, key))   # before the cloud: a bad z or order exits at once
     ifs = _IFS_FACTORIES[args.ifs]()
     cloud = build_cloud(ifs, args.resolution)
     schedule = build_schedule(ifs, cloud, psi, k_max=k_max, step_cap=step_cap)
@@ -179,7 +177,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_build.add_argument("--ifs", required=True, choices=list(_IFS_FACTORIES))
     p_build.add_argument("--resolution", type=float, required=True)
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--cap", type=int, default=2 ** 24,
+    p_build.add_argument("--cap", type=int, default=DEFAULT_POINT_BUDGET,
                          help="point budget")
     p_info = cloud_sub.add_parser("info")
     p_info.add_argument("path")
@@ -208,7 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--resolution", type=float, default=1e-6)
     p_rec.add_argument("--z", type=float, default=1.0)
     p_rec.add_argument("--seed", type=int, default=0)
-    p_rec.add_argument("--cap", type=int, default=10 ** 7)
+    p_rec.add_argument("--cap", type=int, default=DEFAULT_ORBIT_CAP)
 
     p_dim = sub.add_parser("dim", help="box-dimension estimate")
     p_dim.add_argument("--ifs", required=True, choices=list(_IFS_FACTORIES))
@@ -224,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sch.add_argument("--z", type=float, default=1.0)
     p_sch.add_argument("--order", type=int, default=2)
     p_sch.add_argument("--k-max", type=int, default=3)
-    p_sch.add_argument("--step-cap", type=int, default=5 * 10 ** 6)
+    p_sch.add_argument("--step-cap", type=int, default=DEFAULT_STEP_CAP)
     p_sch.add_argument("--resolution", type=float, default=3e-7)
     p_sch.add_argument("--emit", type=int, default=0, metavar="N",
                        help="also print the first N driver symbols")

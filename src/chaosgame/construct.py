@@ -25,6 +25,7 @@ from .ifs import AttractorCloud, IfsSystem, _greedy_walk, _hutchinson_points, fi
 from .metrics import _range_min, _window, covering_estimate
 
 DEFAULT_ADDRESS_BUDGET = 2 ** 24
+DEFAULT_STEP_CAP = 5 * 10 ** 6   # most symbols the schedule's blocks may hold
 _MIN_OUTSIDE = 8   # cloud points a base map must leave outside its delta-ball
 _EXP_OVERFLOW = 700.0  # exp argument beyond which float64 overflows
 # Each run rebuilds its covering words; equal ones share one read-only array.
@@ -72,9 +73,8 @@ def iterexp_rate(n: int) -> RateFunction:
     return RateFunction(f"iterexp(n={n})", formula)
 
 
-# The slow driver's psi kinds -> constructor(params); params supply z or order.
-RATE_KINDS = {"power": lambda p: power_rate(p["z"]),
-              "iterexp": lambda p: iterexp_rate(p["order"])}
+# The slow driver's psi kinds -> (the one [driver] key each reads, its builder).
+RATE_KINDS = {"power": ("z", power_rate), "iterexp": ("order", iterexp_rate)}
 
 
 @dataclass(frozen=True)
@@ -121,19 +121,11 @@ class Schedule:
         return 3.0 * self.C_of(self.entries[k - 1].m)
 
 
-def choose_base_map(ifs: IfsSystem, cloud: AttractorCloud) -> BaseMapChoice:
-    """First map whose fixed point excludes an accumulating chunk of the cloud.
-
-    delta = diam_lower / 4.  A candidate is accepted when at least
-    _MIN_OUTSIDE cloud points lie outside B(x_star, delta) and two
-    of those points sit within twice the cloud resolution of each other
-    (accumulation at the deepest refinement).
-    """
-    return _base_and_outside(ifs, cloud)[0]
-
-
 def _base_and_outside(ifs: IfsSystem, cloud: AttractorCloud) -> tuple:
-    """(choose_base_map's choice, the cloud points outside its delta-ball)."""
+    """(the base map, the cloud points outside its ball B(x_star, delta)): the
+    first map whose fixed point x_star leaves at least _MIN_OUTSIDE cloud points
+    outside the ball, delta = diam_lower / 4, two of them within twice the cloud
+    resolution of each other (an accumulating chunk of the cloud)."""
     if cloud.size < 2 * _MIN_OUTSIDE:
         raise ValidationError("cloud too small to certify an infinite attractor")
     delta = cloud.diam_lower / 4.0
@@ -213,11 +205,11 @@ def _nearest_address(addr: np.ndarray, pts: np.ndarray) -> np.ndarray:
 
 
 def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
-                   k_max: int, step_cap: int = 5 * 10 ** 6,
+                   k_max: int, step_cap: int = DEFAULT_STEP_CAP,
                    budget: int = DEFAULT_ADDRESS_BUDGET) -> Schedule:
     """Block schedule (m_k, p_k, sigma_k) realizing recovery times ~ psi.
 
-    The base map is choose_base_map's, whose delta-ball leaves at least
+    The base map is _base_and_outside's, whose delta-ball leaves at least
     _MIN_OUTSIDE cloud points outside.  Conditions enforced per block, with
     eps_k = 3*C_{m_k}:
       - C_{m_1} < delta/2 picks m_1;

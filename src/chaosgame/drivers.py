@@ -45,9 +45,6 @@ class Word:
     def __len__(self):
         return len(self.symbols)
 
-    def __getitem__(self, i):
-        return self.symbols[i]
-
 
 class Run(NamedTuple):
     """count copies of symbol, which DriverStream stores in O(1)."""
@@ -252,24 +249,21 @@ def _complete_trail(K, V, used, end, start, pref):
     tail, stuck = walk(end)
     if stuck != start:
         return None
+    # One forward pass: a node before a splice never regains an unused edge.
     remaining = used.count(0)
-    while remaining > 0:
-        node = end
-        spliced = False
-        for i in range(len(tail) + 1):
-            if 0 in used[node * K:node * K + K]:
-                cyc, back = walk(node)
-                if back != node or not cyc:
-                    return None
-                tail[i:i] = cyc
-                remaining -= len(cyc)
-                spliced = True
-                break
-            if i < len(tail):
-                node = (node * K + (tail[i] - 1)) % V
-        if not spliced:
+    node = end
+    for i in itertools.count():
+        if not remaining:
+            return tail
+        if 0 in used[node * K:node * K + K]:
+            cyc, back = walk(node)
+            if back != node:
+                return None
+            tail[i:i] = cyc
+            remaining -= len(cyc)
+        if i == len(tail):
             return None
-    return tail
+        node = (node * K + (tail[i] - 1)) % V
 
 
 def extend_de_bruijn(word: Word, K: int) -> Word:

@@ -58,10 +58,12 @@ from pathlib import Path
 import numpy as np
 
 from . import drivers as drv
-from .construct import RATE_KINDS, Schedule, build_schedule, power_rate, slow_driver
+from .construct import (DEFAULT_STEP_CAP, RATE_KINDS, Schedule, build_schedule,
+                        power_rate, slow_driver)
 from .errors import ValidationError
-from .ifs import (AffineMap, AttractorCloud, IfsSystem, build_cloud, cantor_ifs,
-                  halving_ifs, read_cloud, segment_ifs, sierpinski_ifs, write_cloud)
+from .ifs import (DEFAULT_POINT_BUDGET, AffineMap, AttractorCloud, IfsSystem,
+                  build_cloud, cantor_ifs, halving_ifs, read_cloud, segment_ifs,
+                  sierpinski_ifs, write_cloud)
 from .metrics import (CoverEstimate, DimensionEstimate, RecoveryRecord,
                       box_dimension, covering_estimate, log_rate, rate_ratio,
                       recovery_time)
@@ -78,12 +80,24 @@ _IFS_FACTORIES = {   # cached: each map keeps its plain-float form (on_floats)
 _DRIVER_KEYS_BY_KIND = {   # the [driver] keys each kind takes besides kind
     **dict.fromkeys(drv.DRIVER_KINDS, ()),
     "example4": ("z",), "literal": ("symbols",),
-    "slow": ("psi", "z", "order", "k_max", "step_cap"),
+    "slow": ("psi", "k_max", "step_cap", *(key for key, _ in RATE_KINDS.values())),
 }
+_GEOM = ("a", "r", "m_lo", "m_hi")   # the [eps] keys of the geometric form
 
 
 def _fmt(v: float) -> str:
     return f"{float(v):.17g}"
+
+
+def _text(value) -> str:
+    """A config value or CSV x0 as text: bools as true/false, floats by _fmt,
+    ints by str, sequences space-joined and a tuple of points '; '-joined."""
+    if isinstance(value, (tuple, np.ndarray)):
+        points = len(value) > 0 and isinstance(value[0], tuple)
+        return ("; " if points else " ").join(map(_text, value))
+    if isinstance(value, bool):
+        return str(value).lower()
+    return _fmt(value) if isinstance(value, float) else str(value)
 
 
 @dataclass(frozen=True)
@@ -181,10 +195,10 @@ _FIELDS = {
         "kind": (str, "a driver kind", _REQUIRED),
         "z": (_number, "a finite number", None),
         "symbols": (lambda raw: tuple(int(t) for t in raw.split()), "integers", None),
-        "psi": (_where(str, lambda v: v in RATE_KINDS), "power | iterexp", None),
+        "psi": (_where(str, lambda v: v in RATE_KINDS), " | ".join(RATE_KINDS), None),
         "order": (*_POSITIVE_INT, None),
         "k_max": (*_POSITIVE_INT, 3),
-        "step_cap": (*_POSITIVE_INT, 5 * 10 ** 6),
+        "step_cap": (*_POSITIVE_INT, DEFAULT_STEP_CAP),
     },
     "eps": {
         "a": (*_POSITIVE, None),
@@ -201,7 +215,7 @@ _FIELDS = {
                       bool), "finite numbers, ';' between points", _REQUIRED),
         "resolution": (*_POSITIVE, None),
         "orbit_cap": (*_COUNT, 10 ** 6),
-        "point_budget": (*_POSITIVE_INT, 2 ** 24),
+        "point_budget": (*_POSITIVE_INT, DEFAULT_POINT_BUDGET),
         "dimension": (*_BOOL, False),
         "exact_attractor": (*_BOOL, False),
     },
@@ -288,9 +302,8 @@ def parse_config(text: str) -> ExperimentConfig:
             if key != "kind" and key not in _DRIVER_KEYS_BY_KIND[kind]:
                 errors.append(f"key '{key}' in [driver] does not apply to kind {kind}")
         wanted = _DRIVER_KEYS_BY_KIND[kind]
-        if kind == "slow":   # z or order, as psi says
-            wanted = ["psi", "k_max", "step_cap",
-                      *{"power": ["z"], "iterexp": ["order"]}.get(val["psi"], [])]
+        if kind == "slow":   # and the one key psi reads
+            wanted = ("psi", "k_max", "step_cap", *RATE_KINDS.get(val["psi"], ())[:1])
         for key in wanted:
             if val[key] is None and key not in given["driver"]:
                 errors.append(f"[driver] {kind} requires {key}")
@@ -311,9 +324,9 @@ def parse_config(text: str) -> ExperimentConfig:
             errors.append(f"[eps] list excludes other keys, found {sorted(extra)}")
         eps_schedule = ("list",) + (val["list"] or ())
     else:
-        if not all(key in given["eps"] for key in ("a", "r", "m_lo", "m_hi")):
-            errors.append("[eps] geometric form requires a, r, m_lo, m_hi")
-        a, r, lo, hi = (val[key] for key in ("a", "r", "m_lo", "m_hi"))
+        if not all(key in given["eps"] for key in _GEOM):
+            errors.append("[eps] geometric form requires " + ", ".join(_GEOM))
+        a, r, lo, hi = (val[key] for key in _GEOM)
         if lo is not None and hi is not None and lo > hi:
             errors.append("[eps] m_lo must be <= m_hi")
         elif None not in (a, r, lo, hi):
@@ -376,37 +389,20 @@ def _is_halving(ifs: IfsSystem) -> bool:
 
 
 def emit_config(cfg: ExperimentConfig) -> str:
-    """Canonical text form: fixed ordering, maps expanded, 17-digit floats."""
-    out = io.StringIO()
-    out.write(f"[experiment]\nschema_version = {cfg.schema_version}\n"
-              f"name = {cfg.name}\nseed = {cfg.seed}\n\n[ifs]\n")
-    for i, (mat, off) in enumerate(cfg.ifs_maps, start=1):
-        out.write(f"map{i}.matrix = " + " ".join(_fmt(v) for v in mat) + "\n")
-        out.write(f"map{i}.offset = " + " ".join(_fmt(v) for v in off) + "\n")
-    out.write("\n[driver]\n")
-    out.write(f"kind = {cfg.driver_kind}\n")
-    for key, value in cfg.driver_params:
-        if key == "symbols":
-            out.write("symbols = " + " ".join(str(s) for s in value) + "\n")
-        elif isinstance(value, float):
-            out.write(f"{key} = {_fmt(value)}\n")
-        else:
-            out.write(f"{key} = {value}\n")
-    if cfg.eps_schedule[0] == "geom":
-        _, a, r, lo, hi = cfg.eps_schedule
-        out.write("\n[eps]\n")
-        out.write(f"a = {_fmt(a)}\nr = {_fmt(r)}\nm_lo = {lo}\nm_hi = {hi}\n")
-    elif cfg.eps_schedule[0] == "list":
-        out.write("\n[eps]\n")
-        out.write("list = " + " ".join(_fmt(v) for v in cfg.eps_schedule[1:]) + "\n")
-    out.write("\n[run]\n")
-    out.write("x0 = " + "; ".join(" ".join(_fmt(c) for c in p) for p in cfg.x0) + "\n")
-    if cfg.resolution is not None:
-        out.write(f"resolution = {_fmt(cfg.resolution)}\n")
-    out.write(f"orbit_cap = {cfg.orbit_cap}\npoint_budget = {cfg.point_budget}\n"
-              f"dimension = {'true' if cfg.dimension else 'false'}\n"
-              f"exact_attractor = {'true' if cfg.exact_attractor else 'false'}\n")
-    return out.getvalue()
+    """Canonical text in _FIELDS order, maps expanded, driver keys sorted, by _text."""
+    eps_form, *eps = cfg.eps_schedule
+    sections = {
+        "experiment": {key: getattr(cfg, key) for key in _FIELDS["experiment"]},
+        "ifs": {f"map{i}.{part}": value for i, pair in enumerate(cfg.ifs_maps, start=1)
+                for part, value in zip(("matrix", "offset"), pair)},
+        "driver": {"kind": cfg.driver_kind, **dict(cfg.driver_params)},
+        "eps": {"geom": dict(zip(_GEOM, eps)), "list": {"list": tuple(eps)}}.get(eps_form),
+        "run": {key: getattr(cfg, key) for key in _FIELDS["run"]},
+    }
+    return "\n".join(f"[{section}]\n" + "".join(f"{key} = {_text(value)}\n"
+                                                for key, value in body.items()
+                                                if value is not None)
+                     for section, body in sections.items() if body is not None)
 
 
 @dataclass(frozen=True)
@@ -466,12 +462,16 @@ def make_driver(cfg: ExperimentConfig, ifs: IfsSystem,
         ifs.alphabet_size, {"seed": cfg.seed, **dict(cfg.driver_params)})
 
 
-def _x0_field(point: np.ndarray) -> str:
-    return " ".join(_fmt(c) for c in np.atleast_1d(point))
-
-
 def _csv(header: str, rows) -> str:
     return "".join(line + "\n" for line in (header, *rows))
+
+
+def _recovery_csv(records) -> str:
+    """recovery.csv, whose row the CLI's recover command prints too."""
+    return _csv("driver,x0,eps,n,guard,log_rate", (
+        f"{rec.driver},{_text(rec.x0)},{_fmt(rec.eps)},"
+        f"{'exceeded' if rec.n is None else rec.n},{_fmt(rec.guard)},"
+        f"{_fmt(log_rate(rec.n, rec.eps)) if rec.n else 'undefined'}" for rec in records))
 
 
 def _dimension_csv(est: DimensionEstimate) -> str:
@@ -510,8 +510,9 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
 
     schedule = None
     if cfg.driver_kind == "slow":
-        psi = RATE_KINDS[cfg.param("psi")](dict(cfg.driver_params))
-        schedule = build_schedule(ifs, cloud, psi, k_max=cfg.param("k_max"),
+        key, rate = RATE_KINDS[cfg.param("psi")]
+        schedule = build_schedule(ifs, cloud, rate(cfg.param(key)),
+                                  k_max=cfg.param("k_max"),
                                   step_cap=cfg.param("step_cap"),
                                   budget=cfg.point_budget)
         eps_values = tuple(schedule.eps_of(k)
@@ -535,10 +536,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
         write_cloud(cache_path, cloud)
 
     # ---- artifact emission (all deterministic text) ----
-    artifacts["recovery.csv"] = _csv("driver,x0,eps,n,guard,log_rate", (
-        f"{rec.driver},{_x0_field(rec.x0)},{_fmt(rec.eps)},"
-        f"{'exceeded' if rec.n is None else rec.n},{_fmt(rec.guard)},"
-        f"{_fmt(log_rate(rec.n, rec.eps)) if rec.n else 'undefined'}" for rec in records))
+    artifacts["recovery.csv"] = _recovery_csv(records)
     artifacts["cover.csv"] = _csv("eps,lower,upper", (
         f"{_fmt(c.eps)},{c.lower},{c.upper}" for c in covers))
     if dimension is not None:
@@ -549,7 +547,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
            power_rate(cfg.param("z")) if cfg.driver_kind == "example4" else None)
     if psi is not None:
         artifacts["ratio.csv"] = _csv("x0,eps,n,ratio", (
-            f"{_x0_field(rec.x0)},{_fmt(rec.eps)},{rec.n},"
+            f"{_text(rec.x0)},{_fmt(rec.eps)},{rec.n},"
             f"{_fmt(rate_ratio(rec.n, psi, rec.eps))}"
             for rec in records if rec.n is not None))
 

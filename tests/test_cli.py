@@ -47,6 +47,15 @@ class TestRecover(object):
         assert lines[0] == "driver,x0,eps,n,guard,log_rate"
         assert lines[1].split(",")[3].isdigit()
 
+    def test_row_is_recovery_csvs(self, capsys):
+        # recover prints its row as recovery.csv does: x0 at 17 digits.
+        code, out, _ = run(capsys, "recover", "--ifs", "cantor",
+                           "--driver", "champernowne", "--x0", "0.1",
+                           "--eps", "0.037037037037037035",
+                           "--resolution", "0.0001")
+        assert code == 0
+        assert out.splitlines()[1].split(",")[1] == "0.10000000000000001"
+
     def test_cap_exit_code(self, capsys):
         code, _, err = run(capsys, "recover", "--ifs", "cantor",
                            "--driver", "champernowne", "--x0", "0",

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
 import chaosgame as cg
+from chaosgame.construct import _base_and_outside
 from chaosgame.errors import CapExceededError, ValidationError
 from helpers import cloud_at_depth
 
@@ -37,18 +38,20 @@ class TestRateFunction:
 
 class TestChooseBaseMap:
     def test_cantor_first_map(self, cantor, cantor_cloud_coarse):
-        base = cg.choose_base_map(cantor, cantor_cloud_coarse)
+        base, outside = _base_and_outside(cantor, cantor_cloud_coarse)
         assert base.i_star == 1
         assert base.x_star[0] == 0.0
         assert base.delta == pytest.approx(cantor_cloud_coarse.diam_lower / 4)
         assert base.outside_count >= 8
+        assert outside.shape[0] == base.outside_count
+        assert (np.abs(outside[:, 0] - base.x_star[0]) > base.delta).all()
 
     def test_halving_rejects_isolated_fixed_point(self, halving):
         # i=1 has fixed point 0: outside B(0, delta) lie only finitely many
         # isolated points, so it is rejected; i=2 (x*=1) is accepted because
         # the cloud accumulates at 0, far from 1.
         cloud = cg.build_cloud(halving, 1e-5)
-        base = cg.choose_base_map(halving, cloud)
+        base, _ = _base_and_outside(halving, cloud)
         assert base.i_star == 2
         assert base.x_star[0] == 1.0
 
@@ -57,10 +60,10 @@ class TestChooseBaseMap:
         cloud = cg.build_cloud(ifs, 1e-6)
         if cloud.size < 16:
             with pytest.raises(ValidationError):
-                cg.choose_base_map(ifs, cloud)
+                _base_and_outside(ifs, cloud)
         else:
             with pytest.raises(ValidationError, match="finite or concentrated"):
-                cg.choose_base_map(ifs, cloud)
+                _base_and_outside(ifs, cloud)
 
 
 class TestBuildSigma:
@@ -301,8 +304,8 @@ class TestBuildSchedule:
         assert sch.truncated
         assert len(sch.entries) >= 1
 
-    def test_base_map_is_choose_base_maps(self, schedule, cantor, cantor_cloud_fine):
-        base = cg.choose_base_map(cantor, cantor_cloud_fine)
+    def test_base_map_is_base_and_outsides(self, schedule, cantor, cantor_cloud_fine):
+        base, _ = _base_and_outside(cantor, cantor_cloud_fine)
         assert (schedule.base.i_star, schedule.base.delta, schedule.base.outside_count) == \
             (base.i_star, base.delta, base.outside_count)
         assert schedule.base.x_star.tobytes() == base.x_star.tobytes()

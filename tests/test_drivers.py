@@ -255,6 +255,12 @@ PREFIX_SHA256 = [
      "696fbba24f18a2a6160901b81d46d8a040141960ba33bec211cb7996b3ffe2cc"),
     ("debruijn K=3", lambda: cg.infinite_de_bruijn(3), 2 ** 20,
      "3503e43d832865ab80938f3f314ee8955ff24d13366abbe17de8e251c1bd2af2"),
+    # K = 4 and 5 to the end of their order-9 and order-8 words, so every
+    # extension below those orders is pinned symbol by symbol.
+    ("debruijn K=4", lambda: cg.infinite_de_bruijn(4), 4 ** 9,
+     "07dacc1fdf49dfca32105e36829d81c2778a3fd4abb4d3a9d106a2c612988670"),
+    ("debruijn K=5", lambda: cg.infinite_de_bruijn(5), 5 ** 8,
+     "28161f2262a256cee43dbedef523f1b5dce74fb203eb426c605583d7198c6811"),
     ("example4 z=1", lambda: cg.example4_driver(1.0), 2 ** 20,
      "2c74738242f9c0d4bf5b708557e956fa711d54510952dd9589927a5e1a98f964"),
     ("example4 z=0.5", lambda: cg.example4_driver(0.5), 2 ** 20,
