@@ -19,9 +19,9 @@ def main() -> None:
     print("\nPrefix length n_i(m) needed to see every m-word (K=2):")
     print("  m   concat  bound   de Bruijn  floor K^m+m-1")
     for m in range(1, 9):
-        n_c = cg.word_coverage(cg.champernowne(K), m).n_of_m
+        n_c = cg.word_coverage(cg.champernowne(K), m)
         bound = cg.champernowne_coverage_bound(K, m)
-        n_d = cg.word_coverage(cg.infinite_de_bruijn(K), m, cap=10 ** 6).n_of_m
+        n_d = cg.word_coverage(cg.infinite_de_bruijn(K), m, cap=10 ** 6)
         floor = K ** m + m - 1
         print(f"  {m:<3} {n_c:<7} {bound:<7} {n_d:<10} {floor}")
 

@@ -85,9 +85,8 @@ def _cmd_driver(args) -> int:
     cap = _least("--cap", args.cap, 0)
     print("m,n_i_m")
     for m in range(1, args.stats + 1):
-        stat = drv.word_coverage(stream, m, cap=cap)
-        value = "exceeded" if stat.exceeded else str(stat.n_of_m)
-        print(f"{m},{value}")
+        n = drv.word_coverage(stream, m, cap=cap)
+        print(f"{m},{'exceeded' if n is None else n}")
     return 0
 
 
@@ -195,7 +194,7 @@ def build_parser() -> argparse.ArgumentParser:
         else:
             p.add_argument("--stats", type=int, required=True, metavar="M",
                            help="emit n_i(m) rows for m = 1..M")
-            p.add_argument("--cap", type=int, default=10 ** 9)
+            p.add_argument("--cap", type=int, default=drv.DEFAULT_COVERAGE_CAP)
 
     p_rec = sub.add_parser("recover", help="one recovery-time measurement")
     p_rec.add_argument("--ifs", required=True, choices=list(_IFS_FACTORIES))

@@ -81,15 +81,14 @@ RATE_KINDS = {"power": ("z", power_rate), "iterexp": ("order", iterexp_rate)}
 class BaseMapChoice:
     """A map index whose fixed point leaves plenty of the attractor outside.
 
-    outside_count >= _MIN_OUTSIDE cloud points lie outside
-    B(x_star, delta), two of them nearly coincident — the finite stand-in
-    for 'the attractor minus the ball is infinite'.
+    At least _MIN_OUTSIDE cloud points lie outside B(x_star, delta), two of
+    them nearly coincident — the finite stand-in for 'the attractor minus
+    the ball is infinite'.
     """
 
     i_star: int
     x_star: np.ndarray
     delta: float
-    outside_count: int
 
 
 @dataclass(frozen=True)
@@ -137,8 +136,7 @@ def _base_and_outside(ifs: IfsSystem, cloud: AttractorCloud) -> tuple:
             continue
         pairs = cKDTree(outside).query_pairs(2.0 * cloud.resolution)
         if pairs:
-            return BaseMapChoice(i_star=i, x_star=x, delta=delta,
-                                 outside_count=int(outside.shape[0])), outside
+            return BaseMapChoice(i_star=i, x_star=x, delta=delta), outside
     raise ValidationError(
         "attractor appears finite or concentrated at all fixed points"
     )

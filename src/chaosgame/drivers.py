@@ -60,7 +60,7 @@ class DriverStream:
     ints are accepted too) and Runs.  Each item is kept as one piece: a Run
     as its symbol and count, whatever its length; a read-only int64 array
     as it is; anything else as a copy, so every read of a position gives the
-    same symbol.  segment is the only reader: it builds just the window.
+    same symbol.  pieces walks a window piece by piece; segment writes it out.
     """
 
     def __init__(self, kind: str, alphabet_size: int, generator_factory, params=None):
@@ -96,23 +96,36 @@ class DriverStream:
         """Number of symbols produced so far (grows monotonically)."""
         return self._len
 
-    def segment(self, start: int, stop: int) -> np.ndarray:
-        """Symbols at 0-based positions [start, stop), as a new int64 array."""
+    def pieces(self, start: int, stop: int):
+        """(position, piece) per stored piece over [start, stop), cut to the
+        window: a Run with its count cut, an array as a view.  Pieces are made
+        as the walk reaches them; it bisects again only after making more."""
         check_segment(start, stop)
-        self._fill(stop)
-        out = np.empty(stop - start, dtype=np.int64)
         i = bisect.bisect_right(self._ends, start)
         pos = start
         while pos < stop:
+            if i == len(self._pieces):
+                self._fill(pos + 1)
+                i = bisect.bisect_right(self._ends, pos)
             piece, end = self._pieces[i], self._ends[i]
-            upto = min(end, stop)
+            upto = end if end < stop else stop
             if isinstance(piece, Run):
-                out[pos - start:upto - start] = piece.symbol
+                yield pos, Run(piece.symbol, upto - pos) if upto - pos < piece.count else piece
             else:
                 first = end - piece.size
-                out[pos - start:upto - start] = piece[pos - first:upto - first]
+                yield pos, piece[pos - first:upto - first]
             pos = upto
             i += 1
+
+    def segment(self, start: int, stop: int) -> np.ndarray:
+        """Symbols at 0-based positions [start, stop), as a new int64 array."""
+        check_segment(start, stop)
+        out = np.empty(stop - start, dtype=np.int64)
+        for pos, piece in self.pieces(start, stop):
+            if isinstance(piece, Run):
+                out[pos - start:pos - start + piece.count] = piece.symbol
+            else:
+                out[pos - start:pos - start + piece.size] = piece
         return out
 
     def describe(self) -> str:
@@ -178,13 +191,13 @@ def _euler_circuit_symbols(K: int, m: int) -> list:
     return path_syms[1:]  # drop the sentinel for the start node
 
 
-def de_bruijn_word(K: int, m: int, budget: int = DEFAULT_WORD_BUDGET) -> Word:
+def de_bruijn_word(K: int, m: int) -> Word:
     """Noncyclic de Bruijn word of order m: length K^m + m - 1, every
     m-word occurs exactly once as a factor.  Hierholzer on the
     order-(m-1) de Bruijn graph, linearized from the all-ones node."""
     if K < 2 or m < 1:
         raise ValidationError("de Bruijn word needs K >= 2 and m >= 1")
-    if K ** m > budget:
+    if K ** m > DEFAULT_WORD_BUDGET:
         raise CapExceededError(f"de Bruijn order {m} over alphabet {K} exceeds budget")
     edge_syms = _euler_circuit_symbols(K, m)
     symbols = (1,) * (m - 1) + tuple(edge_syms)
@@ -419,22 +432,11 @@ DRIVER_KINDS = {
 }
 
 
-@dataclass(frozen=True)
-class CoverageStat:
-    """First prefix length containing every word of length m, if under cap."""
-
-    m: int
-    n_of_m: int | None
-    cap: int
-
-    @property
-    def exceeded(self) -> bool:
-        return self.n_of_m is None
-
-
 def word_coverage(driver: DriverStream, m: int,
-                  cap: int = DEFAULT_COVERAGE_CAP) -> CoverageStat:
-    """Sliding-window scan for the least n whose prefix contains all K^m words."""
+                  cap: int = DEFAULT_COVERAGE_CAP) -> int | None:
+    """Least n whose driver prefix holds all K^m words of length m, or None if
+    no prefix shorter than cap does.  Scans the driver's pieces, reading a Run
+    as at most m symbols: past m symbols it repeats one word."""
     if m < 1:
         raise ValidationError("word length must be >= 1")
     K = driver.alphabet_size
@@ -442,17 +444,19 @@ def word_coverage(driver: DriverStream, m: int,
     if total > DEFAULT_WORD_BUDGET:
         raise CapExceededError(f"K^m = {total} exceeds the tracking budget")
     seen = bytearray(total)
-    found = code = pos = 0
-    while pos < cap:
-        for s in driver.segment(pos, min(pos + 8192, cap)).tolist():
+    found = code = 0
+    for pos, piece in driver.pieces(0, cap):
+        symbols = ([piece.symbol] * min(piece.count, m) if isinstance(piece, Run)
+                   else memoryview(piece))
+        for s in symbols:
             pos += 1
             code = (code * K + (s - 1)) % total
             if pos >= m and not seen[code]:
                 seen[code] = 1
                 found += 1
                 if found == total:
-                    return CoverageStat(m=m, n_of_m=pos, cap=cap)
-    return CoverageStat(m=m, n_of_m=None, cap=cap)
+                    return pos
+    return None
 
 
 def champernowne_coverage_bound(K: int, m: int) -> int:

@@ -17,7 +17,7 @@ Config grammar (INI-style, plain-text key/value with sections):
     [driver]
     kind = champernowne           # champernowne | debruijn | example4 |
                                   # random | literal | slow
-    z = 1                         # example4 only
+    z = 1                         # example4, and slow + power; > 0
     symbols = 1 2 1 1             # literal only
     psi = power                   # slow only: power | iterexp
     order = 2                     # slow + iterexp only, >= 1
@@ -38,7 +38,7 @@ Config grammar (INI-style, plain-text key/value with sections):
     orbit_cap = 1000000           # optional, >= 0
     point_budget = 16777216       # optional, >= 1
     dimension = false             # optional; needs the geometric eps form
-    exact_attractor = false       # optional; {x/2, const 1} system only
+    exact_attractor = false       # optional; exactly {x/2, const 1} only
 
 Unknown sections or keys are rejected by name; all violations are reported
 at once.  emit_config produces the canonical form (maps expanded, floats at
@@ -52,7 +52,7 @@ import functools
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -64,9 +64,8 @@ from .errors import ValidationError
 from .ifs import (DEFAULT_POINT_BUDGET, AffineMap, AttractorCloud, IfsSystem,
                   build_cloud, cantor_ifs, halving_ifs, read_cloud, segment_ifs,
                   sierpinski_ifs, write_cloud)
-from .metrics import (CoverEstimate, DimensionEstimate, RecoveryRecord,
-                      box_dimension, covering_estimate, log_rate, rate_ratio,
-                      recovery_time)
+from .metrics import (DimensionEstimate, box_dimension, covering_estimate, log_rate,
+                      rate_ratio, recovery_time)
 
 SCHEMA_VERSION = 1
 
@@ -130,8 +129,8 @@ class ExperimentConfig:
             return tuple(self.eps_schedule[1:])
         return ()   # supplied by the slow-driver schedule at run time
 
-    def param(self, key, default=None):
-        return dict(self.driver_params).get(key, default)
+    def param(self, key):
+        return dict(self.driver_params).get(key)
 
 
 @functools.lru_cache(maxsize=256)
@@ -186,14 +185,15 @@ _FIELDS = {
     "experiment": {
         "schema_version": (_where(int, lambda v: v == SCHEMA_VERSION),
                            f"{SCHEMA_VERSION}", _REQUIRED),
-        "name": (_where(str, bool), "a name", _REQUIRED),
+        "name": (_where(str, lambda v: v and "\n" not in v), "a one-line name",
+                 _REQUIRED),
         "seed": (*_COUNT, 0),
     },
     "ifs": {"preset": (_where(str, lambda v: v in _IFS_FACTORIES),
                        " | ".join(_IFS_FACTORIES), None)},
     "driver": {
         "kind": (str, "a driver kind", _REQUIRED),
-        "z": (_number, "a finite number", None),
+        "z": (*_POSITIVE, None),
         "symbols": (lambda raw: tuple(int(t) for t in raw.split()), "integers", None),
         "psi": (_where(str, lambda v: v in RATE_KINDS), " | ".join(RATE_KINDS), None),
         "order": (*_POSITIVE_INT, None),
@@ -268,8 +268,7 @@ def parse_config(text: str) -> ExperimentConfig:
             extra = keys - {"preset"}
             if extra:
                 errors.append(f"unknown key(s) {sorted(extra)} in [ifs] next to preset")
-            for m in _IFS_FACTORIES[preset]().maps if preset else ():
-                ifs_maps.append((tuple(m.matrix.ravel()), tuple(m.offset)))
+            ifs_maps.extend(_maps(_IFS_FACTORIES[preset]()) if preset else ())
         else:
             idx = 1
             while f"map{idx}.offset" in keys or f"map{idx}.matrix" in keys:
@@ -364,7 +363,7 @@ def parse_config(text: str) -> ExperimentConfig:
                 errors.append(f"[run] x0 points must be {ifs.dim}-dimensional")
             if kind in ("example4",) and ifs.alphabet_size != 2:
                 errors.append("[driver] example4 requires a 2-map system")
-            if exact and not _is_halving(ifs):
+            if exact and cfg.ifs_maps != _maps(_IFS_FACTORIES["halving"]()):
                 errors.append("[run] exact_attractor is only available for the "
                               "{x/2, const 1} system")
             if kind == "literal":
@@ -379,13 +378,9 @@ def parse_config(text: str) -> ExperimentConfig:
     return cfg
 
 
-def _is_halving(ifs: IfsSystem) -> bool:
-    if ifs.dim != 1 or ifs.alphabet_size != 2:
-        return False
-    a1, b1 = float(ifs.maps[0].matrix[0, 0]), float(ifs.maps[0].offset[0])
-    a2, b2 = float(ifs.maps[1].matrix[0, 0]), float(ifs.maps[1].offset[0])
-    return (abs(a1 - 0.5) < 1e-12 and abs(b1) < 1e-12
-            and abs(a2) < 1e-12 and abs(b2 - 1.0) < 1e-12)
+def _maps(ifs: IfsSystem) -> tuple:
+    """The system's maps as ExperimentConfig.ifs_maps holds them."""
+    return tuple((tuple(m.matrix.ravel()), tuple(m.offset)) for m in ifs.maps)
 
 
 def emit_config(cfg: ExperimentConfig) -> str:

@@ -224,32 +224,18 @@ def fixed_point(m: AffineMap) -> np.ndarray:
     return x
 
 
-@dataclass(frozen=True)
-class Orbit:
-    """Chaos-game orbit: points[k] = f_{driver_prefix[k-1]}(points[k-1])."""
-
-    start: np.ndarray
-    points: np.ndarray          # (n+1, d)
-    driver_prefix: np.ndarray   # (n,) the driver's first n symbols
-
-    def __len__(self):
-        return self.points.shape[0]
-
-
-def run_orbit(ifs: IfsSystem, driver, x0, n: int) -> Orbit:
+def run_orbit(ifs: IfsSystem, driver, x0, n: int) -> np.ndarray:
     """Run the deterministic chaos game for n steps on the driver's first
-    n symbols."""
+    n symbols: the (n+1, d) orbit x_0..x_n, x_k = f_{s_k}(x_{k-1})."""
     if n < 0:
         raise ValidationError("orbit length must be >= 0")
     x0 = _as_vector(x0, ifs.dim, "x0")
-    symbols = np.asarray(driver.segment(0, n), dtype=np.int64)
     pts = np.empty((n + 1, ifs.dim))
-    pts[0] = x0
-    x = x0
-    for k, s in enumerate(symbols, start=1):
-        x = ifs.map_for(int(s))(x)
+    pts[0] = x = x0
+    for k, s in enumerate(driver.segment(0, n).tolist(), start=1):
+        x = ifs.map_for(s)(x)
         pts[k] = x
-    return Orbit(start=x0, points=pts, driver_prefix=symbols)
+    return pts
 
 
 def _hull_vertices(points: np.ndarray) -> np.ndarray:

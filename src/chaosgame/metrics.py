@@ -51,17 +51,12 @@ class RecoveryRecord:
     guard: float
     cap: int
 
-    @property
-    def exceeded(self) -> bool:
-        return self.n is None
-
 
 @dataclass(frozen=True)
 class DimensionEstimate:
     """Lower box dimension estimate from a geometric radius schedule."""
 
     value: float                  # min over the window of ln(upper)/ln(1/b_m)
-    schedule: tuple               # (a, r, (m_lo, m_hi))
     samples: tuple                # CoverEstimate per kept radius b_m
     rates_lower: tuple            # ln(lower)/ln(1/b_m) per kept radius
     rates_upper: tuple            # ln(upper)/ln(1/b_m) per kept radius
@@ -301,8 +296,8 @@ def coverage_holds(ifs: IfsSystem, driver, x0, eps: float,
     when the distance is within an ulp of eps.)
     """
     orbit = run_orbit(ifs, driver, x0, n)
-    nearest = cKDTree(orbit.points).query(cloud.points)[1]
-    gap = cloud.points - orbit.points[nearest]
+    nearest = cKDTree(orbit).query(cloud.points)[1]
+    gap = cloud.points - orbit[nearest]
     return bool(((gap * gap).sum(axis=1) <= eps * eps).all())
 
 
@@ -373,9 +368,8 @@ def box_dimension(cloud: AttractorCloud, a: float, r: float,
             "no usable radii: the schedule fell below twice the cloud resolution"
         )
     value = min(ru)
-    return DimensionEstimate(value=value, schedule=(a, r, (m_lo, m_hi)),
-                             samples=tuple(samples), rates_lower=tuple(rl),
-                             rates_upper=tuple(ru))
+    return DimensionEstimate(value=value, samples=tuple(samples),
+                             rates_lower=tuple(rl), rates_upper=tuple(ru))
 
 
 def log_rate(n: int, eps: float) -> float | None:

@@ -85,7 +85,7 @@ def test_criterion_02_concatenation_driver_word_bound():
     for K, m_max in ((2, 10), (3, 6)):
         driver = cg.champernowne(K)
         for m in range(1, m_max + 1):
-            n_i = cg.word_coverage(driver, m).n_of_m
+            n_i = cg.word_coverage(driver, m)
             bound = (K - K ** (m + 1) * (m + 1) + m * K ** (m + 2)) \
                 // (K - 1) ** 2
             ok = ok and n_i is not None and n_i <= bound
@@ -165,8 +165,7 @@ def test_criterion_04_fast_driver_log_rate_window(cantor, cantor_cloud):
             while L ** m_cov * reach > eps:
                 m_cov += 1
             if m_cov not in n_i:
-                n_i[m_cov] = cg.word_coverage(cg.champernowne(2),
-                                              m_cov).n_of_m
+                n_i[m_cov] = cg.word_coverage(cg.champernowne(2), m_cov)
             ok_bracket = ok_bracket and cg.key_inequality_check(rec, cover) \
                 and n_i[m_cov] is not None and rec.n <= n_i[m_cov]
             rates[x0].append(cg.log_rate(rec.n, eps))
@@ -220,7 +219,7 @@ def test_criterion_06_covering_word_radius(cantor, cantor_cloud_coarse):
             x0 = rng.uniform(-1.0, 2.0)
             orbit = cg.run_orbit(cantor, cg.literal_driver(sigma), [x0],
                                  len(sigma))
-            worst = cKDTree(orbit.points).query(cloud.points)[0].max()
+            worst = cKDTree(orbit).query(cloud.points)[0].max()
             ok = ok and worst <= 3 * c_m + cloud.resolution
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 30.0
@@ -313,7 +312,7 @@ def test_criterion_09_de_bruijn_recovery_chain(cantor, cantor_cloud,
     cloud3 = sierpinski_cloud
     driver3 = cg.infinite_de_bruijn(3)
     for m in (5, 7, 9):
-        n_i = cg.word_coverage(cg.infinite_de_bruijn(3), m).n_of_m
+        n_i = cg.word_coverage(cg.infinite_de_bruijn(3), m)
         ok = ok and n_i is not None and n_i <= 3 ** m + m - 1
         for x0 in ((0.0, 0.0), (1.0, 0.0)):
             c_m = sier.lip_max ** m * (cloud3.diam_upper

@@ -4,6 +4,7 @@ import errno
 import hashlib
 import math
 import struct
+import time
 
 import pytest
 
@@ -28,6 +29,15 @@ class TestDriverCommands:
                            "--stats", "3")
         assert code == 0
         assert out.splitlines() == ["m,n_i_m", "1,2", "2,7", "3,23"]
+
+    def test_stats_without_cap_reads_runs_whole(self, capsys):
+        # The block driver never holds 121.  Read symbol by symbol, the
+        # default cap of 10^9 symbols took about 2 minutes to reach.
+        t0 = time.perf_counter()
+        code, out, _ = run(capsys, "driver", "stats", "example4", "--stats", "3")
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 0
+        assert out.splitlines()[-1] == "3,exceeded"
 
     def test_emit_example4(self, capsys):
         code, out, _ = run(capsys, "driver", "emit", "example4", "--z", "1",
@@ -225,6 +235,19 @@ class TestBadInputExit2:
         assert code == 2
         assert "[driver] z" in err and "'one'" in err
 
+    @pytest.mark.parametrize("z", ["-1", "0"])
+    def test_slow_z_out_of_range(self, capsys, config, z):
+        # z = -1 used to parse; the run exited 2 only once the cloud was
+        # built, about 1.2 s at this resolution.
+        path = config(("preset = cantor", "preset = sierpinski"),
+                      (_TO_SLOW, f"kind = slow\npsi = power\nz = {z}\n"),
+                      ("x0 = 0; 1", "x0 = 0 0"), ("resolution = 0.001", "resolution = 0.0005"))
+        t0 = time.perf_counter()
+        code, _, err = run(capsys, "experiment", "run", path)
+        assert time.perf_counter() - t0 < 1.0
+        assert code == 2
+        assert "[driver] z" in err and "positive" in err
+
     def test_map_offset_not_finite(self, capsys, config):
         # Without the check a nan offset deepened the cloud to the point
         # budget and exited 3 ("resolution infeasible").
@@ -301,8 +324,8 @@ class TestBadInputExit2:
         assert code == 2
         assert str(cloud_file) in err and message in err
 
-    def test_interrupted_sidecar_write_leaves_no_file(self, capsys, config, tmp_path,
-                                                      monkeypatch):
+    def test_interrupted_cover_sizes_write_keeps_cloud_file(self, capsys, config,
+                                                            tmp_path, monkeypatch):
         # The run writes the cloud when it is built, and again with the cover
         # sizes it walked; a failed rewrite leaves the first file whole.
         from chaosgame import ifs
@@ -403,16 +426,18 @@ class TestBadInputExit2:
         ((_TO_SLOW, "kind = slow\npsi = power\nz = 1\nstep_cap = 0\n"),
          "[driver] step_cap"),
         ((_TO_SLOW, "kind = slow\npsi = iterexp\norder = 0\n"), "[driver] order"),
+        (("name = tiny", "name = tiny\n  0"), "[experiment] name"),
     ], ids=["resolution-nan", "resolution-inf", "list-inf", "list-negative",
             "list-zero", "list-one", "m_lo", "m_hi", "orbit_cap", "point_budget",
-            "k_max", "step_cap", "order"])
+            "k_max", "step_cap", "order", "name-two-lines"])
     def test_config_value_out_of_range(self, capsys, config, edit, where):
         # resolution = nan used to deepen the cloud to the point budget and
         # exit 3; list = inf wrote an "inf,1,1" cover row; a negative list
         # value failed only after the cloud was built.  m_lo = -2 wrote rows
         # at eps 9 and 3, m_hi = 1000 puts a*r^m at 0, point_budget = 0 exited
         # 3 as if the budget were hit, and orbit_cap = -1 failed in
-        # recovery_time with a message that named no key.
+        # recovery_time with a message that named no key.  A two-line name
+        # was emitted into summary.txt as config text that does not parse.
         code, _, err = run(capsys, "experiment", "run", config(edit))
         assert code == 2
         assert where in err

@@ -1,6 +1,8 @@
-"""Smoke tests of the docs: every demo script runs to completion, and
-README's module table names only what its modules hold."""
+"""Smoke tests of the docs and sources: every demo script runs to
+completion, README's module table names only what its modules hold, and
+each module reads every name it imports."""
 
+import ast
 import importlib
 import os
 import re
@@ -37,3 +39,20 @@ def test_readme_module_table_names_resolve():
         names = re.findall(r"`(\w+)`", contents)
         missing = [n for n in names if not hasattr(importlib.import_module(module), n)]
         assert names and not missing, (module, missing)
+
+
+def test_modules_read_every_name_they_import():
+    # No linter runs with the tests, so an import left behind when its last
+    # use goes would stay unseen.
+    for path in sorted((ROOT / "src" / "chaosgame").glob("*.py")):
+        if path.name == "__init__.py":   # it imports to re-export
+            continue
+        tree = ast.parse(path.read_text())
+        imported = {(alias.asname or alias.name).split(".")[0]
+                    for node in ast.walk(tree)
+                    if isinstance(node, (ast.Import, ast.ImportFrom))
+                    and getattr(node, "module", None) != "__future__"
+                    for alias in node.names}
+        read = {node.id for node in ast.walk(tree)
+                if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+        assert imported <= read, (path.name, sorted(imported - read))

@@ -34,14 +34,14 @@ class TestChampernowne:
             cg.champernowne(1)
 
     def test_n_i_examples(self):
-        assert cg.word_coverage(cg.champernowne(2), 1).n_of_m == 2
-        assert cg.word_coverage(cg.champernowne(2), 2).n_of_m == 7
+        assert cg.word_coverage(cg.champernowne(2), 1) == 2
+        assert cg.word_coverage(cg.champernowne(2), 2) == 7
 
     @pytest.mark.parametrize("K,m_max", [(2, 10), (3, 6)])
     def test_coverage_bound_exact(self, K, m_max):
         driver = cg.champernowne(K)
         for m in range(1, m_max + 1):
-            n_i = cg.word_coverage(driver, m).n_of_m
+            n_i = cg.word_coverage(driver, m)
             bound = cg.champernowne_coverage_bound(K, m)
             assert n_i <= bound
             assert bound == (K - K ** (m + 1) * (m + 1) + m * K ** (m + 2)) \
@@ -65,14 +65,13 @@ class TestDeBruijn:
 
     def test_budget(self):
         with pytest.raises(CapExceededError):
-            cg.de_bruijn_word(2, 20, budget=1000)
+            cg.de_bruijn_word(2, 25)
 
     def test_coverage_is_optimal(self):
         # word_coverage at m equals K^m + m - 1, and no driver does better.
         for K, m in [(2, 4), (3, 3)]:
             w = cg.de_bruijn_word(K, m)
-            stat = cg.word_coverage(cg.literal_driver(w), m, cap=len(w))
-            assert stat.n_of_m == K ** m + m - 1
+            assert cg.word_coverage(cg.literal_driver(w), m, cap=len(w)) == K ** m + m - 1
 
     @pytest.mark.parametrize("make", [
         lambda: cg.champernowne(2),
@@ -81,7 +80,7 @@ class TestDeBruijn:
     ])
     def test_no_driver_beats_the_floor(self, make):
         for m in (2, 3, 4):
-            n_i = cg.word_coverage(make(), m, cap=10 ** 5).n_of_m
+            n_i = cg.word_coverage(make(), m, cap=10 ** 5)
             assert n_i >= 2 ** m + m - 1
 
     def test_extension_preserves_prefix(self):
@@ -126,8 +125,7 @@ class TestInfiniteDeBruijn:
 
     def test_k2_odd_order_bound(self):
         # n_i(3) <= 2^4 + 3 (the prefix realizing order 4 covers order 3)
-        stat = cg.word_coverage(cg.infinite_de_bruijn(2), 3)
-        assert stat.n_of_m <= 2 ** 4 + 3
+        assert cg.word_coverage(cg.infinite_de_bruijn(2), 3) <= 2 ** 4 + 3
 
 
 class TestExample4:
@@ -214,22 +212,58 @@ class TestWordCoverage:
     def test_monotone_in_m(self):
         for make in (lambda: cg.champernowne(2), lambda: cg.infinite_de_bruijn(3),
                      lambda: cg.random_driver(2, 5)):
-            values = [cg.word_coverage(make(), m, cap=10 ** 5).n_of_m
+            values = [cg.word_coverage(make(), m, cap=10 ** 5)
                       for m in range(1, 6)]
             assert all(b >= a for a, b in zip(values, values[1:]))
 
     def test_cap(self):
         # the all-ones driver never sees the word (2,), so the cap is hit
         ones = cg.DriverStream("ones", 2, lambda: iter(lambda: 1, 0))
-        stat = cg.word_coverage(ones, 1, cap=100)
-        assert stat.exceeded
-        assert stat.n_of_m is None
+        assert cg.word_coverage(ones, 1, cap=100) is None
+
+    def test_literal_driver_read_to_its_end(self):
+        # A literal driver that holds every m-word gives n; the first read
+        # of 8,192 symbols used to raise for any shorter word.  One that
+        # ends first still raises.
+        w = cg.de_bruijn_word(2, 4)
+        assert cg.word_coverage(cg.literal_driver(w), 4) == 19
+        with pytest.raises(CapExceededError, match="exhausted"):
+            cg.word_coverage(cg.literal_driver(w), 5)
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_symbol_scan(self, data):
+        # Runs shorter and longer than m, arrays between them, and a cap
+        # anywhere in the stream, inside a run included.
+        K = data.draw(st.integers(2, 3))
+        run = st.builds(cg.Run, st.integers(1, K), st.integers(1, 12))
+        array = st.lists(st.integers(1, K), min_size=1, max_size=10).map(np.array)
+        pieces = data.draw(st.lists(run | array, min_size=1, max_size=20))
+        m = data.draw(st.integers(1, 4))
+        total = sum(p.count if isinstance(p, cg.Run) else p.size for p in pieces)
+        cap = data.draw(st.integers(0, total))
+
+        def make():
+            return cg.DriverStream("mixed", K, lambda: iter(pieces))
+        assert cg.word_coverage(make(), m, cap) == _scan_coverage(make(), m, cap)
 
     @given(m=st.integers(1, 6))
     @settings(max_examples=10, deadline=None)
     def test_champernowne_bound_property(self, m):
-        n_i = cg.word_coverage(cg.champernowne(2), m).n_of_m
+        n_i = cg.word_coverage(cg.champernowne(2), m)
         assert n_i <= cg.champernowne_coverage_bound(2, m)
+
+
+def _scan_coverage(driver, m: int, cap: int):
+    """The reference word_coverage: a per-symbol scan over segment."""
+    seen, window = set(), ()
+    for n, s in enumerate(driver.segment(0, cap).tolist(), start=1):
+        window = (window + (s,))[-m:]
+        if len(window) == m:
+            seen.add(window)
+            if len(seen) == driver.alphabet_size ** m:
+                return n
+    return None
 
 
 def _slow_schedule():

@@ -269,8 +269,10 @@ def _one_of(*values):
 
 # Mostly valid values, so that most commands get past argparse; the
 # resolution, which sets the cost of a cloud, is always given and >= 1e-3.
-# So is driver stats' --cap: the block driver never holds some words (121),
-# and without a cap word_coverage reads its default 10^9 symbols, minutes.
+# So is driver stats' --cap, to reach its range checks.  Without one the
+# block driver, which never holds some words (121), is read up to the
+# default 10^9 symbols; that takes under a second, as each of its Runs is
+# read as at most m symbols.
 _RES = _one_of("0.001", "0.01", "0.1", "0.5", "0.01", "0.1", "0", "-1", "nan", "x")
 _INT = _one_of("0", "1", "2", "3", "1", "2", "-1", "x")
 _FLOAT = _one_of("0", "0.5", "1", "2", "0.5", "1", "-1", "nan", "inf", "1e999", "x")

@@ -113,6 +113,19 @@ class TestParseConfig:
         with pytest.raises(ValidationError, match="exact_attractor"):
             parse_config(bad)
 
+    @pytest.mark.parametrize("matrix,ok", [("0.5", True), ("0.5000000000001", False)])
+    def test_exact_attractor_needs_the_halving_maps_exactly(self, matrix, ok):
+        # A map within 1e-12 of x/2 used to pass, and the cloud of {0} and
+        # 2^-j was then certified at resolution 0 for another attractor.
+        text = (PRESETS["example4-z1"].replace("preset = halving",
+                                               f"map1.matrix = {matrix}\nmap1.offset = 0\n"
+                                               "map2.matrix = 0\nmap2.offset = 1"))
+        if ok:
+            assert parse_config(text).ifs_maps == load_preset("example4-z1").ifs_maps
+        else:
+            with pytest.raises(ValidationError, match="exact_attractor"):
+                parse_config(text)
+
     def test_maps_built_once_and_read_only(self):
         cfg = parse_config(MINIMAL)
         ifs = cfg.build_ifs()
@@ -274,7 +287,7 @@ class TestPlaneDeterminism:
             assert warm[name] == cold[name], name
 
     @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 5: cloud format v1 does not store diam_upper, and "
+        "ROADMAP item 5: cloud format v2 does not store diam_upper, and "
         "read_cloud recomputes it with another formula, so a warm cache "
         "changes the diam bracket in summary.txt"))
     def test_warm_cache_keeps_summary(self, runs):
@@ -327,6 +340,6 @@ class TestCoverSidecar:
         assert second["cover.csv"] == first["cover.csv"]
         assert second == run_experiment(load_preset("cantor-debruijn")).artifacts
 
-    def test_exact_attractor_writes_no_sidecar(self, tmp_path):
+    def test_exact_attractor_writes_no_cloud_file(self, tmp_path):
         run_experiment(load_preset("example4-z1"), cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
