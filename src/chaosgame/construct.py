@@ -17,11 +17,10 @@ from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .drivers import DriverStream, Run, _champernowne_blocks
 from .errors import CapExceededError, InternalInvariantError, ValidationError
-from .ifs import AttractorCloud, IfsSystem, _greedy_walk, _hutchinson_points, fixed_point
+from .ifs import AttractorCloud, IfsSystem, _greedy_walk, _hutchinson_points, _kdtree, fixed_point
 from .metrics import _range_min, _window, covering_estimate
 
 DEFAULT_ADDRESS_BUDGET = 2 ** 24
@@ -124,7 +123,8 @@ def _base_and_outside(ifs: IfsSystem, cloud: AttractorCloud) -> tuple:
     """(the base map, the cloud points outside its ball B(x_star, delta)): the
     first map whose fixed point x_star leaves at least _MIN_OUTSIDE cloud points
     outside the ball, delta = diam_lower / 4, two of them within twice the cloud
-    resolution of each other (an accumulating chunk of the cloud)."""
+    resolution of each other (an accumulating chunk of the cloud; on the line,
+    two adjacent ones, their gap squared as cKDTree squares it)."""
     if cloud.size < 2 * _MIN_OUTSIDE:
         raise ValidationError("cloud too small to certify an infinite attractor")
     delta = cloud.diam_lower / 4.0
@@ -134,8 +134,9 @@ def _base_and_outside(ifs: IfsSystem, cloud: AttractorCloud) -> tuple:
         outside = cloud.points[dists > delta]
         if outside.shape[0] < _MIN_OUTSIDE:
             continue
-        pairs = cKDTree(outside).query_pairs(2.0 * cloud.resolution)
-        if pairs:
+        r, gap = 2.0 * cloud.resolution, np.diff(outside[:, 0])   # gap: on the line
+        if ((gap * gap <= r * r).any() if outside.shape[1] == 1
+                else _kdtree(outside).query_pairs(r)):
             return BaseMapChoice(i_star=i, x_star=x, delta=delta), outside
     raise ValidationError(
         "attractor appears finite or concentrated at all fixed points"
@@ -157,9 +158,9 @@ def build_sigma(ifs: IfsSystem, cloud: AttractorCloud, d: float, m: int,
     order) comes from _nearest_address.  ifs._greedy_walk, which
     covering_estimate shares, centres each target's d-ball there, holding p
     when abs(p - c) <= d in 1-d (as in recovery_time, cKDTree agrees while
-    d**2 is a normal float, d above about 1.5e-154) and sum((p - c)**2) <=
-    d**2 on cloud.grid in d dimensions.  A target's reversed word is its
-    address index in base K, least significant digit first.
+    d**2 is a normal float, d > ~1.5e-154) and sum((p - c)**2) <= d**2 on
+    cloud.grid, built on first use, in d dimensions.  A target's reversed
+    word is its address index in base K, least significant digit first.
     """
     if d <= 0:
         raise ValidationError("cover radius d must be positive")
@@ -173,7 +174,7 @@ def build_sigma(ifs: IfsSystem, cloud: AttractorCloud, d: float, m: int,
     addr = _hutchinson_points(ifs, m)
     chosen = _nearest_address(addr, cloud.points)
     try:
-        targets = _greedy_walk(cloud.points, cloud.grid)(d, addr[chosen])
+        targets = _greedy_walk(cloud.points, cloud)(d, addr[chosen])
     except ValidationError:
         raise ValidationError(
             f"cover radius d={d:g} is too small for depth m={m}: the nearest "
@@ -193,7 +194,7 @@ def _nearest_address(addr: np.ndarray, pts: np.ndarray) -> np.ndarray:
         tol = np.minimum(np.abs(p - srt[np.maximum(j - 1, 0)]),
                          np.abs(srt[np.minimum(j, srt.size - 1)] - p)) * (1.0 + 1e-12)
         return _range_min(first, *_window(srt, p, tol))
-    tree, n = cKDTree(addr), addr.shape[0]
+    tree, n = _kdtree(addr), addr.shape[0]
     dist, idx = tree.query(pts, k=range(1, min(8, n) + 1))
     tol = dist[:, 0] * (1.0 + 1e-12)
     chosen = np.where(dist <= tol[:, None], idx, n).min(axis=1)

@@ -19,7 +19,6 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import ConvexHull, QhullError, cKDTree
 
 from .errors import CapExceededError, ValidationError
 
@@ -244,6 +243,7 @@ def _hull_vertices(points: np.ndarray) -> np.ndarray:
     coordinates in an orthonormal basis of a lower-dimensional affine span."""
     if points.shape[1] == 1:
         return np.array([points.argmin(), points.argmax()])
+    from scipy.spatial import ConvexHull, QhullError
     # Into [-1, 1] by a power of two, which is exact: Qhull fails on huge or
     # tiny coordinates.
     points = np.ldexp(points, -math.frexp(np.abs(points).max())[1])
@@ -291,20 +291,26 @@ def _line_walk(values: list, r: float, centres=None) -> list:
     return targets
 
 
-def _greedy_walk(pts: np.ndarray, grid: cKDTree | None = None):
+def _kdtree(points, **kw):
+    """cKDTree(points, **kw), imported on first use: scipy loads once a tree is needed."""
+    from scipy.spatial import cKDTree
+    return cKDTree(points, **kw)
+
+
+def _greedy_walk(pts: np.ndarray, cloud: AttractorCloud | None = None):
     """walk(r, centres=None) -> the targets of the greedy r-cover of pts in
     order: each is the first uncovered point, its ball is centred at
     centres[target] (default: the target), and one outside its own ball
     raises ValidationError.  On ascending 1-d input the covered points form
     a prefix, so the next target is the first p with p - c > r: bisection
-    settled by the exact test.  Other input ball-queries grid (built over
-    pts when None) and skips covered runs in numpy slices."""
+    settled by the exact test.  Other input ball-queries a kd-tree (the
+    cloud's, if pts are its points) and skips covered runs in numpy slices."""
     if pts.shape[1] == 1 and (pts[1:, 0] >= pts[:-1, 0]).all():
         return functools.partial(_line_walk, pts[:, 0].tolist())
-    return functools.partial(_tree_walk, cKDTree(pts) if grid is None else grid, pts)
+    return functools.partial(_tree_walk, _kdtree(pts) if cloud is None else cloud.grid, pts)
 
 
-def _tree_walk(tree: cKDTree, pts: np.ndarray, r: float, centres=None) -> list:
+def _tree_walk(tree, pts: np.ndarray, r: float, centres=None) -> list:
     centres = pts if centres is None else centres
     targets, i, covered = [], 0, np.zeros(pts.shape[0], dtype=bool)
     while i < covered.size:
@@ -328,7 +334,8 @@ def _dedupe(points: np.ndarray, threshold: float) -> tuple:
     iff a kept earlier one is within the threshold, so the kept points are
     the greedy threshold-cover's targets (_greedy_walk), walked over just the
     points with a neighbour that close: adjacent on the line, in a pair
-    query in d dimensions."""
+    query in d dimensions.  moved is the tree's sqrt(gap * gap), by bisection
+    on the line: abs(gap) is not 0.0 where the square underflows (1e-212)."""
     if points.shape[0] >= 2:
         # Exact duplicates first (cheap, and maps with collapsing branches
         # can produce huge numbers of them): sorted, they are adjacent rows,
@@ -342,13 +349,18 @@ def _dedupe(points: np.ndarray, threshold: float) -> tuple:
         drop[:-1] |= close
         drop[1:] |= close
     else:
-        drop[cKDTree(points).query_pairs(threshold, output_type="ndarray")] = True
+        drop[_kdtree(points).query_pairs(threshold, output_type="ndarray")] = True
     near = np.flatnonzero(drop)
     if near.size == 0:
         return points, 0.0
     drop[near[_greedy_walk(points[near])(threshold)]] = False
     kept = points[~drop]
-    return kept, float(cKDTree(kept).query(points[drop])[0].max())
+    if points.shape[1] == 1:            # k[j - 1] < q < k[j]: the first point is kept
+        k, q = np.r_[kept[:, 0], np.inf], points[drop, 0]
+        j = np.searchsorted(k, q)
+        gap = np.minimum(q - k[j - 1], k[j] - q)
+        return kept, float(np.sqrt((gap * gap).max()))
+    return kept, float(_kdtree(kept).query(points[drop])[0].max())
 
 
 @dataclass(frozen=True)
@@ -360,7 +372,6 @@ class AttractorCloud:
     depth: int
     diam_lower: float       # max pairwise distance over cloud points
     diam_upper: float       # certified upper bound on diam A
-    grid: cKDTree = field(repr=False, compare=False)
     # radius r -> size of the greedy r-cover of points (covering_estimate);
     # a cached cloud keeps it in its cache file (write_cloud, read_cloud)
     cover_sizes: dict = field(default_factory=dict, init=False, repr=False,
@@ -376,12 +387,15 @@ class AttractorCloud:
         if diam_upper is None:
             diam_upper = diam_lower + 2.0 * resolution
         return cls(points=points, resolution=float(resolution), depth=depth,
-                   diam_lower=diam_lower, diam_upper=float(diam_upper),
-                   grid=cKDTree(points))
+                   diam_lower=diam_lower, diam_upper=float(diam_upper))
 
     @property
     def size(self) -> int:
         return self.points.shape[0]
+
+    @functools.cached_property
+    def grid(self):                     # kd-tree over points, built on first use
+        return _kdtree(self.points)
 
 
 def _hutchinson_points(ifs: IfsSystem, depth: int, pts=None) -> np.ndarray:
@@ -419,8 +433,7 @@ def _certified_cloud(ifs: IfsSystem, pts: np.ndarray, depth: int,
     if resolution > target and diam_upper != 0.0:
         return None
     return AttractorCloud(points=pts, resolution=resolution, depth=depth,
-                          diam_lower=diam_lower, diam_upper=diam_upper,
-                          grid=cKDTree(pts))
+                          diam_lower=diam_lower, diam_upper=diam_upper)
 
 
 def build_cloud(ifs: IfsSystem, target_resolution: float,
@@ -448,7 +461,7 @@ def directed_hausdorff(set_a, set_b) -> float:
     if min(a.size, b.size) == 0 or a.shape[1] != b.shape[1]:
         raise ValidationError("Hausdorff distance needs nonempty sets of one dimension, "
                               f"got shapes {a.shape} and {b.shape}")
-    return float(cKDTree(b).query(a)[0].max())
+    return float(_kdtree(b).query(a)[0].max())
 
 
 def write_cloud(path, cloud: AttractorCloud) -> None:

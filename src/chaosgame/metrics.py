@@ -16,10 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import CapExceededError, ValidationError
-from .ifs import AttractorCloud, IfsSystem, _as_vector, _greedy_walk, _point_set, run_orbit
+from .ifs import (AttractorCloud, IfsSystem, _as_vector, _greedy_walk, _kdtree, _point_set,
+                  run_orbit)
 
 DEFAULT_ORBIT_CAP = 10 ** 7
 _FIRST_CHUNK = 128
@@ -99,7 +99,7 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
     kd-tree over the cloud points and a kd-tree over the chunk's orbit
     points are found in one query; pairs whose cloud point is already
     covered are dropped, and each newly hit cloud point keeps its first
-    orbit point.  The cloud's tree is first its own (cloud.grid); once a
+    orbit point.  The tree is first cloud.grid, built on first use; once a
     quarter of its points are left uncovered, it is rebuilt over just those.
     """
     if not eps > cloud.resolution:
@@ -247,7 +247,7 @@ class _PairCover:
     """Coverage of a d-dim cloud from the pairs within eps between a kd-tree
     over the cloud points and a kd-tree over each chunk of orbit points.
 
-    The first tree is the cloud's own (cloud.grid).  Once the uncovered
+    The first tree is cloud.grid, built on first use.  Once the uncovered
     points fall to a quarter of the tree's points, the tree is rebuilt over
     just those, their coordinates copied bit for bit; each pair is still
     tested on its two points alone, so every uncovered point keeps the same
@@ -265,7 +265,7 @@ class _PairCover:
         # Small leaves keep the chunk's bounding boxes tight, so the
         # dual-tree query prunes more: on the 177k-point Sierpinski cloud
         # it ran about 1.5x faster than with the default leaf size of 16.
-        pairs = self.grid.sparse_distance_matrix(cKDTree(ys, leafsize=2), self.eps,
+        pairs = self.grid.sparse_distance_matrix(_kdtree(ys, leafsize=2), self.eps,
                                                  output_type="ndarray")
         fresh = self.uncovered[pairs["i"]]
         first = np.full(self.uncovered.size, len(ys), dtype=np.intp)
@@ -282,7 +282,7 @@ class _PairCover:
 
     def _shrink(self):
         """Rebuild the tree over the uncovered points alone."""
-        self.grid = cKDTree(self.grid.data[self.uncovered])
+        self.grid = _kdtree(self.grid.data[self.uncovered])
         self.uncovered = np.ones(self.left, dtype=bool)
 
 
@@ -296,7 +296,7 @@ def coverage_holds(ifs: IfsSystem, driver, x0, eps: float,
     when the distance is within an ulp of eps.)
     """
     orbit = run_orbit(ifs, driver, x0, n)
-    nearest = cKDTree(orbit).query(cloud.points)[1]
+    nearest = _kdtree(orbit).query(cloud.points)[1]
     gap = cloud.points - orbit[nearest]
     return bool(((gap * gap).sum(axis=1) <= eps * eps).all())
 
@@ -308,21 +308,21 @@ def covering_estimate(points, eps: float) -> CoverEstimate:
     canonical order) uncovered point.  lower: greedy maximal 2*eps-separated
     subset; no eps-ball can contain two such points, so the true covering
     number is at least its size.  points is an (n, d) array, a flat list
-    (n points on the line) or an AttractorCloud, whose kd-tree (cloud.grid)
-    is reused and whose cover_sizes memo holds each radius's count, so on a
-    cloud a radius is walked once: lower(eps) of an r = 1/2 ladder is
-    upper(2*eps).  With a cache directory the memo is kept in the cloud's
-    cache file (read_cloud, and run_experiment's rewrite through
-    write_cloud), so a radius walked in one run is not walked in the next.
+    (n points on the line) or an AttractorCloud, whose kd-tree (cloud.grid,
+    built on first use, never on the line) is reused and whose cover_sizes
+    memo holds each radius's count, so on a cloud a radius is walked once:
+    lower(eps) of an r = 1/2 ladder is upper(2*eps).  With a cache directory
+    the memo is kept in the cloud's cache file (read_cloud, and the rewrite
+    in run_experiment), so a radius walked in one run is not walked in the next.
     Both counts come from ifs._greedy_walk, shared with build_sigma and
     cloud thinning: a ball at c holds p when abs(p - c) <= r in 1-d, and
     sum((p - c)**2) <= r**2, cKDTree's test, in d dimensions.  As in
     recovery_time, cKDTree applies the 1-d test too while r**2 is a normal
     float (r > ~1.5e-154).
     """
-    memo, grid = {}, None
+    memo, cloud = {}, None
     if isinstance(points, AttractorCloud):
-        points, grid, memo = points.points, points.grid, points.cover_sizes
+        cloud, points, memo = points, points.points, points.cover_sizes
     pts = _point_set(points)
     if pts.shape[0] == 0:
         raise ValidationError("covering estimate needs a nonempty point set")
@@ -331,7 +331,7 @@ def covering_estimate(points, eps: float) -> CoverEstimate:
     walk = None
     for r in (2.0 * eps, eps):
         if r not in memo:
-            walk = walk or _greedy_walk(pts, grid)
+            walk = walk or _greedy_walk(pts, cloud)
             memo[r] = len(walk(r))
     return CoverEstimate(eps=float(eps), lower=memo[2.0 * eps], upper=memo[eps])
 

@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.spatial import cKDTree
 
@@ -63,6 +63,34 @@ class TestChooseBaseMap:
         else:
             with pytest.raises(ValidationError, match="finite or concentrated"):
                 _base_and_outside(ifs, cloud)
+
+    # A single map x -> x/2 - 1 and diam_lower = 0 put every point of the
+    # cloud in [0, 2] outside the ball B(-2, 0), so only the close-pair test
+    # decides.  Dyadic values give gaps of exactly twice the resolution, and
+    # tiny ones gaps whose square underflows.
+    @given(values=st.lists(st.sampled_from([0.25, 0.5, 0.625, 0.75, 1.0, 1e-170, 2e-170])
+                           | st.floats(0.0, 2.0), min_size=16, max_size=80),
+           resolution=st.sampled_from([0.0, 0.0625, 0.125, 1e-160])
+           | st.floats(0.0, 0.5))
+    @example(values=[k / 8 for k in range(16)], resolution=1 / 16)         # gap == 2r
+    @example(values=[k / 8 for k in range(16)], resolution=0.0624)         # gap > 2r
+    @example(values=[1e-170, 2e-170, *(k / 8 for k in range(1, 15))], resolution=0.0)
+    @settings(max_examples=300, deadline=None)
+    def test_line_close_pair_matches_the_tree(self, values, resolution):
+        # On the line the test compares the squared gaps of adjacent sorted
+        # points with (2 * resolution)**2, as cKDTree does.
+        pts = np.sort(np.array(values))[:, None]
+        cloud = cg.AttractorCloud(points=pts, resolution=resolution, depth=0,
+                                  diam_lower=0.0, diam_upper=0.0)
+        ifs = cg.IfsSystem.create([cg.scalar_map(0.5, -1.0)])
+        want = bool(cKDTree(pts).query_pairs(2.0 * resolution))
+        try:
+            _, outside = _base_and_outside(ifs, cloud)
+        except ValidationError:
+            assert not want
+        else:
+            assert want
+            assert outside.tobytes() == pts.tobytes()
 
 
 class TestBuildSigma:

@@ -2,6 +2,10 @@
 
 import dataclasses
 import hashlib
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -343,3 +347,30 @@ class TestCoverSidecar:
     def test_exact_attractor_writes_no_cloud_file(self, tmp_path):
         run_experiment(load_preset("example4-z1"), cache_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
+
+
+_LINE_RUN_SCRIPT = """
+import sys
+from chaosgame import build_cloud, sierpinski_ifs
+from chaosgame.harness import parse_config, run_experiment
+cfg = parse_config(sys.argv[2])
+for _ in range(2):             # the first run writes the cloud file, the second reads it
+    run_experiment(cfg, cache_dir=sys.argv[1])
+assert [m for m in sys.modules if m.startswith("scipy")] == []
+build_cloud(sierpinski_ifs(), 0.1)
+assert "scipy.spatial" in sys.modules
+"""
+
+
+def test_line_run_never_imports_scipy(tmp_path):
+    # scipy.spatial loads at the first d-dim query, so a run on the line,
+    # a slow driver's schedule and the cloud cache included, loads numpy
+    # alone.  This session has scipy loaded, hence the fresh interpreter.
+    text = ("[experiment]\nschema_version = 1\nname = line\nseed = 0\n\n"
+            "[ifs]\npreset = cantor\n\n"
+            "[driver]\nkind = slow\npsi = power\nz = 1\nk_max = 2\n\n"
+            "[run]\nx0 = 0.5\nresolution = 0.001\norbit_cap = 100000\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(cg.__file__).resolve().parents[1])}
+    subprocess.run([sys.executable, "-c", _LINE_RUN_SCRIPT, str(tmp_path), text],
+                   env=env, check=True, timeout=60)
+    assert len(list(tmp_path.iterdir())) == 1

@@ -1,5 +1,6 @@
 """Recovery times, covering estimates, box dimension, rate diagnostics."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -609,14 +610,31 @@ class TestPlaneCovering:
         assert est.lower == _tree_greedy(pts, 2.0 * eps)
 
     def test_cloud_reuses_its_tree(self, monkeypatch):
+        # The cloud builds its tree once, on first use, and covering_estimate
+        # on the cloud builds no other.
         cloud = cloud_at_depth(cg.sierpinski_ifs(), 7)
         expected = [cg.covering_estimate(cloud.points, 2.0 ** -k) for k in (2, 5, 8)]
+        builds, kdtree = [], cg.ifs._kdtree
 
-        def no_new_tree(*args, **kwargs):
-            raise AssertionError("covering_estimate built a kd-tree")
+        def counted(points, **kw):
+            builds.append(len(points))
+            return kdtree(points, **kw)
 
-        monkeypatch.setattr(cg.ifs, "cKDTree", no_new_tree)
+        monkeypatch.setattr(cg.ifs, "_kdtree", counted)
         assert [cg.covering_estimate(cloud, 2.0 ** -k) for k in (2, 5, 8)] == expected
+        assert builds == [cloud.size]
+        assert cg.covering_estimate(cloud, 2.0 ** -3).upper >= 1
+        assert builds == [cloud.size]
+
+    def test_replaced_points_get_their_own_tree(self):
+        # dataclasses.replace used to copy the old cloud's tree, whose ball
+        # queries then indexed the new points out of bounds (IndexError).
+        cloud = cg.build_cloud(cg.sierpinski_ifs(), 0.05)
+        assert cloud.grid.n == cloud.size
+        part = dataclasses.replace(cloud, points=cloud.points[100:150])
+        est = cg.covering_estimate(part, 0.01)
+        assert (est.lower, est.upper) == (50, 50)
+        assert np.array_equal(part.grid.data, part.points)
 
 
 def _walk_radii(monkeypatch):
