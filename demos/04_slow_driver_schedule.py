@@ -21,19 +21,17 @@ def main() -> None:
     print("\nSchedule (psi(eps) = 1/eps):")
     print("  k  m_k  p_k        N_k    v_k        eps_k")
     for k, e in enumerate(schedule.entries, start=1):
-        print(f"  {k}  {e.m:<4} {e.p:<10} {e.N_hat:<6} {e.v:<10} "
-              f"{schedule.eps_of(k):.3g}")
+        print(f"  {k}  {e.m:<4} {e.p:<10} {e.N_hat:<6} {e.v:<10} {e.eps:.3g}")
 
     driver = cg.slow_driver(schedule)
     print("\nMeasured recovery times vs the bracket (x0 = 0):")
     for k, e in enumerate(schedule.entries, start=1):
-        eps = schedule.eps_of(k)
         v_prev = schedule.entries[k - 2].v if k >= 2 else 0
-        n = cg.recovery_time(cantor, driver, [0.0], eps, cloud,
+        n = cg.recovery_time(cantor, driver, [0.0], e.eps, cloud,
                              cap=5 * 10 ** 6).n
         lo, hi = v_prev + e.p, v_prev + e.p + e.m * e.N_hat
         print(f"  k={k}: {lo} <= n = {n} <= {hi},  "
-              f"n/psi(eps_k) = {cg.rate_ratio(n, psi, eps):.3f}")
+              f"n/psi(eps_k) = {cg.rate_ratio(n, psi, e.eps):.3f}")
     print("  (the ratio approaches 1 from above as k grows)")
 
 

@@ -94,6 +94,8 @@ def _cmd_recover(args) -> int:
     ifs = _IFS_FACTORIES[args.ifs]()
     driver = drv.DRIVER_KINDS[args.driver](ifs.alphabet_size, vars(args))
     cap = _least("--cap", args.cap, 0)
+    if not 0.0 < args.eps < 1.0:   # the rule [eps] applies to a config's eps
+        raise ValidationError(f"--eps must be a number in (0, 1), got {args.eps}")
     cloud = build_cloud(ifs, args.resolution)
     try:
         x0 = np.array([float(t) for t in args.x0.split()])

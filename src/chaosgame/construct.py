@@ -14,7 +14,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -97,6 +97,7 @@ class ScheduleEntry:
     sigma: np.ndarray  # covering word (read-only int64), length m * N_hat
     N_hat: int        # greedy cover size at radius C_m
     v: int            # cumulative symbols through this block
+    eps: float        # eps_k = 3 * C_{m_k}, the radius this block recovers at
 
 
 @dataclass(frozen=True)
@@ -106,17 +107,8 @@ class Schedule:
     psi: RateFunction
     base: BaseMapChoice
     entries: tuple
-    lip_max: float
-    diam_upper: float
     alphabet_size: int
     truncated: bool
-
-    def C_of(self, m: int) -> float:
-        return self.lip_max ** m * (self.diam_upper + 1.0)
-
-    def eps_of(self, k: int) -> float:
-        """eps_k = 3 * C_{m_k} for the 1-based scheduled index k."""
-        return 3.0 * self.C_of(self.entries[k - 1].m)
 
 
 def _base_and_outside(ifs: IfsSystem, cloud: AttractorCloud) -> tuple:
@@ -229,10 +221,9 @@ def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
     if k_max < 1:
         raise ValidationError("schedule needs k_max >= 1")
     base, outside_pts = _base_and_outside(ifs, cloud)
-    empty = Schedule(psi=psi, base=base, entries=(), lip_max=ifs.lip_max,
-                     diam_upper=cloud.diam_upper, alphabet_size=ifs.alphabet_size,
-                     truncated=False)
-    C_of = empty.C_of
+
+    def C_of(m):
+        return ifs.lip_max ** m * (cloud.diam_upper + 1.0)
 
     # Divergence trend test: sample the ratio m*N(C_m)/psi(3*C_m) while the
     # scale stays resolvable and demand an overall decrease.
@@ -277,7 +268,8 @@ def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
                 m += 1
             if truncated:
                 break
-        p_val = psi(3.0 * C_of(m))
+        eps = 3.0 * C_of(m)
+        p_val = psi(eps)
         if math.isinf(p_val) or p_val > step_cap:
             truncated = True
             break
@@ -289,10 +281,11 @@ def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
             truncated = True
             break
         v += block
-        entries.append(ScheduleEntry(m=m, p=p, sigma=sigma, N_hat=n_hat, v=v))
+        entries.append(ScheduleEntry(m=m, p=p, sigma=sigma, N_hat=n_hat, v=v, eps=eps))
     if not entries:
         raise CapExceededError("step cap too small for even one schedule block")
-    return replace(empty, entries=tuple(entries), truncated=truncated)
+    return Schedule(psi=psi, base=base, entries=tuple(entries),
+                    alphabet_size=ifs.alphabet_size, truncated=truncated)
 
 
 def slow_driver(schedule: Schedule) -> DriverStream:

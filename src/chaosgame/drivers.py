@@ -279,28 +279,19 @@ def _complete_trail(K, V, used, end, start, pref):
         node = (node * K + (tail[i] - 1)) % V
 
 
-def extend_de_bruijn(word: Word, K: int) -> Word:
-    """Extend a de Bruijn word of order m to one of order m + alpha(K),
-    keeping the input as a prefix.
-
-    The input spells a trail of forced edges in the order-(M-1) de Bruijn
-    graph for M = m + alpha(K); the remainder is an Eulerian trail of the
-    leftover multigraph, found by a greedy walk plus cycle splicing.
-    """
-    if word.alphabet_size != K:
-        raise ValidationError("alphabet mismatch")
-    m = infer_order(word)
-    M = m + alpha(K)
-    if K ** M > DEFAULT_WORD_BUDGET:
-        raise CapExceededError(f"extension to order {M} exceeds budget")
+def _extend(symbols: tuple, K: int, M: int) -> Word:
+    """Extend the de Bruijn word `symbols` over K symbols to order M, keeping
+    it as a prefix.  It spells a trail of forced edges in the order-(M-1) de
+    Bruijn graph; an Eulerian trail of the leftover multigraph, found by a
+    greedy walk plus cycle splicing, completes it."""
     V = K ** (M - 1)
     start = 0
-    for s in word.symbols[:M - 1]:
+    for s in symbols[:M - 1]:
         start = start * K + (s - 1)
     # Remove the forced edges spelled by the input.
     used = [0] * (V * K)
     node = start
-    for s in word.symbols[M - 1:]:
+    for s in symbols[M - 1:]:
         e = node * K + (s - 1)
         if used[e]:
             raise InternalInvariantError("forced edge repeated; input not de Bruijn")
@@ -310,10 +301,20 @@ def extend_de_bruijn(word: Word, K: int) -> Word:
 
     tails = (_complete_trail(K, V, list(used), end, start, pref) for pref in range(K))
     tail = next((t for t in tails if t is not None), [])   # none: the check below fails
-    out = Word(symbols=word.symbols + tuple(tail), alphabet_size=K)
+    out = Word(symbols=symbols + tuple(tail), alphabet_size=K)
     if len(out) != K ** M + M - 1 or not is_de_bruijn(out, M):
         raise InternalInvariantError("extension not found")
     return out
+
+
+def extend_de_bruijn(word: Word) -> Word:
+    """Extend a de Bruijn word of order m to order m + alpha(K), K its
+    alphabet size, keeping the input as a prefix."""
+    K = word.alphabet_size
+    M = infer_order(word) + alpha(K)
+    if K ** M > DEFAULT_WORD_BUDGET:
+        raise CapExceededError(f"extension to order {M} exceeds budget")
+    return _extend(word.symbols, K, M)
 
 
 def infinite_de_bruijn(K: int) -> DriverStream:
@@ -327,15 +328,14 @@ def infinite_de_bruijn(K: int) -> DriverStream:
         raise ValidationError("alphabet size must be >= 2")
 
     def gen():
-        w = de_bruijn_word(K, 1 if K >= 3 else 2)
-        yield w.symbols
-        while True:
-            order = infer_order(w) + alpha(K)
-            if K ** order > DEFAULT_WORD_BUDGET:
-                break
-            w2 = extend_de_bruijn(w, K)
-            yield w2.symbols[len(w):]
-            w = w2
+        M = 1 if K >= 3 else 2
+        symbols = de_bruijn_word(K, M).symbols
+        yield symbols
+        while K ** (M + alpha(K)) <= DEFAULT_WORD_BUDGET:
+            M += alpha(K)
+            longer = _extend(symbols, K, M).symbols
+            yield longer[len(symbols):]
+            symbols = longer
         # Disjunctive tail beyond the realized orders.
         yield from _champernowne_blocks(K)
 

@@ -510,8 +510,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
                                   k_max=cfg.param("k_max"),
                                   step_cap=cfg.param("step_cap"),
                                   budget=cfg.point_budget)
-        eps_values = tuple(schedule.eps_of(k)
-                           for k in range(1, len(schedule.entries) + 1))
+        eps_values = tuple(e.eps for e in schedule.entries)
     else:
         eps_values = cfg.eps_values()
     driver = make_driver(cfg, ifs, schedule)
@@ -581,16 +580,13 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
 
 
 # ---------------------------------------------------------------------------
-# Presets: each pins one headline measurement at desk scale.
+# Presets: each pins one headline measurement at desk scale.  A preset's
+# text is the [experiment] header, which its key names, then its body.
 # ---------------------------------------------------------------------------
 
-PRESETS = {
+PRESETS = {name: f"[experiment]\nschema_version = 1\nname = {name}\nseed = 0\n\n{body}"
+           for name, body in {
     "cantor-champernowne": """\
-[experiment]
-schema_version = 1
-name = cantor-champernowne
-seed = 0
-
 [ifs]
 preset = cantor
 
@@ -609,11 +605,6 @@ resolution = 1.5e-06
 orbit_cap = 2000000
 """,
     "cantor-debruijn": """\
-[experiment]
-schema_version = 1
-name = cantor-debruijn
-seed = 0
-
 [ifs]
 preset = cantor
 
@@ -632,11 +623,6 @@ resolution = 1.5e-06
 orbit_cap = 200000
 """,
     "sierpinski-debruijn": """\
-[experiment]
-schema_version = 1
-name = sierpinski-debruijn
-seed = 0
-
 [ifs]
 preset = sierpinski
 
@@ -655,11 +641,6 @@ resolution = 0.0005
 orbit_cap = 200000
 """,
     "example4-z1": """\
-[experiment]
-schema_version = 1
-name = example4-z1
-seed = 0
-
 [ifs]
 preset = halving
 
@@ -676,11 +657,6 @@ exact_attractor = true
 orbit_cap = 200000
 """,
     "example4-z05": """\
-[experiment]
-schema_version = 1
-name = example4-z05
-seed = 0
-
 [ifs]
 preset = halving
 
@@ -697,11 +673,6 @@ exact_attractor = true
 orbit_cap = 200000
 """,
     "slow-power-z1": """\
-[experiment]
-schema_version = 1
-name = slow-power-z1
-seed = 0
-
 [ifs]
 preset = cantor
 
@@ -718,11 +689,6 @@ resolution = 3e-07
 orbit_cap = 5000000
 """,
     "segment-dimension": """\
-[experiment]
-schema_version = 1
-name = segment-dimension
-seed = 0
-
 [ifs]
 preset = segment
 
@@ -741,7 +707,7 @@ resolution = 0.0001
 orbit_cap = 100000
 dimension = true
 """,
-}
+}.items()}
 
 
 def load_preset(name: str) -> ExperimentConfig:

@@ -49,7 +49,6 @@ class RecoveryRecord:
     x0: np.ndarray
     driver: str
     guard: float
-    cap: int
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
 
     def record(n):
         return RecoveryRecord(eps=float(eps), n=n, x0=x0, driver=driver.describe(),
-                              guard=cloud.resolution, cap=cap)
+                              guard=cloud.resolution)
 
     pos = 0          # index of the orbit point currently stored in x
     size = _FIRST_CHUNK

@@ -255,7 +255,7 @@ def test_criterion_07_slow_schedule_bracketing_and_ratio(cantor,
     overheads = []
     ratios_by_x0 = {x0: [] for x0 in (0.0, 0.5, 1.0)}
     for k, e in enumerate(sch.entries, start=1):
-        eps = sch.eps_of(k)
+        eps = e.eps
         v_prev = sch.entries[k - 2].v if k >= 2 else 0
         ok_claim = ok_claim and abs(e.p - psi(eps)) <= 1.0
         overheads.append((v_prev + e.m * e.N_hat) / e.p)

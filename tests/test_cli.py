@@ -315,7 +315,7 @@ class TestBadInputExit2:
         (_first_radius_nan, "bad cover size in cloud cache: radius nan"),
         (_as_version_1, "unsupported cloud cache version 1"),
     ], ids=["truncated", "bad-checksum", "non-numeric", "version"])
-    def test_garbled_cover_sidecar(self, capsys, config, tmp_path, garble, message):
+    def test_garbled_cover_sizes(self, capsys, config, tmp_path, garble, message):
         path, cache = config(), tmp_path / "cache"
         assert run(capsys, "experiment", "run", path, "--cache", str(cache))[0] == 0
         (cloud_file,) = cache.iterdir()
@@ -452,14 +452,20 @@ class TestBadInputExit2:
         ("schedule", "--ifs", "cantor", "--resolution", "1e-05", "--k-max", "0"),
         ("recover", "--ifs", "cantor", "--driver", "champernowne", "--x0", "0",
          "--eps", "0.01", "--cap", "-1"),
+        ("recover", "--ifs", "cantor", "--driver", "champernowne", "--x0", "5",
+         "--resolution", "0.001", "--eps", "1.5"),
+        ("recover", "--ifs", "cantor", "--driver", "champernowne", "--x0", "0",
+         "--resolution", "0.001", "--eps", "nan"),
     ], ids=["cloud-cap", "stats-cap", "schedule-emit", "experiment-cap",
-            "schedule-step-cap", "schedule-k-max", "recover-cap"])
+            "schedule-step-cap", "schedule-k-max", "recover-cap", "recover-eps-above-1",
+            "recover-eps-nan"])
     def test_count_checked_before_work(self, capsys, monkeypatch, argv):
         # cloud build --cap -5 used to exit 3, driver stats --cap -1 printed
         # an "exceeded" row per m with exit 0, and schedule --emit -3 built
         # the schedule and printed its table before failing; schedule
         # --step-cap 0 exited 3, and --k-max 0 and recover --cap -1 built
-        # the cloud first.
+        # the cloud first; recover --eps 1.5 ran the whole recovery and then
+        # failed in a message that named no flag.
         def work(*args, **kwargs):
             pytest.fail("the command did work before checking its count")
         monkeypatch.setattr(cli, "build_cloud", work)
@@ -467,6 +473,8 @@ class TestBadInputExit2:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "error:" in err
+        if argv[-2] == "--eps":
+            assert "--eps" in err
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_cli_resolution_out_of_range(self, capsys, tmp_path, value):

@@ -280,13 +280,13 @@ def schedule(cantor, cantor_cloud_fine):
 
 class TestBuildSchedule:
     def test_p_matches_psi_exactly(self, schedule):
-        for k, e in enumerate(schedule.entries, start=1):
-            assert e.p == math.ceil(schedule.psi(schedule.eps_of(k)))
+        for e in schedule.entries:
+            assert e.p == math.ceil(schedule.psi(e.eps))
 
     def test_claim_inequality(self, schedule):
         # |p_k - psi(3*C_{m_k})| <= 1
-        for k, e in enumerate(schedule.entries, start=1):
-            assert abs(e.p - schedule.psi(schedule.eps_of(k))) <= 1.0
+        for e in schedule.entries:
+            assert abs(e.p - schedule.psi(e.eps)) <= 1.0
 
     def test_claim_limit_proxy_strictly_decreasing(self, schedule):
         values = [(e.m + 1) * e.N_hat / e.p for e in schedule.entries]
@@ -315,8 +315,9 @@ class TestBuildSchedule:
             assert a.sigma is b.sigma
             assert a.sigma.dtype == np.int64 and not a.sigma.flags.writeable
 
-    def test_first_scale_below_half_delta(self, schedule):
-        assert schedule.C_of(schedule.entries[0].m) < schedule.base.delta / 2
+    def test_first_scale_below_half_delta(self, schedule, cantor, cantor_cloud_fine):
+        L, m1 = cantor.lip_max, schedule.entries[0].m
+        assert L ** m1 * (cantor_cloud_fine.diam_upper + 1.0) < schedule.base.delta / 2
 
     def test_too_slow_rate_rejected(self, cantor, cantor_cloud_fine):
         # psi(eps) = ln(1 + 1/eps): the ratio m*N(C_m)/psi(3*C_m) rises, so

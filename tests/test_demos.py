@@ -1,6 +1,6 @@
 """Smoke tests of the docs and sources: every demo script runs to
-completion, README's module table names only what its modules hold, and
-each module reads every name it imports."""
+completion, README's module table names only what its modules hold, each
+module reads every name it imports, and every top-level definition is used."""
 
 import ast
 import importlib
@@ -8,6 +8,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,28 @@ def test_modules_read_every_name_they_import():
         read = {node.id for node in ast.walk(tree)
                 if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
         assert imported <= read, (path.name, sorted(imported - read))
+
+
+def _reads(tree) -> Counter:
+    """How often each name is read in tree, bare or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree)
+                   if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)
+                   or isinstance(node, ast.Attribute))
+
+
+def test_every_top_level_definition_is_used():
+    # Code that nothing uses is deleted: each top-level function and class
+    # of src/ is read somewhere else in src/, used by a demo, or exported by
+    # chaosgame/__init__.py.
+    import chaosgame
+
+    trees = {path.name: ast.parse(path.read_text())
+             for path in sorted((ROOT / "src" / "chaosgame").glob("*.py"))}
+    src_reads = sum(map(_reads, trees.values()), Counter())
+    demo_reads = sum((_reads(ast.parse(path.read_text())) for path in DEMOS), Counter())
+    unused = [f"{name}:{node.name}" for name, tree in trees.items() for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and node.name not in chaosgame.__all__ and not demo_reads[node.name]
+              and not (src_reads - _reads(node))[node.name]]
+    assert unused == []

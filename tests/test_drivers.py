@@ -85,13 +85,13 @@ class TestDeBruijn:
 
     def test_extension_preserves_prefix(self):
         w2 = cg.de_bruijn_word(2, 2)
-        w4 = cg.extend_de_bruijn(w2, 2)
+        w4 = cg.extend_de_bruijn(w2)
         assert len(w4) == 2 ** 4 + 4 - 1
         assert w4.symbols[:len(w2)] == w2.symbols
         assert cg.is_de_bruijn(w4, 4)
 
         w1 = cg.de_bruijn_word(3, 1)
-        w2b = cg.extend_de_bruijn(w1, 3)
+        w2b = cg.extend_de_bruijn(w1)
         assert len(w2b) == 3 ** 2 + 2 - 1
         assert w2b.symbols[:len(w1)] == w1.symbols
         assert cg.is_de_bruijn(w2b, 2)
@@ -122,6 +122,19 @@ class TestInfiniteDeBruijn:
         early = list(d.segment(0, 19))
         d.segment(0, 2 ** 8 + 8 - 1)   # force later extension orders
         assert list(d.segment(0, 19)) == early
+
+    @pytest.mark.parametrize("K", [2, 3, 4])
+    def test_prefix_is_the_public_extension_chain(self, K):
+        # The stream extends its words at its own order without the public
+        # extend_de_bruijn; both must give the same words, through every
+        # order whose word fits in 2**16 symbols.
+        d, w = cg.infinite_de_bruijn(K), cg.de_bruijn_word(K, 2 if K == 2 else 1)
+        while True:
+            assert np.array_equal(d.segment(0, len(w)), w.symbols)
+            m = cg.infer_order(w) + cg.alpha(K)
+            if K ** m + m - 1 > 2 ** 16:
+                break
+            w = cg.extend_de_bruijn(w)
 
     def test_k2_odd_order_bound(self):
         # n_i(3) <= 2^4 + 3 (the prefix realizing order 4 covers order 3)

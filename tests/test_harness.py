@@ -299,7 +299,7 @@ class TestPlaneDeterminism:
         assert warm["summary.txt"] == cold["summary.txt"]
 
 
-class TestCoverSidecar:
+class TestCoverSizesInCloudFile:
     """A cached cloud's file, cloud-<key>.ifsc, keeps its greedy-cover sizes
     beside the points, so a warm run walks no radius of the cloud twice."""
 

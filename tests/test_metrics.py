@@ -184,19 +184,19 @@ class TestLogRates:
 class TestKeyInequality:
     def test_trivial_true(self):
         rec = cg.RecoveryRecord(eps=0.1, n=0, x0=np.array([0.0]), driver="d",
-                                guard=0.0, cap=10)
+                                guard=0.0)
         cover = cg.CoverEstimate(eps=0.1, lower=1, upper=1)
         assert cg.key_inequality_check(rec, cover)
 
     def test_synthetic_violation_detected(self):
         rec = cg.RecoveryRecord(eps=0.1, n=0, x0=np.array([0.0]), driver="d",
-                                guard=0.0, cap=10)
+                                guard=0.0)
         cover = cg.CoverEstimate(eps=0.1, lower=2, upper=3)
         assert not cg.key_inequality_check(rec, cover)
 
     def test_eps_must_match(self):
         rec = cg.RecoveryRecord(eps=0.1, n=5, x0=np.array([0.0]), driver="d",
-                                guard=0.0, cap=10)
+                                guard=0.0)
         cover = cg.CoverEstimate(eps=0.2, lower=1, upper=1)
         with pytest.raises(ValidationError):
             cg.key_inequality_check(rec, cover)
@@ -443,7 +443,7 @@ class TestSkippedRuns:
         ifs, x0, cloud = _two_point_case(dim)
         make = _literal((1,) * 19999 + (2,))
         rec = cg.recovery_time(ifs, make(), x0, 0.01, cloud, cap=cap)
-        assert rec.n is None and rec.cap == cap
+        assert rec.n is None
         assert _check_minimal(ifs, make, x0, cloud, 0.01, cap=cap) is None
         assert cg.recovery_time(ifs, make(), x0, 0.01, cloud, cap=20000).n == 20000
 
