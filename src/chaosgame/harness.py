@@ -48,7 +48,6 @@ at once.  emit_config produces the canonical form (maps expanded, floats at
 from __future__ import annotations
 
 import configparser
-import functools
 import hashlib
 import io
 import math
@@ -69,11 +68,11 @@ from .metrics import (DimensionEstimate, box_dimension, covering_estimate, log_r
 
 SCHEMA_VERSION = 1
 
-_IFS_FACTORIES = {   # cached: each map keeps its plain-float form (on_floats)
-    "cantor": functools.cache(cantor_ifs),
-    "segment": functools.cache(segment_ifs),
-    "halving": functools.cache(halving_ifs),
-    "sierpinski": functools.cache(sierpinski_ifs),
+_IFS_FACTORIES = {
+    "cantor": cantor_ifs,
+    "segment": segment_ifs,
+    "halving": halving_ifs,
+    "sierpinski": sierpinski_ifs,
 }
 
 _DRIVER_KEYS_BY_KIND = {   # the [driver] keys each kind takes besides kind
@@ -118,8 +117,14 @@ class ExperimentConfig:
     exact_attractor: bool
 
     def build_ifs(self) -> IfsSystem:
-        # Built once per set of maps; the repr tells -0.0 from 0.0, == does not.
-        return _build_ifs(repr(self.ifs_maps), self.ifs_maps)
+        maps = []
+        for idx, (flat, offset) in enumerate(self.ifs_maps, start=1):
+            d = len(offset)
+            try:
+                maps.append(AffineMap.create(np.array(flat).reshape(d, d), list(offset)))
+            except ValidationError as exc:
+                raise ValidationError(f"[ifs] map{idx}: {exc}") from None
+        return IfsSystem.create(maps)
 
     def eps_values(self) -> tuple:
         if self.eps_schedule[0] == "geom":
@@ -131,18 +136,6 @@ class ExperimentConfig:
 
     def param(self, key):
         return dict(self.driver_params).get(key)
-
-
-@functools.lru_cache(maxsize=256)
-def _build_ifs(key: str, ifs_maps: tuple) -> IfsSystem:
-    maps = []
-    for idx, (flat, offset) in enumerate(ifs_maps, start=1):
-        d = len(offset)
-        try:
-            maps.append(AffineMap.create(np.array(flat).reshape(d, d), list(offset)))
-        except ValidationError as exc:
-            raise ValidationError(f"[ifs] map{idx}: {exc}") from None
-    return IfsSystem.create(maps)
 
 
 def _numbers(raw: str) -> tuple:
@@ -174,6 +167,7 @@ _INT = (int, "an integer")
 _COUNT = (_where(int, lambda v: v >= 0), "an integer >= 0")
 _POSITIVE_INT = (_where(int, lambda v: v >= 1), "an integer >= 1")
 _POSITIVE = (_where(_number, lambda v: v > 0), "a positive finite number")
+_UNIT = (_where(_number, lambda v: 0.0 < v < 1.0), "a finite number in (0, 1)")
 _BOOL = (lambda raw: _BOOLS[raw.lower()], "true/false")
 
 # section -> key -> (reader, expected, default).  A reader raises ValueError
@@ -202,8 +196,7 @@ _FIELDS = {
     },
     "eps": {
         "a": (*_POSITIVE, None),
-        "r": (_where(_number, lambda v: 0.0 < v < 1.0), "a finite number in (0, 1)",
-              None),
+        "r": (*_UNIT, None),
         "m_lo": (*_INT, None),
         "m_hi": (*_INT, None),
         "list": (_where(_numbers, lambda vs: all(0.0 < v < 1.0 for v in vs) and

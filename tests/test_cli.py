@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, output formats, exit codes."""
 
+import argparse
 import errno
 import hashlib
 import math
@@ -184,6 +185,28 @@ def _as_version_1(raw: bytes) -> bytes:
 
 # MINIMAL's driver and [eps] section, which a slow driver replaces.
 _TO_SLOW = "kind = champernowne\n\n[eps]\na = 1\nr = 0.33333333333333331\nm_lo = 3\nm_hi = 5\n"
+
+
+def _typed_flags(parser, prefix=()):
+    """(argv, flag) for every option of parser's subcommands that a config
+    reader types: the subcommand's words, the flag and the value x."""
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            for name, subparser in action.choices.items():
+                yield from _typed_flags(subparser, (*prefix, name))
+        elif getattr(action.type, "__module__", None) == cli.__name__:
+            yield (*prefix, action.option_strings[-1], "x"), "/".join(action.option_strings)
+
+
+_TYPED_FLAGS = list(_typed_flags(cli.build_parser()))
+
+
+def _no_work(monkeypatch):
+    """Make building a cloud, a schedule or an experiment fail the test."""
+    def work(*args, **kwargs):
+        pytest.fail("the command did work before checking its flags")
+    for name in ("build_cloud", "build_schedule", "run_experiment"):
+        monkeypatch.setattr(cli, name, work)
 
 
 class TestBadInputExit2:
@@ -395,17 +418,18 @@ class TestBadInputExit2:
         assert code == 2
         assert "[experiment] seed" in err and "'-1'" in err
 
-    @pytest.mark.parametrize("argv", [
-        ("driver", "emit", "champernowne", "-n", "-5"),
-        ("schedule", "--ifs", "cantor", "--k-max", "1", "--step-cap", "100000",
-         "--resolution", "1e-05", "--emit", "-3"),
+    @pytest.mark.parametrize("argv,flag", [
+        (("driver", "emit", "champernowne", "-n", "-5"), "-n/--count"),
+        (("schedule", "--ifs", "cantor", "--k-max", "1", "--step-cap", "100000",
+          "--resolution", "1e-05", "--emit", "-3"), "--emit"),
     ], ids=["emit", "schedule"])
-    def test_negative_count(self, capsys, argv):
+    def test_negative_count(self, capsys, argv, flag):
         # A negative count used to slice from the end of the driver's buffer
-        # and print an empty line with exit code 0.
+        # and print an empty line with exit code 0; later it exited 2 with
+        # "invalid driver segment [0, -3)", which named no flag.
         code, _, err = run(capsys, *argv)
         assert code == 2
-        assert "invalid driver segment" in err
+        assert f"argument {flag}: expected an integer >= 0" in err
 
     @pytest.mark.parametrize("edit,where", [
         (("resolution = 0.001", "resolution = nan"), "[run] resolution"),
@@ -442,46 +466,79 @@ class TestBadInputExit2:
         assert code == 2
         assert where in err
 
-    @pytest.mark.parametrize("argv", [
-        ("cloud", "build", "--ifs", "cantor", "--resolution", "0.001",
-         "--out", "never.ifsc", "--cap", "-5"),
-        ("driver", "stats", "champernowne", "--stats", "2", "--cap", "-1"),
-        ("schedule", "--ifs", "cantor", "--resolution", "1e-05", "--emit", "-3"),
-        ("experiment", "run", "cantor-champernowne", "--cap", "-1"),
-        ("schedule", "--ifs", "cantor", "--resolution", "1e-05", "--step-cap", "0"),
-        ("schedule", "--ifs", "cantor", "--resolution", "1e-05", "--k-max", "0"),
-        ("recover", "--ifs", "cantor", "--driver", "champernowne", "--x0", "0",
-         "--eps", "0.01", "--cap", "-1"),
-        ("recover", "--ifs", "cantor", "--driver", "champernowne", "--x0", "5",
-         "--resolution", "0.001", "--eps", "1.5"),
-        ("recover", "--ifs", "cantor", "--driver", "champernowne", "--x0", "0",
-         "--resolution", "0.001", "--eps", "nan"),
+    @pytest.mark.parametrize("argv,flags", [
+        (("cloud", "build", "--ifs", "cantor", "--resolution", "0.001",
+          "--out", "never.ifsc", "--cap", "-5"), ("--cap",)),
+        (("driver", "stats", "champernowne", "--stats", "2", "--cap", "-1"), ("--cap",)),
+        (("schedule", "--ifs", "cantor", "--resolution", "1e-05", "--emit", "-3"),
+         ("--emit",)),
+        (("experiment", "run", "cantor-champernowne", "--cap", "-1"), ("--cap",)),
+        (("schedule", "--ifs", "cantor", "--resolution", "1e-05", "--step-cap", "0"),
+         ("--step-cap",)),
+        (("schedule", "--ifs", "cantor", "--resolution", "1e-05", "--k-max", "0"),
+         ("--k-max",)),
+        (("recover", "--ifs", "cantor", "--driver", "champernowne", "--x0", "0",
+          "--eps", "0.01", "--cap", "-1"), ("--cap",)),
+        (("recover", "--ifs", "cantor", "--driver", "champernowne", "--x0", "5",
+          "--resolution", "0.001", "--eps", "1.5"), ("--eps",)),
+        (("recover", "--ifs", "cantor", "--driver", "champernowne", "--x0", "0",
+          "--resolution", "0.001", "--eps", "nan"), ("--eps",)),
+        (("recover", "--ifs", "cantor", "--driver", "champernowne", "--x0", "abc",
+          "--resolution", "0.001", "--eps", "0.1"), ("--x0",)),
+        (("recover", "--ifs", "cantor", "--driver", "champernowne", "--x0", "nan",
+          "--resolution", "0.001", "--eps", "0.1"), ("--x0",)),
+        (("recover", "--ifs", "cantor", "--driver", "champernowne", "--x0", "0 0",
+          "--resolution", "0.001", "--eps", "0.1"), ("--x0",)),
+        (("dim", "--ifs", "cantor", "--a", "nan", "--r", "0.5", "--m-lo", "1",
+          "--m-hi", "3", "--resolution", "0.001"), ("--a",)),
+        (("dim", "--ifs", "cantor", "--r", "2", "--m-lo", "1", "--m-hi", "3",
+          "--resolution", "0.001"), ("--r",)),
+        (("dim", "--ifs", "cantor", "--r", "0.5", "--m-lo", "5", "--m-hi", "3",
+          "--resolution", "0.001"), ("--m-lo", "--m-hi")),
     ], ids=["cloud-cap", "stats-cap", "schedule-emit", "experiment-cap",
             "schedule-step-cap", "schedule-k-max", "recover-cap", "recover-eps-above-1",
-            "recover-eps-nan"])
-    def test_count_checked_before_work(self, capsys, monkeypatch, argv):
+            "recover-eps-nan", "recover-x0-abc", "recover-x0-nan", "recover-x0-length",
+            "dim-a-nan", "dim-r-above-1", "dim-m-lo-above-m-hi"])
+    def test_count_checked_before_work(self, capsys, monkeypatch, argv, flags):
         # cloud build --cap -5 used to exit 3, driver stats --cap -1 printed
         # an "exceeded" row per m with exit 0, and schedule --emit -3 built
         # the schedule and printed its table before failing; schedule
         # --step-cap 0 exited 3, and --k-max 0 and recover --cap -1 built
         # the cloud first; recover --eps 1.5 ran the whole recovery and then
-        # failed in a message that named no flag.
-        def work(*args, **kwargs):
-            pytest.fail("the command did work before checking its count")
-        monkeypatch.setattr(cli, "build_cloud", work)
-        monkeypatch.setattr(cli, "run_experiment", work)
+        # failed in a message that named no flag.  recover --x0 abc, nan and
+        # a wrong-length x0, dim --r 2 and dim --m-lo 5 --m-hi 3 each failed
+        # only once the cloud was built.
+        _no_work(monkeypatch)
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert "error:" in err
-        if argv[-2] == "--eps":
-            assert "--eps" in err
+        assert all(flag in err for flag in flags)
+
+    @pytest.mark.parametrize("argv,flag", _TYPED_FLAGS,
+                             ids=[" ".join(argv) for argv, _ in _TYPED_FLAGS])
+    def test_typed_flag_rejects_text(self, capsys, monkeypatch, argv, flag):
+        # Every flag typed by a config reader fails while the command line
+        # is parsed, naming the flag, whether or not the command reads it.
+        _no_work(monkeypatch)
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert f"argument {flag}: expected " in err and "got 'x'" in err
+
+    def test_every_typed_flag_walked(self):
+        # cloud build 2, driver emit 3, driver stats 3, recover 6, dim 5,
+        # schedule 6, experiment run 2.
+        assert len(_TYPED_FLAGS) == 27
+
+    def test_unknown_flag_returns_2(self, capsys):
+        # argparse's SystemExit used to escape main.
+        assert run(capsys, "--no-such-flag")[0] == 2
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_cli_resolution_out_of_range(self, capsys, tmp_path, value):
         code, _, err = run(capsys, "cloud", "build", "--ifs", "cantor", "--resolution",
                            value, "--out", str(tmp_path / "c.ifsc"))
         assert code == 2
-        assert "target resolution must be positive and finite" in err
+        assert "argument --resolution:" in err and "finite" in err
 
     @pytest.mark.parametrize("argv", [
         ("driver", "emit", "example4", "-n", "5", "--z", "nan"),
@@ -499,7 +556,7 @@ class TestBadInputExit2:
         # ZeroDivisionError.
         code, _, err = run(capsys, *argv)
         assert code == 2
-        assert "exponent z" in err and "finite" in err
+        assert "argument --z:" in err and "finite" in err
 
     @pytest.mark.parametrize("z", ["1e-06", "1e-300"])
     def test_example4_k0_search_bounded(self, capsys, z):
@@ -526,4 +583,4 @@ class TestBadInputExit2:
         code, out, err = run(capsys, "dim", "--ifs", "cantor", "--a", value, "--r", "0.5",
                              "--m-lo", "1", "--m-hi", "3", "--resolution", "0.001")
         assert (code, out) == (2, "")
-        assert f"a={value}" in err
+        assert "argument --a:" in err and "finite" in err

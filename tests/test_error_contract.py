@@ -338,8 +338,8 @@ def _main(argv, root: Path) -> tuple:
     with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
         try:
             code = main(argv)
-        except SystemExit as exc:                # argparse's usage errors
-            code = exc.code
+        except SystemExit as exc:    # argparse's usage errors come back as codes
+            raise AssertionError(f"main raised SystemExit({exc.code}) on {argv}") from None
     assert code in (0, 2, 3, 4), (argv, err.getvalue())
     assert "Traceback" not in err.getvalue()
     assert code == 0 or err.getvalue(), argv
