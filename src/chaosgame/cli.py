@@ -24,9 +24,9 @@ from . import drivers as drv
 from .construct import DEFAULT_STEP_CAP, RATE_KINDS, build_schedule, slow_driver
 from .errors import (CapExceededError, ChaosGameError, InternalInvariantError,
                      ValidationError)
-from .harness import (_COUNT, _FIELDS, _IFS_FACTORIES, _UNIT, PRESETS, _dimension_csv,
-                      _fmt, _numbers, _recovery_csv, _schedule_csv, load_preset,
-                      parse_config, run_experiment, write_artifacts)
+from .harness import (_COUNT, _FIELDS, _IFS_FACTORIES, _POSITIVE_INT, _UNIT, PRESETS,
+                      _dimension_csv, _fmt, _numbers, _recovery_csv, _schedule_csv,
+                      load_preset, parse_config, run_experiment, write_artifacts)
 from .ifs import DEFAULT_POINT_BUDGET, _as_vector, build_cloud, read_cloud, write_cloud
 from .metrics import DEFAULT_ORBIT_CAP, box_dimension, recovery_time
 
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name == "emit":
             p.add_argument("-n", "--count", type=_typed(*_COUNT), required=True)
         else:
-            p.add_argument("--stats", type=int, required=True, metavar="M",
+            p.add_argument("--stats", type=_typed(*_POSITIVE_INT), required=True, metavar="M",
                            help="emit n_i(m) rows for m = 1..M")
             p.add_argument("--cap", type=_typed(*_COUNT),
                            default=drv.DEFAULT_COVERAGE_CAP)

@@ -91,11 +91,6 @@ class DriverStream:
                 self._pieces.append(item)
                 self._ends.append(self._len)
 
-    @property
-    def buffered(self) -> int:
-        """Number of symbols produced so far (grows monotonically)."""
-        return self._len
-
     def pieces(self, start: int, stop: int):
         """(position, piece) per stored piece over [start, stop), cut to the
         window: a Run with its count cut, an array as a view.  Pieces are made

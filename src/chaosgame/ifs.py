@@ -55,8 +55,8 @@ def _row_sums(rows, x) -> list:
     each (row, o_i) in rows; x's items are floats or numpy arrays."""
     out = []
     for row, o in rows:
-        acc = -0.0                      # -0.0 + y == y bit for bit
-        for c, v in zip(row, x):
+        acc = row[0] * x[0]
+        for c, v in zip(row[1:], x[1:]):
             acc = acc + c * v
         out.append(acc + o)
     return out

@@ -11,19 +11,24 @@ are recoverable.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .drivers import Run
 from .errors import CapExceededError, ValidationError
 from .ifs import (AttractorCloud, IfsSystem, _as_vector, _greedy_walk, _kdtree, _point_set,
-                  run_orbit)
+                  _row_sums, run_orbit)
 
 DEFAULT_ORBIT_CAP = 10 ** 7
 _FIRST_CHUNK = 128
 _CHUNK = 8192
+_LAST_INDEX = 2 ** 63 - 1   # the last orbit index an int64 holds
+_LANES = 256        # lanes a long chunk is cut into
+_WARM = 64         # symbols stepped before each lane to guess its start
+_LANE_MIN = 4096   # the shortest chunk stepped in lanes
+_PASSES = 2        # lane re-runs before the rest is stepped one by one
 
 
 @dataclass(frozen=True)
@@ -69,35 +74,47 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
                   cloud: AttractorCloud, cap: int = DEFAULT_ORBIT_CAP) -> RecoveryRecord:
     """Least n with every cloud point within eps of some orbit point x_0..x_n.
 
-    The orbit is generated in chunks read with driver.segment.  Chunks grow
-    from _FIRST_CHUNK to _CHUNK symbols, so a small n steps few points.
-    Each chunk is checked against the still-uncovered cloud points, and the
-    returned n is the exact deterministic minimum.  The orbit is stepped in
-    plain floats with AffineMap's arithmetic (on_floats), one symbol at a
-    time; once f(x) == x the rest of the run of equal symbols repeats x, so
-    it is skipped: it adds no point, and a chunk that adds none is not checked.
-    A repeated point covers nothing that its first copy, earlier in the
-    orbit, did not, so no first hit, and not n, can fall on it.  The test is
-    float equality, under which +0 and -0 are equal: a repeat can differ
-    from x only in the sign of a zero coordinate, so every distance is
-    unchanged.  Each point keeps its orbit index, and a first hit is read
-    back through those indices.
+    The orbit is generated from driver.pieces.  Array pieces are gathered
+    into chunks read with driver.segment, which grow from _FIRST_CHUNK to
+    _CHUNK symbols, so a small n steps few points.  A Run is stepped with
+    its map until f(x) == x and the rest of it is skipped whole, so a block
+    of 10**12 equal symbols costs no more than its first steps; a Run that
+    never reaches such a point is stepped in full.  Each stepped part is
+    checked against the still-uncovered cloud points, and the returned n is
+    the exact deterministic minimum.  An orbit index past 2**63 - 1 raises
+    CapExceededError.
+
+    The orbit is stepped in plain floats with AffineMap's arithmetic
+    (on_floats).  Inside an array a step with f(x) == x adds no point and x
+    keeps its bits: a repeated point covers nothing that its first copy,
+    earlier in the orbit, did not, so no first hit, and not n, can fall on
+    it.  The test is float equality, under which +0 and -0 are equal: a
+    repeat can differ from x only in the sign of a zero coordinate, so every
+    distance is unchanged.  Each point keeps its orbit index, and a first
+    hit is read back through those indices.  A long chunk is stepped in
+    lanes (see _stepper): numpy steps every lane
+    at once with elementwise ufuncs only, and each lane's guessed start is
+    checked bit for bit, so the points are the same as one at a time.
 
     In 1-d an orbit point y covers a cloud point p when abs(y - p) <= eps in
     floating point.  A cKDTree ball query applies the same test as long as
     eps**2 is a normal float (eps above about 1.5e-154); below that it
-    compares rounded subnormal squares.  A chunk's orbit points are stably
-    sorted; each uncovered cloud point's window of orbit points within eps
-    comes from searchsorted with its edges settled by the exact test, and a
-    range minimum (sparse table) over the sorted order gives the first orbit
-    point in the window.
+    compares rounded subnormal squares.  A chunk's orbit points are sorted
+    once, and an uncovered cloud point is marked covered when either
+    of its sorted neighbours is within eps: y - p rounds monotonically in y,
+    so no farther orbit point can be.  Only the chunk that covers every
+    remaining point looks for first hits: each cloud point's window of
+    orbit points within eps comes from searchsorted with its edges settled
+    by the exact test, and a range minimum (sparse table) over the sorted
+    order gives the first orbit point in the window.
 
     In d dimensions y covers p when sum((y - p)**2) <= eps**2 in floating
     point, the test cKDTree applies; as in 1-d, when eps**2 is subnormal it
     compares rounded subnormal squares.  The pairs within eps between a
     kd-tree over the cloud points and a kd-tree over the chunk's orbit
-    points are found in one query; pairs whose cloud point is already
-    covered are dropped, and each newly hit cloud point keeps its first
+    points are found in one query, and pairs whose cloud point is already
+    covered are dropped.  The fresh pairs mark their cloud points covered;
+    on the chunk that covers every remaining point, each keeps its first
     orbit point.  The tree is first cloud.grid, built on first use; once a
     quarter of its points are left uncovered, it is rebuilt over just those.
     """
@@ -112,60 +129,149 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
     else:
         x, cover = tuple(x0.tolist()), _PairCover(cloud, eps)
     step = _stepper(ifs)
-
-    def record(n):
-        return RecoveryRecord(eps=float(eps), n=n, x0=x0, driver=driver.describe(),
-                              guard=cloud.resolution)
-
-    pos = 0          # index of the orbit point currently stored in x
+    pos = 0          # symbols [0, pos) are stepped; x is the orbit point they end at
+    stop = 0         # array symbols [pos, stop) are walked but not yet stepped
     size = _FIRST_CHUNK
-    n = cover(np.array([x]), np.array([0]))
-    while n is None:
-        if pos >= cap:
-            return record(None)
-        stop = min(pos + size, cap)
-        size = min(2 * size, _CHUNK)
-        try:
-            symbols = driver.segment(pos, stop)
-        except CapExceededError:
-            # Finite driver ran out before covering the cloud.
-            symbols = driver.segment(pos, driver.buffered)
-            if len(symbols) == 0:
-                return record(None)
-            stop = pos + len(symbols)
+
+    def advance(symbols, count):
+        """Step count symbols (an array, or a Run) from pos; n or None."""
+        nonlocal x, pos, size
+        if pos + count > _LAST_INDEX:
+            raise CapExceededError(f"orbit index {pos + count} is past 2**63 - 1")
         points, at, x = step(x, symbols)
-        if len(points):
-            n = cover(points, pos + 1 + at)
-        pos = stop
-    return record(int(n))
+        first, pos, size = pos + 1, pos + count, min(2 * size, _CHUNK)
+        return len(points), cover(points, first + at) if len(points) else None
+
+    n = cover(np.array([x]), np.array([0]))
+    walk = driver.pieces(0, cap)
+    while n is None:
+        try:
+            start, piece = next(walk)
+        except (StopIteration, CapExceededError):   # the cap, or a finite driver's end
+            piece = None
+        run = isinstance(piece, Run)
+        if piece is not None and not run:
+            stop = start + piece.size
+        # Gathered arrays: a chunk once size symbols wait, the rest before a Run
+        # or at the end.
+        while n is None and pos < stop and (stop - pos >= size or piece is None or run):
+            count = min(size, stop - pos)
+            _, n = advance(driver.segment(pos, pos + count), count)
+        if piece is None:
+            break
+        if run:
+            end = start + piece.count
+            while n is None and pos < end:
+                count = min(size, end - pos)
+                kept, n = advance(Run(piece.symbol, count), count)
+                if kept < count:        # f(x) == x: the rest of the Run repeats x
+                    pos = end
+            stop = pos
+    return RecoveryRecord(eps=float(eps), n=None if n is None else int(n), x0=x0,
+                          driver=driver.describe(), guard=cloud.resolution)
 
 
 def _stepper(ifs: IfsSystem):
     """step(x, symbols) -> (points, at, x): the orbit from x (a float in 1-d,
-    a tuple of floats in d dimensions) one symbol at a time, and the offsets
-    in symbols of the steps that gave the points.  Once f(x) == x the rest
-    of the run repeats x and is skipped, run ends found then, once a chunk."""
-    maps, K = [None, *(m.on_floats for m in ifs.maps)], len(ifs.maps)
+    a tuple of floats in d dimensions) and the offsets in symbols of the
+    steps that gave the points.  symbols is an int array, or a Run, which is
+    stepped until f(x) == x and no further.  Inside an array a step with
+    f(x) == x gives no point and x keeps its bits.
 
-    def step(x, symbols: np.ndarray):
+    An array of at least _LANE_MIN symbols is cut into _LANES lanes.  Each
+    lane's start is guessed by stepping the _WARM symbols before it from x:
+    contractions driven by the same symbols forget their start (Diaconis &
+    Freedman, SIAM Review 41, 1999).  All lanes then step together, and each guess is checked bit for
+    bit against the previous lane's end; a lane that fails is stepped again
+    from that end, at most _PASSES times, and the rest of the chunk is
+    stepped one symbol at a time.  The lanes form each coordinate with
+    _row_sums on per-lane coefficient columns, elementwise ufuncs only (no
+    BLAS, no fused multiply-add), so every value has the bits on_floats
+    gives it.
+    """
+    maps, K, d = [None, *(m.on_floats for m in ifs.maps)], len(ifs.maps), ifs.dim
+    # Per row i, (m_i0, m_i1, ...) and o_i by symbol; symbol 0 is the
+    # identity, which holds x, so it pads lanes without changing a bit.
+    mats = np.array([np.eye(d), *(m.matrix for m in ifs.maps)])
+    offsets = np.array([np.zeros(d), *(m.offset for m in ifs.maps)])
+    table = [(list(mats[:, i].T), offsets[:, i]) for i in range(d)]
+
+    def lanes(S, start):
+        """Step lane b from start[:, b] on the symbols S[:, b]: the states
+        (len(S) + 1, d, lanes) and which steps held x, (len(S), lanes)."""
+        # Per row i, per step t: ((m_i0, m_i1, ...), o_i) as columns over lanes.
+        cols = [list(zip(zip(*(c[S] for c in row)), o[S])) for row, o in table]
+        states = np.empty((len(S) + 1, *start.shape))
+        held = np.empty(S.shape, dtype=bool)
+        states[0], x = start, list(start)
+        for t, rows in enumerate(zip(*cols)):
+            y, same = _row_sums(rows, x), held[t]
+            np.equal(y[0], x[0], out=same)
+            for a, b in zip(y[1:], x[1:]):
+                same &= a == b
+            for a, b in zip(y, x):
+                np.copyto(a, b, where=same)       # y == x holds x, bits and all
+            states[t + 1], x = y, y
+        return states, held
+
+    def in_lanes(x, symbols):
+        """(states, kept, count, x): the state after each of the first count
+        symbols, stepped in lanes, which of them are points, and the last."""
+        n, B, W = len(symbols), _LANES, _WARM
+        L = -(-n // B)
+        padded = np.zeros(W + B * L, dtype=np.int64)
+        padded[W:W + n] = symbols
+        S = np.concatenate([padded[np.arange(W)[:, None] + L * np.arange(B)],
+                            padded[W:].reshape(B, L).T])
+        states, held = lanes(S, np.repeat(np.array(x, ndmin=1)[:, None], B, axis=1))
+        states, held = states[W:], held[W:]      # lane b starts at states[0, :, b]
+        bits = states.view(np.int64)
+        ok = np.ones(B, dtype=bool)
+        for rerun in range(_PASSES + 1):
+            ok[1:] = (bits[0, :, 1:] == bits[-1, :, :-1]).all(axis=0)
+            bad = np.flatnonzero(~ok)
+            if bad.size == 0 or rerun == _PASSES:
+                break
+            states[:, :, bad], held[:, bad] = lanes(S[W:, bad], states[-1][:, bad - 1])
+        done = B if bad.size == 0 else int(bad[0])
+        after = states[1:, :, :done].transpose(2, 0, 1).reshape(done * L, d)[:n]
+        return after, ~held[:, :done].T.ravel()[:n], min(n, done * L), states[-1][:, done - 1]
+
+    def step(x, symbols):
+        if isinstance(symbols, Run):
+            if not 1 <= symbols.symbol <= K:
+                raise ValidationError(f"invalid symbol in driver run, alphabet is 1..{K}")
+            f, out = maps[symbols.symbol], []
+            for _ in range(symbols.count):
+                y = f(x)
+                if y == x:
+                    break
+                x = y
+                out.append(y)
+            return np.array(out), np.arange(len(out)), x
         if symbols.min() < 1 or symbols.max() > K:
             raise ValidationError(f"invalid symbol in driver chunk, alphabet is 1..{K}")
-        syms, n = memoryview(symbols), len(symbols)
-        out: list = []
-        kept, ends, i = np.ones(n, dtype=bool), None, 0
-        while i < n:
-            y = maps[syms[i]](x)
+        n, done, points, ats = len(symbols), 0, [], []
+        if n >= _LANE_MIN:
+            states, kept, done, end = in_lanes(x, symbols)
+            x = float(end[0]) if d == 1 else tuple(end.tolist())
+            points.append(states[kept, 0] if d == 1 else states[kept])
+            ats.append(np.flatnonzero(kept))
+        out, held = [], []
+        for i, s in enumerate(memoryview(symbols)[done:], done):
+            y = maps[s](x)
             if y == x:
-                if ends is None:
-                    ends = [*(np.flatnonzero(np.diff(symbols)) + 1).tolist(), n]
-                end = ends[bisect.bisect_right(ends, i)]
-                kept[i:end] = False
-                i = end
-                continue
-            x = y
-            out.append(x)
-            i += 1
-        return np.array(out), np.flatnonzero(kept), x
+                held.append(i)
+            else:
+                x = y
+                out.append(y)
+        at = np.arange(done, n)
+        if held:
+            at = np.delete(at, np.array(held) - done)
+        if not points:
+            return np.array(out), at, x
+        points.append(np.array(out).reshape(-1, d) if d > 1 else np.array(out))
+        return np.concatenate(points), np.concatenate([*ats, at]), x
 
     return step
 
@@ -184,16 +290,19 @@ class _LineCover:
 
     def __call__(self, ys: np.ndarray, at: np.ndarray):
         eps, p = self.eps, self.uncovered
-        order = np.argsort(ys, kind="stable")
-        srt = ys[order]
+        srt = np.sort(ys)
         # Only cloud points within eps of the chunk's range can be hit: from
         # the first near its lowest point to the last near its highest.
         (a, _), (_, b) = _window(p, srt[[0, -1]], eps)
         near = p[a:b]
-        lo, hi = _window(srt, near, eps)
-        hit = lo < hi
+        # The orbit points on either side of a cloud point are the nearest
+        # in floating point too: y - p rounds monotonically in y.
+        j = np.searchsorted(srt, near)
+        hit = ((np.abs(srt[np.minimum(j, srt.size - 1)] - near) <= eps)
+               | (np.abs(srt[np.maximum(j - 1, 0)] - near) <= eps))
         if hit.all() and near.size == p.size:
-            return int(at[_range_min(order, lo, hi).max()])
+            lo, hi = _window(srt, near, eps)
+            return int(at[_range_min(np.argsort(ys, kind="stable"), lo, hi).max()])
         self.uncovered = np.concatenate([p[:a], near[~hit], p[b:]])
         return None
 
@@ -267,11 +376,13 @@ class _PairCover:
         pairs = self.grid.sparse_distance_matrix(_kdtree(ys, leafsize=2), self.eps,
                                                  output_type="ndarray")
         fresh = self.uncovered[pairs["i"]]
-        first = np.full(self.uncovered.size, len(ys), dtype=np.intp)
-        np.minimum.at(first, pairs["i"][fresh], pairs["j"][fresh])
-        hit = first < len(ys)
+        i, j = pairs["i"][fresh], pairs["j"][fresh]
+        hit = np.zeros(self.uncovered.size, dtype=bool)
+        hit[i] = True
         count = int(np.count_nonzero(hit))
         if count == self.left:
+            first = np.full(self.uncovered.size, len(ys), dtype=np.intp)
+            np.minimum.at(first, i, j)
             return int(at[first[hit].max()])
         self.uncovered[hit] = False
         self.left -= count
@@ -350,12 +461,13 @@ def box_dimension(cloud: AttractorCloud, a: float, r: float,
     if not 0 < a < math.inf or m_lo > m_hi:
         raise ValidationError(f"schedule needs a finite a > 0 and m_lo <= m_hi, "
                               f"got a={a}, m_lo={m_lo}, m_hi={m_hi}")
-    samples, rl, ru = [], [], []
+    samples, rl, ru, large = [], [], [], False
     for m in range(m_lo, m_hi + 1):
         b = a * r ** m
         if b <= 2.0 * cloud.resolution:
             break
         if b >= 1.0:
+            large = True
             continue
         est = covering_estimate(cloud, b)
         denom = math.log(1.0 / b)
@@ -363,9 +475,10 @@ def box_dimension(cloud: AttractorCloud, a: float, r: float,
         rl.append(math.log(est.lower) / denom)
         ru.append(math.log(est.upper) / denom)
     if not samples:
-        raise ValidationError(
-            "no usable radii: the schedule fell below twice the cloud resolution"
-        )
+        why = ["the radii were >= 1"] if large else []
+        if b <= 2.0 * cloud.resolution:
+            why.append("the schedule fell below twice the cloud resolution")
+        raise ValidationError("no usable radii: " + ", then ".join(why))
     value = min(ru)
     return DimensionEstimate(value=value, samples=tuple(samples),
                              rates_lower=tuple(rl), rates_upper=tuple(ru))

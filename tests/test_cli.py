@@ -525,9 +525,17 @@ class TestBadInputExit2:
         assert f"argument {flag}: expected " in err and "got 'x'" in err
 
     def test_every_typed_flag_walked(self):
-        # cloud build 2, driver emit 3, driver stats 3, recover 6, dim 5,
+        # cloud build 2, driver emit 3, driver stats 4, recover 6, dim 5,
         # schedule 6, experiment run 2.
-        assert len(_TYPED_FLAGS) == 27
+        assert len(_TYPED_FLAGS) == 28
+
+    @pytest.mark.parametrize("value", ["0", "-5"])
+    def test_stats_needs_a_positive_count(self, capsys, value):
+        # driver stats --stats 0 (or -5) used to print only the m,n_i_m
+        # header and exit 0.
+        code, out, err = run(capsys, "driver", "stats", "champernowne", f"--stats={value}")
+        assert (code, out) == (2, "")
+        assert f"argument --stats: expected an integer >= 1, got '{value}'" in err
 
     def test_unknown_flag_returns_2(self, capsys):
         # argparse's SystemExit used to escape main.
@@ -576,6 +584,20 @@ class TestBadInputExit2:
         # 2.0 ** (j * z) used to overflow in the k_0 search.
         code, out, _ = run(capsys, "driver", "emit", "example4", "-n", "5", "--z", "20")
         assert (code, out.strip()) == (0, "22222")
+
+    @pytest.mark.parametrize("a,r,why", [
+        ("5", "0.5", "the radii were >= 1"),
+        ("1e-7", "0.5", "the schedule fell below twice the cloud resolution"),
+        ("20000", "0.0001", "the radii were >= 1, then the schedule fell below "
+                          "twice the cloud resolution"),
+    ], ids=["radii-above-1", "below-resolution", "both"])
+    def test_dim_names_why_radii_were_dropped(self, capsys, a, r, why):
+        # Radii 2.5 and 1.25 (a = 5, r = 0.5) used to be reported as falling
+        # below twice the cloud resolution.
+        code, out, err = run(capsys, "dim", "--ifs", "cantor", "--a", a, "--r", r,
+                             "--m-lo", "1", "--m-hi", "2", "--resolution", "0.001")
+        assert (code, out) == (2, "")
+        assert err.strip() == f"error: no usable radii: {why}"
 
     @pytest.mark.parametrize("value", ["nan", "inf"])
     def test_dim_a_not_finite(self, capsys, value):

@@ -382,7 +382,7 @@ class TestRunStorage:
             cg.Run(1, 10 ** 9), cg.Run(2, 0), (2, 2, 1), cg.Run(2, 3), np.array([1, 2])]))
         seg = d.segment(10 ** 9 - 5, 10 ** 9 + 5)
         assert seg.tolist() == [1] * 5 + [2, 2, 1, 2, 2]
-        assert d.buffered == 10 ** 9 + 3 + 3
+        assert d._ends[-1] == 10 ** 9 + 3 + 3
         # The empty run is dropped; the 10^9 symbols are one stored Run.
         assert d._pieces[0] == cg.Run(1, 10 ** 9) and d._pieces[2] == cg.Run(2, 3)
         assert d._pieces[1].tolist() == [2, 2, 1] and len(d._pieces) == 3

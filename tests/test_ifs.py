@@ -118,6 +118,7 @@ class TestAffineMap:
 _ROTATED_RUN = """
 import hashlib
 import chaosgame as cg
+from chaosgame import metrics
 rot = [[0.4, 0.3], [-0.3, 0.4]]
 ifs = cg.IfsSystem.create([cg.AffineMap.create([[0.01, 0.41], [-0.32, 0.4]], [-0.4, -0.2]),
                            cg.AffineMap.create(rot, [1.0, 0.0]),
@@ -127,9 +128,21 @@ orbit = cg.run_orbit(ifs, cg.random_driver(3, 1), [0.1, 0.2], 2000)
 rec = cg.recovery_time(ifs, cg.random_driver(3, 1), [0.1, 0.2], 0.1, cloud)
 # LAPACK's SVD gives this map's norm one ulp apart under the two kernels.
 odd = cg.AffineMap.create([[0.108, 0.446], [0.404, -0.036]], [0.0, 0.0])
+# A chunk stepped in lanes, then one symbol at a time, in 1-d and 2-d.
+line = cg.IfsSystem.create([cg.scalar_map(0.4, -0.3), cg.scalar_map(-0.35, 0.6),
+                            cg.scalar_map(0.3, 0.1)])
+symbols, lane_min, chunks = cg.random_driver(3, 2).segment(0, 8192), metrics._LANE_MIN, []
+for system, x in ((line, 0.1), (ifs, (0.1, 0.2))):
+    lanes = metrics._stepper(system)(x, symbols)
+    metrics._LANE_MIN = len(symbols) + 1
+    one_by_one = metrics._stepper(system)(x, symbols)
+    metrics._LANE_MIN = lane_min
+    for points, at, end in (lanes, one_by_one):
+        chunks.append(hashlib.sha256(points.tobytes() + at.tobytes()
+                                     + repr(end).encode()).hexdigest())
 print(hashlib.sha256(cloud.points.tobytes()).hexdigest(),
       hashlib.sha256(orbit.tobytes()).hexdigest(), rec.n,
-      *(m.lip.hex() for m in (*ifs.maps, odd)))
+      *(m.lip.hex() for m in (*ifs.maps, odd)), *chunks)
 """
 
 
@@ -155,6 +168,8 @@ def test_same_bits_under_another_blas_kernel():
     default = run()
     assert run(OPENBLAS_CORETYPE="Nehalem") == default
     assert default[2] != "None"
+    lanes_1d, one_by_one_1d, lanes_2d, one_by_one_2d = default[-4:]
+    assert lanes_1d == one_by_one_1d and lanes_2d == one_by_one_2d
 
 
 class TestFixedPoint:

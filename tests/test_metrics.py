@@ -56,6 +56,12 @@ class TestRecoveryTime:
                              cantor_cloud_coarse.resolution / 2,
                              cantor_cloud_coarse)
 
+    @pytest.mark.parametrize("item", [cg.Run(3, 5), (1, 3)], ids=["run", "array"])
+    def test_invalid_symbol(self, cantor, cantor_cloud_coarse, item):
+        bad = cg.DriverStream("bad", 2, lambda: iter([item]))
+        with pytest.raises(ValidationError, match="invalid symbol"):
+            cg.recovery_time(cantor, bad, [0.0], 0.01, cantor_cloud_coarse)
+
     def test_does_not_consume_driver(self, cantor, cantor_cloud_coarse):
         d = cg.champernowne(2)
         cg.recovery_time(cantor, d, [0.0], 0.1, cantor_cloud_coarse)
@@ -267,13 +273,14 @@ class TestLineRecoveryEngine:
         _check_minimal(*case, eps)
 
     @given(case=_line_recovery_case(), pick=st.integers(0, 10 ** 6),
-           length=st.integers(0, 400))
+           length=st.integers(0, 400) | st.integers(2049, 10000))
     @settings(max_examples=60, deadline=None)
     def test_minimal_at_exact_distance(self, case, pick, length):
         # eps equal to the distance from a cloud point to its nearest orbit
         # point puts that cloud point exactly on the ball's boundary.  The
         # tree squares distances, so below 1e-150 (squares near the
         # subnormal range) its distances are rounded and it is no oracle.
+        # Orbits past 3,968 points reach the first chunk stepped in lanes.
         ifs, make, x0, cloud = case
         try:
             orbit = cg.run_orbit(ifs, make(), x0, length)
@@ -282,11 +289,12 @@ class TestLineRecoveryEngine:
         dist = cKDTree(orbit).query(cloud.points)[0]
         eps = float(dist[pick % dist.size])
         if eps > 1e-150:
-            _check_minimal(ifs, make, x0, cloud, eps)
+            _check_minimal(ifs, make, x0, cloud, eps, cap=max(3000, length + 2000))
 
     def test_fixed_point_run_is_filled(self, cantor, cantor_cloud_coarse):
         # Each run of 5000 first Cantor maps pins the orbit at 0 bit for bit
-        # after about 680 steps, and the rest of the run is skipped.  At
+        # after about 680 steps; the rest of the run is still stepped, and
+        # each of its steps holds x and gives no point.  At
         # eps = 0.05 only the periodic tail after the second run completes
         # the cover, more than 10,000 steps in.
         word = (1,) * 5000 + (2,) * 3 + (1,) * 5000 + (2, 1, 2, 2) * 200
@@ -299,6 +307,7 @@ class TestLineRecoveryEngine:
         def unavailable(*args, **kwargs):
             raise AssertionError("oracle routed through the recovery engine")
 
+        # The lanes are closures of _stepper; it has no other helper.
         for name in ("_stepper", "_LineCover", "_PairCover"):
             monkeypatch.setattr(metrics, name, unavailable)
         orbit = cg.run_orbit(cantor, cg.champernowne(2), [0.0], 3)
@@ -387,8 +396,9 @@ class TestPlaneRecoveryEngine:
 
     def test_fixed_point_run_is_filled(self):
         # The first map's orbit from (0.9, -0.7) reaches its fixed point
-        # (2, 0) bit for bit after 63 steps, so the rest of each run of 5000
-        # first maps is skipped.  At eps = 0.1 only the Champernowne tail after the
+        # (2, 0) bit for bit after 63 steps; the rest of each run of 5000
+        # first maps is still stepped, and each of its steps holds x and gives
+        # no point.  At eps = 0.1 only the Champernowne tail after the
         # second run completes the cover, more than 10,000 steps in.
         rot = [[0.5, 0.25], [-0.25, 0.5]]
         ifs = cg.IfsSystem.create([cg.AffineMap.create(rot, [1.0, 0.5]),
@@ -493,6 +503,113 @@ def test_two_cycle_run_is_stepped_in_full():
     assert n == 20001
 
 
+_TWO_CYCLE = cg.scalar_map(-0.7427631926750511, -0.10101787042252375)
+
+
+def _stream(items, K):
+    """A driver that yields items (Runs and symbol tuples) and then ends."""
+    return lambda: cg.DriverStream("pieces", K, lambda: iter(items))
+
+
+def test_two_cycle_run_piece_is_stepped_in_full():
+    # The same 2-cycle as above, read as a Run: no point repeats x, so all
+    # 20,000 symbols are stepped.
+    ifs = cg.IfsSystem.create([_TWO_CYCLE, cg.scalar_map(0.5, 0.5)])
+    f = ifs.maps[0].on_floats
+    p = 0.9
+    for _ in range(2000):
+        p = f(p)
+    q = f(p)
+    cloud = cg.AttractorCloud.from_points([[p], [q], [0.5 * p + 0.5]], resolution=0.0)
+    make = _stream([cg.Run(1, 20000), (2,), cg.Run(1, 3)], 2)
+    assert _check_minimal(ifs, make, [0.9], cloud, abs(p - q) / 4, cap=30000) == 20001
+
+
+# Piece lengths on and next to the edges of the growing chunks, and past
+# the shortest chunk stepped in lanes.
+_PIECE = st.sampled_from([1, 2, 3, 127, 128, 129, 255, 256, 257, 383, 384, 385, 4096, 5000])
+
+
+@st.composite
+def _pieces_case(draw):
+    """A 1-d or 2-d recovery case whose driver mixes Runs and arrays; in 1-d
+    the first map is sometimes the one whose Runs end in a 2-cycle."""
+    if draw(st.booleans()):
+        ifs, _, x0, cloud = draw(_line_recovery_case())
+        if draw(st.booleans()):
+            ifs = cg.IfsSystem.create([_TWO_CYCLE, *ifs.maps[1:]])
+    else:
+        ifs, _, x0, cloud = draw(_plane_recovery_case())
+    K = len(ifs.maps)
+    run = st.builds(cg.Run, st.integers(1, K), _PIECE)
+    array = st.builds(lambda seed, n: tuple(np.random.default_rng(seed).integers(1, K + 1, n)
+                                            .tolist()), st.integers(0, 99), _PIECE)
+    items = draw(st.lists(run | array, min_size=1, max_size=6))
+    length = sum(item.count if isinstance(item, cg.Run) else len(item) for item in items)
+    return ifs, _stream(items, K), x0, cloud, length
+
+
+@given(case=_pieces_case(), prefix=st.integers(100, 10000), pick=st.integers(0, 10 ** 6))
+@settings(max_examples=60, deadline=None)
+def test_runs_and_arrays_minimal(case, prefix, pick):
+    # eps is the distance from one cloud point to its nearest point of an
+    # orbit prefix, which puts that cloud point on the ball's boundary, or
+    # just above the largest such distance, so the prefix covers the cloud
+    # and n falls anywhere in the stream.
+    ifs, make, x0, cloud, length = case
+    orbit = cg.run_orbit(ifs, make(), x0, min(prefix, length))
+    dist = cKDTree(orbit).query(cloud.points)[0]
+    eps = float(dist[pick % dist.size] if pick % 2 else dist.max() * (1 + 1e-12))
+    if eps > 1e-150:
+        _check_minimal(ifs, make, x0, cloud, eps, cap=30000)
+
+
+class TestHugeRuns:
+    """A Run held at its fixed point is skipped whole, however long."""
+
+    def test_orbit_index_past_int64(self):
+        # The Run pins the orbit at 0 and is skipped whole; the array after
+        # it starts at orbit index 2**63 + 1, which an int64 cannot hold, so
+        # without the check pos + 1 + at raises OverflowError.
+        ifs, x0, cloud = _two_point_case(1)
+        make = _stream([cg.Run(1, 2 ** 63), (2, 1)], 2)
+        with pytest.raises(CapExceededError, match="past 2\\*\\*63 - 1"):
+            cg.recovery_time(ifs, make(), x0, 0.01, cloud, cap=2 ** 65)
+        with pytest.raises(CapExceededError):
+            cg.recovery_time(ifs, make(), x0, 0.01, cloud, cap=2 ** 63 + 1)
+        rec = cg.recovery_time(ifs, make(), x0, 0.01, cloud, cap=2 ** 63)
+        assert rec.n is None
+
+    def test_deep_slow_block(self, cantor, monkeypatch):
+        # Block 2 of this schedule holds the first map for p_2 =
+        # 953,199,585,950 symbols, and the orbit sits at 0 after a few
+        # hundred of them; stepping the block symbol by symbol would take
+        # months.  Only the arrays and the steps of each Run up to its
+        # fixed point are stepped.
+        stepped, stepper = [], metrics._stepper
+
+        def counting(ifs):
+            step = stepper(ifs)
+
+            def counted(x, symbols):
+                points, at, x = step(x, symbols)
+                run = isinstance(symbols, cg.Run)
+                stepped.append(min(len(points) + 1, symbols.count) if run else len(symbols))
+                return points, at, x
+            return counted
+
+        monkeypatch.setattr(metrics, "_stepper", counting)
+        cloud = cg.build_cloud(cantor, 1e-7)
+        schedule = cg.build_schedule(cantor, cloud, cg.power_rate(3), k_max=2,
+                                     step_cap=10 ** 30)
+        (e1, e2), driver = schedule.entries, cg.slow_driver(schedule)
+        assert e2.p == 953_199_585_950
+        rec = cg.recovery_time(cantor, driver, [1.5], e2.eps, cloud, cap=e2.v)
+        assert e1.v + e2.p <= rec.n <= e2.v
+        words = e2.v - e1.p - e2.p       # the array symbols up to block 2's end
+        assert sum(stepped) <= words + 2 * 2000
+
+
 def _run_by_run_stepper(ifs):
     """Oracle for metrics._stepper: the chunk cut into runs of equal symbols
     up front, each run stepped until it ends or f(x) == x."""
@@ -559,6 +676,103 @@ def test_stepper_matches_run_by_run_oracle(case, cut):
             assert got.tobytes() == want.tobytes() and got.shape == want.shape
             assert np.array_equal(at, at_want)
             assert repr(x) == repr(y)
+
+
+_LANE_COEF = st.sampled_from([1 / 3, 0.5, -0.5, 0.0]) | st.floats(-0.6, 0.6)
+_LANE_OFFSET = st.sampled_from([0.0, 2 / 3, -0.5]) | st.floats(-1.0, 1.0)
+
+
+@st.composite
+def _lane_case(draw):
+    """A 1-d or 2-d system and a chunk long enough, and changing symbol
+    often enough, to be stepped in lanes: maps with zero offsets (x/3 among
+    them), maps equal to the first, long runs, and starts at a fixed point."""
+    dim = draw(st.sampled_from([1, 2]))
+    K = draw(st.integers(2, 3))
+    maps = []
+    for _ in range(K):
+        if maps and draw(st.booleans()):
+            maps.append(maps[0])
+            continue
+        a, b = draw(_LANE_COEF), draw(_LANE_COEF)
+        matrix = [[a]] if dim == 1 else [[a, -b], [b, a]]
+        offset = ([draw(st.sampled_from([0.0, -0.0]))] * dim if draw(st.booleans())
+                  else [draw(_LANE_OFFSET) for _ in range(dim)])
+        maps.append(cg.AffineMap.create(matrix, offset))
+    ifs = cg.IfsSystem.create(maps)
+    start = draw(st.sampled_from([*(cg.fixed_point(m).tolist() for m in maps),
+                                  [draw(_LANE_OFFSET) for _ in range(dim)]]))
+    rng = np.random.default_rng(draw(st.integers(0, 10 ** 6)))
+    symbols = rng.integers(1, K + 1, draw(st.integers(metrics._LANE_MIN, 12000)))
+    for _ in range(draw(st.integers(0, 3))):      # long runs
+        at, length = draw(st.integers(0, len(symbols))), draw(st.integers(64, 600))
+        symbols[at:at + length] = draw(st.integers(1, K))
+    return ifs, start[0] if dim == 1 else tuple(start), symbols
+
+
+@given(case=_lane_case(), cut=st.floats(0.0, 1.0))
+@settings(max_examples=80, deadline=None)
+def test_lanes_match_run_by_run_oracle(case, cut):
+    ifs, x0, symbols = case
+    assert len(symbols) >= metrics._LANE_MIN
+    step, oracle = metrics._stepper(ifs), _run_by_run_stepper(ifs)
+    split = max(metrics._LANE_MIN, int(cut * len(symbols)))
+    for parts in ([symbols], [symbols[:split], symbols[split:]]):
+        x, y = x0, x0
+        for part in parts:
+            if len(part) == 0:
+                continue
+            (got, at, x), (want, at_want, y) = step(x, part), oracle(y, part)
+            assert got.tobytes() == want.tobytes() and len(got) == len(want)
+            assert np.array_equal(at, at_want)
+            assert repr(x) == repr(y)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lanes_that_never_coalesce_fall_back(dim, monkeypatch):
+    # With zero offsets the maps only scale x, so a lane started from a
+    # guess keeps its relative error until the orbit underflows: each pass
+    # confirms one more lane, and after the last the chunk is finished one
+    # symbol at a time.
+    if dim == 1:
+        ifs, x0 = cg.IfsSystem.create([cg.scalar_map(1 / 3, 0.0), cg.scalar_map(0.5, 0.0)]), 1.0
+    else:
+        ifs = cg.IfsSystem.create([cg.AffineMap.create([[0.5, 0.25], [-0.25, 0.5]], [0.0, 0.0]),
+                                   cg.AffineMap.create([[0.3, -0.1], [0.1, 0.3]], [0.0, 0.0])])
+        x0 = (1.0, 0.5)
+    lanes, row_sums = [], metrics._row_sums
+
+    def counted(rows, x):
+        lanes.append(len(x[0]))
+        return row_sums(rows, x)
+
+    monkeypatch.setattr(metrics, "_row_sums", counted)
+    symbols = np.random.default_rng(5).integers(1, 3, 8192)
+    got, at, x = metrics._stepper(ifs)(x0, symbols)
+    want, at_want, y = _run_by_run_stepper(ifs)(x0, symbols)
+    assert got.tobytes() == want.tobytes()
+    assert np.array_equal(at, at_want) and repr(x) == repr(y)
+    reruns = [n for n in lanes if n < metrics._LANES]
+    assert reruns and max(reruns) > 1      # every failed lane was run again
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_lanes_keep_the_bits_of_a_held_zero(dim):
+    # With the offset -0.0 and a negative coefficient a map sends 0.0 to
+    # -0.0, which equals it, so the step holds x and 0.0 keeps its sign:
+    # the orbit from 0.0 adds no point and ends at 0.0, not -0.0.
+    if dim == 1:
+        maps, x0 = [cg.scalar_map(-0.5, -0.0), cg.scalar_map(1 / 3, -0.0)], 0.0
+    else:
+        maps = [cg.AffineMap.create([[-0.5, 0.25], [0.25, -0.5]], [-0.0, -0.0]),
+                cg.AffineMap.create([[1 / 3, 0.0], [0.0, -1 / 3]], [-0.0, -0.0])]
+        x0 = (0.0, 0.0)
+    ifs = cg.IfsSystem.create(maps)
+    symbols = np.random.default_rng(7).integers(1, 3, 8192)
+    got, at, x = metrics._stepper(ifs)(x0, symbols)
+    want, at_want, y = _run_by_run_stepper(ifs)(x0, symbols)
+    assert len(got) == len(at) == len(want) == len(at_want) == 0
+    assert repr(x) == repr(y) == repr(x0)
 
 
 def _tree_greedy(points, r):
