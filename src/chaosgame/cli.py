@@ -75,6 +75,10 @@ def _cmd_cloud(args) -> int:
     print(f"resolution: {_fmt(cloud.resolution)}")
     print(f"depth: {cloud.depth}")
     print(f"diam bracket: [{_fmt(cloud.diam_lower)}, {_fmt(cloud.diam_upper)}]")
+    depths = " ".join(str(m) for _, _, m, _ in sorted(cloud.words))
+    print(f"cover radii: {len(cloud.cover_sizes)}")
+    print(f"covering words: {len(cloud.words)}" + (f" (m = {depths})" if depths else ""))
+    print(f"outside counts: {len(cloud.outside_sizes)}")
     return 0
 
 

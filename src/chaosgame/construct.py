@@ -27,8 +27,6 @@ DEFAULT_ADDRESS_BUDGET = 2 ** 24
 DEFAULT_STEP_CAP = 5 * 10 ** 6   # most symbols the schedule's blocks may hold
 _MIN_OUTSIDE = 8   # cloud points a base map must leave outside its delta-ball
 _EXP_OVERFLOW = 700.0  # exp argument beyond which float64 overflows
-# Each run rebuilds its covering words; equal ones share one read-only array.
-_shared_word = functools.lru_cache(maxsize=8)(functools.partial(np.frombuffer, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -151,10 +149,12 @@ def build_sigma(ifs: IfsSystem, cloud: AttractorCloud, d: float, m: int,
     covering_estimate shares, centres each target's d-ball there, holding p
     when abs(p - c) <= d in 1-d (as in recovery_time, cKDTree agrees while
     d**2 is a normal float, d > ~1.5e-154) and sum((p - c)**2) <= d**2 on
-    cloud.grid, built on first use, in d dimensions.  A target's reversed
-    word is its address index in base K, least significant digit first.
+    cloud.grid, built on first use, in d dimensions.  The targets' address
+    indices go into the cloud's words memo under (ifs.fingerprint, K, m, d),
+    so a cloud walks each word once (a cached cloud keeps them in its file);
+    a target's reversed word is its index in base K (_word).
     """
-    if d <= 0:
+    if not d > 0:
         raise ValidationError("cover radius d must be positive")
     if m < 1:
         raise ValidationError("address depth m must be >= 1")
@@ -163,16 +163,32 @@ def build_sigma(ifs: IfsSystem, cloud: AttractorCloud, d: float, m: int,
         raise CapExceededError(
             f"depth {m} needs {K ** m} address points, budget is {budget}"
         )
-    addr = _hutchinson_points(ifs, m)
-    chosen = _nearest_address(addr, cloud.points)
-    try:
-        targets = _greedy_walk(cloud.points, cloud)(d, addr[chosen])
-    except ValidationError:
-        raise ValidationError(
-            f"cover radius d={d:g} is too small for depth m={m}: the nearest "
-            "address point cannot cover its own cylinder") from None
-    digits = chosen[targets][:, None] // K ** np.arange(m) % K + 1
-    return _shared_word(digits.astype(np.int64, copy=False).tobytes())
+    key = (ifs.fingerprint, K, int(m), float(d))
+    if (index := cloud.words.get(key)) is None:
+        addr = _hutchinson_points(ifs, m)
+        chosen = _nearest_address(addr, cloud.points)
+        try:
+            targets = _greedy_walk(cloud.points, cloud)(d, addr[chosen])
+        except ValidationError:
+            raise ValidationError(
+                f"cover radius d={d:g} is too small for depth m={m}: the nearest "
+                "address point cannot cover its own cylinder") from None
+        index = cloud.words[key] = chosen[targets].astype(np.int64, copy=False)
+        index.flags.writeable = False
+    return _word(index.tobytes(), m, K)
+
+
+@functools.lru_cache(maxsize=8)
+def _word(index: bytes, m: int, K: int) -> np.ndarray:
+    """The covering word of the int64 address indices index: each index's m
+    base-K digits, least significant first, plus 1, as one read-only int64
+    array, so equal words of two runs are one array."""
+    digits = np.frombuffer(index, np.int64)[:, None] // K ** np.arange(m)
+    np.remainder(digits, K, out=digits)
+    digits += 1
+    digits = digits.ravel()
+    digits.flags.writeable = False
+    return digits
 
 
 def _nearest_address(addr: np.ndarray, pts: np.ndarray) -> np.ndarray:
@@ -209,8 +225,9 @@ def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
         satisfy  N(C_{m_{k+1}}) > v_k  and  N_delta(3*C_{m_{k+1}}) > v_k + m_1
         (packing is a certified lower bound on the covering number, so both
         strict inequalities are checked on the sound side; the cloud's
-        counts go through its cover_sizes memo, so each radius is walked
-        once, and the outside points are walked only at 2*(3*C_m));
+        counts go through its cover_sizes memo and the outside points'
+        through its outside_sizes memo, walked only at 2*(3*C_m), so a
+        cloud walks each radius once);
       - construction stops at k_max entries or when the next block would
         push past step_cap, setting the truncated flag.
 
@@ -248,7 +265,7 @@ def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
         if m1 > 512:
             raise InternalInvariantError("C_m failed to fall below delta/2")
 
-    outside = _greedy_walk(outside_pts)
+    outside = None
 
     entries = []
     v = 0
@@ -262,7 +279,11 @@ def build_schedule(ifs: IfsSystem, cloud: AttractorCloud, psi: RateFunction,
                     truncated = True
                     break
                 ok_d = covering_estimate(cloud, C_of(m)).lower > v
-                ok_c = len(outside(2.0 * (3.0 * C_of(m)))) > v + m1
+                r = 2.0 * (3.0 * C_of(m))
+                if (key := (ifs.fingerprint, r)) not in cloud.outside_sizes:
+                    outside = outside or _greedy_walk(outside_pts)
+                    cloud.outside_sizes[key] = len(outside(r))
+                ok_c = cloud.outside_sizes[key] > v + m1
                 if ok_d and ok_c:
                     break
                 m += 1

@@ -422,8 +422,8 @@ def _obtain_cloud(cfg: ExperimentConfig, ifs: IfsSystem, cache_dir) -> tuple:
     """(cloud, path of its cache file, or None when not cached).
 
     The cloud is the exact attractor, or a built cloud.  With a cache_dir a
-    built cloud is read from cloud-<key>.ifsc there, its cover_sizes memo
-    with it (read_cloud), or built and written there at once.
+    built cloud is read from cloud-<key>.ifsc there, its memo tables with
+    it (read_cloud), or built and written there at once.
     """
     if cfg.exact_attractor:
         eps = cfg.eps_values()
@@ -488,13 +488,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
     """Execute all phases; deterministic artifacts, optional file emission.
 
     With a cache_dir the cloud comes from the cache (_obtain_cloud), and once
-    the analysis is done its cache file is rewritten if this run walked a
-    radius the file did not hold, build_schedule's included.
+    the analysis is done its cache file is rewritten if any of the cloud's
+    memo tables grew: a radius, covering word or outside count that the
+    file did not hold.
     """
     artifacts: dict = {}
     ifs = cfg.build_ifs()
     cloud, cache_path = _obtain_cloud(cfg, ifs, cache_dir)
-    known = len(cloud.cover_sizes)
+    known = cloud.memo_entries
 
     schedule = None
     if cfg.driver_kind == "slow":
@@ -519,7 +520,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
     if cfg.dimension:
         _, a, r, lo, hi = cfg.eps_schedule
         dimension = box_dimension(cloud, a, r, lo, hi)
-    if cache_path is not None and len(cloud.cover_sizes) > known:
+    if cache_path is not None and cloud.memo_entries > known:
         write_cloud(cache_path, cloud)
 
     # ---- artifact emission (all deterministic text) ----

@@ -23,9 +23,13 @@ import numpy as np
 from .errors import CapExceededError, ValidationError
 
 _MAGIC = b"IFSC"
-_FORMAT_VERSION = 2
-_HEADER = struct.Struct("<IIQdIQ")  # version, dim, count, resolution, depth, radii
+_FORMAT_VERSION = 3
+# version, dim, count, resolution, depth, then the entries of each memo table:
+# cover radii, outside counts, covering words
+_HEADER = struct.Struct("<IIQdIQQQ")
 _SIZES = np.dtype([("radius", "<f8"), ("size", "<u8")])
+_OUTSIDE = np.dtype([("ifs", "V32"), ("radius", "<f8"), ("size", "<u8")])
+_WORDS = np.dtype([("ifs", "V32"), ("K", "<u8"), ("m", "<u8"), ("d", "<f8"), ("length", "<u8")])
 
 DEFAULT_POINT_BUDGET = 2 ** 24
 
@@ -168,6 +172,16 @@ class IfsSystem:
     @property
     def alphabet_size(self) -> int:
         return len(self.maps)
+
+    @functools.cached_property
+    def fingerprint(self) -> bytes:
+        """sha256 of the dimension, K and every map's matrix and offset
+        bytes in map order: what a cloud's memo tables key this system by."""
+        digest = hashlib.sha256(struct.pack("<QQ", self.dim, len(self.maps)))
+        for m in self.maps:
+            digest.update(np.ascontiguousarray(m.matrix, "<f8").tobytes())
+            digest.update(np.ascontiguousarray(m.offset, "<f8").tobytes())
+        return digest.digest()
 
     def map_for(self, symbol: int) -> AffineMap:
         if not 1 <= symbol <= len(self.maps):
@@ -372,10 +386,17 @@ class AttractorCloud:
     depth: int
     diam_lower: float       # max pairwise distance over cloud points
     diam_upper: float       # certified upper bound on diam A
-    # radius r -> size of the greedy r-cover of points (covering_estimate);
-    # a cached cloud keeps it in its cache file (write_cloud, read_cloud)
+    # Memo tables, which a cached cloud keeps in its cache file (write_cloud,
+    # read_cloud); an IFS is keyed by its fingerprint.
+    # radius r -> size of the greedy r-cover of points (covering_estimate)
     cover_sizes: dict = field(default_factory=dict, init=False, repr=False,
                               compare=False)
+    # (IFS, K, m, d) -> the address indices of build_sigma's covering word
+    words: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (IFS, r) -> size of the greedy r-cover of the points outside the base
+    # map's ball (build_schedule)
+    outside_sizes: dict = field(default_factory=dict, init=False, repr=False,
+                                compare=False)
 
     @classmethod
     def from_points(cls, points, resolution: float, depth: int = 0,
@@ -392,6 +413,11 @@ class AttractorCloud:
     @property
     def size(self) -> int:
         return self.points.shape[0]
+
+    @property
+    def memo_entries(self) -> int:
+        """Entries in the memo tables, which only ever grow."""
+        return len(self.cover_sizes) + len(self.words) + len(self.outside_sizes)
 
     @functools.cached_property
     def grid(self):                     # kd-tree over points, built on first use
@@ -465,20 +491,31 @@ def directed_hausdorff(set_a, set_b) -> float:
 
 
 def write_cloud(path, cloud: AttractorCloud) -> None:
-    """Binary cache of a cloud and its greedy-cover sizes, little-endian:
-    IFSC magic; version, dim, count, resolution, depth and the number of
-    radii; the count x dim point coordinates (<f8); one (radius <f8,
-    size <u8) pair per cloud.cover_sizes entry, ascending, so radii
-    round-trip exactly; and the sha256 of every byte before it.
+    """Binary cache of a cloud and its memo tables, little-endian: IFSC
+    magic; version, dim, count, resolution, depth and the number of entries
+    of each table; the count x dim point coordinates (<f8); one (radius <f8,
+    size <u8) pair per cloud.cover_sizes entry; one (IFS fingerprint,
+    radius <f8, size <u8) per outside_sizes entry; one (IFS fingerprint,
+    K <u8, m <u8, d <f8, length <u8) head per words entry, then every
+    word's address indices (<i8) in the order of the heads; and the sha256
+    of every byte before it.  Each table is in ascending key order, so
+    floats round-trip exactly.
 
     Identical clouds serialize byte-identically.  The bytes go to a
     temporary file in path's directory, which then replaces path: an
     interrupted write leaves no short file at path, and of two writers at
-    once the last to rename wins, leaving its whole file.  A change to the
-    greedy walk that changes its counts must change _FORMAT_VERSION.
+    once the last to rename wins, leaving its whole file.  A change that
+    changes what a table holds for its key must change _FORMAT_VERSION: to
+    the greedy walks, the address rule (construct._nearest_address), the
+    base-map rule (construct._base_and_outside) or its _MIN_OUTSIDE.
     """
     pts = np.ascontiguousarray(cloud.points, dtype="<f8")
     sizes = np.array(sorted(cloud.cover_sizes.items()), dtype=_SIZES)
+    outside = np.array([(*key, n) for key, n in sorted(cloud.outside_sizes.items())],
+                       dtype=_OUTSIDE)
+    keys = sorted(cloud.words)
+    heads = np.array([(*key, cloud.words[key].size) for key in keys], dtype=_WORDS)
+    index = np.concatenate([np.empty(0, "<i8"), *(cloud.words[key] for key in keys)])
     head, name = os.path.split(os.fspath(path))
     tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
     digest = hashlib.sha256()
@@ -486,8 +523,10 @@ def write_cloud(path, cloud: AttractorCloud) -> None:
         with open(tmp, "wb") as fh:
             for chunk in (_MAGIC + _HEADER.pack(_FORMAT_VERSION, pts.shape[1],
                                                 pts.shape[0], cloud.resolution,
-                                                cloud.depth, sizes.size),
-                          pts.tobytes(), sizes.tobytes()):
+                                                cloud.depth, sizes.size,
+                                                outside.size, heads.size),
+                          pts.tobytes(), sizes.tobytes(), outside.tobytes(),
+                          heads.tobytes(), index.astype("<i8", copy=False).tobytes()):
                 fh.write(chunk)
                 digest.update(chunk)
             fh.write(digest.digest())
@@ -499,47 +538,76 @@ def write_cloud(path, cloud: AttractorCloud) -> None:
 
 
 def read_cloud(path) -> AttractorCloud:
-    """Inverse of write_cloud, cover_sizes included.  A malformed, truncated
+    """Inverse of write_cloud, memo tables included.  A malformed, truncated
     or altered file, one of another version or with bytes after its
     checksum raises ValidationError naming the file."""
     with open(path, "rb") as fh:
         raw = fh.read()
     if raw[:4] != _MAGIC:
         raise ValidationError(f"{path}: bad cloud cache magic {raw[:4]!r}")
-    start = 4 + _HEADER.size
-    header = raw[4:start]
+    at = 4 + _HEADER.size
+    header = raw[4:at]
     if len(header) != _HEADER.size:
         raise ValidationError(
             f"{path}: truncated cloud cache header ({len(header)} of "
             f"{_HEADER.size} bytes)")
-    version, dim, count, resolution, depth, radii = _HEADER.unpack(header)
+    version, dim, count, resolution, depth, radii, outs, words = _HEADER.unpack(header)
     if version != _FORMAT_VERSION:
         raise ValidationError(f"{path}: unsupported cloud cache version {version}")
     if dim < 1 or count < 1:
         raise ValidationError(f"{path}: cloud cache holds {count} points "
                               f"of dimension {dim}")
-    size, left = count * dim * 8 + radii * _SIZES.itemsize + 32, len(raw) - start
-    if left < size:
+
+    def take(dtype, n):                 # the next n items, if the file holds them
+        nonlocal at
+        end = at + np.dtype(dtype).itemsize * n
+        if end + 32 > len(raw):
+            raise ValidationError(f"{path}: truncated cloud cache payload "
+                                  f"({len(raw) - 4 - _HEADER.size} of at least "
+                                  f"{end + 32 - 4 - _HEADER.size} bytes)")
+        part, at = np.frombuffer(raw, dtype, n, at), end
+        return part
+
+    data = take("<f8", count * dim).reshape(count, dim)
+    sizes, outside, heads = take(_SIZES, radii), take(_OUTSIDE, outs), take(_WORDS, words)
+    index = take("<i8", sum(heads["length"].tolist()))
+    if len(raw) - 32 > at:
         raise ValidationError(
-            f"{path}: truncated cloud cache payload ({left} of {size} bytes)")
-    if left > size:
-        raise ValidationError(
-            f"{path}: {left - size} trailing bytes after the cloud cache payload")
+            f"{path}: {len(raw) - 32 - at} trailing bytes after the cloud cache payload")
     if hashlib.sha256(memoryview(raw)[:-32]).digest() != raw[-32:]:
         raise ValidationError(f"{path}: cloud cache checksum mismatch")
-    data = np.frombuffer(raw, "<f8", count * dim, start).reshape(count, dim)
-    sizes = np.frombuffer(raw, _SIZES, radii, start + data.nbytes).tolist()
     if not (resolution >= 0.0 and np.isfinite(resolution) and np.isfinite(data).all()):
         raise ValidationError(f"{path}: cloud cache holds non-finite or negative values")
+    sizes, outside = sizes.tolist(), outside.tolist()
     last = 0.0
     for r, n in sizes:                  # radii > 0, ascending, each once
         if not (r > last and 1 <= n <= count):
             raise ValidationError(f"{path}: bad cover size in cloud cache: "
                                   f"radius {r!r}, count {n}")
         last = r
+    last = ()
+    for fp, r, n in outside:            # keys ascending, each once
+        if not ((fp, r) > last and r > 0.0 and 1 <= n <= count):
+            raise ValidationError(f"{path}: bad outside count in cloud cache: "
+                                  f"radius {r!r}, count {n}")
+        last = (fp, r)
+    index = index.astype(np.int64)     # a copy: the words keep no view of raw
+    index.flags.writeable = False
+    table, last, start = {}, (), 0
+    for fp, K, m, d, length in heads.tolist():
+        word = table[fp, K, m, d] = index[start:start + length]
+        start += length
+        if not ((fp, K, m, d) > last and K >= 1 and m >= 1 and d > 0.0
+                and 1 <= length <= count and word.min() >= 0
+                and int(word.max()) < K ** min(m, 64)):
+            raise ValidationError(f"{path}: bad covering word in cloud cache: "
+                                  f"K {K}, m {m}, d {d!r}, {length} indices")
+        last = (fp, K, m, d)
     with np.errstate(over="ignore"):   # an overflowing diameter is rejected below
         cloud = AttractorCloud.from_points(data.copy(), resolution=resolution, depth=depth)
     if not np.isfinite(cloud.diam_upper):
         raise ValidationError(f"{path}: cloud cache diameter is not finite")
     cloud.cover_sizes.update(sizes)
+    cloud.outside_sizes.update(((fp, r), n) for fp, r, n in outside)
+    cloud.words.update(table)
     return cloud

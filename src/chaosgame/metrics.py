@@ -11,6 +11,7 @@ are recoverable.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 
@@ -292,8 +293,11 @@ class _LineCover:
         eps, p = self.eps, self.uncovered
         srt = np.sort(ys)
         # Only cloud points within eps of the chunk's range can be hit: from
-        # the first near its lowest point to the last near its highest.
-        (a, _), (_, b) = _window(p, srt[[0, -1]], eps)
+        # the first near its lowest point to the last near its highest, by
+        # bisection on _window's exact tests, which hold on a prefix of p.
+        lo, hi = float(srt[0]), float(srt[-1])
+        a = bisect.bisect_left(p, True, key=lambda y: not y - lo < -eps)
+        b = bisect.bisect_left(p, True, key=lambda y: not y - hi <= eps)
         near = p[a:b]
         # The orbit points on either side of a cloud point are the nearest
         # in floating point too: y - p rounds monotonically in y.

@@ -5,12 +5,12 @@ import errno
 import hashlib
 import math
 import struct
-import time
 
 import pytest
 
-from chaosgame import cli
+from chaosgame import cli, ifs
 from chaosgame.cli import main
+from chaosgame.drivers import DriverStream, Run
 
 
 def run(capsys, *argv):
@@ -31,14 +31,33 @@ class TestDriverCommands:
         assert code == 0
         assert out.splitlines() == ["m,n_i_m", "1,2", "2,7", "3,23"]
 
-    def test_stats_without_cap_reads_runs_whole(self, capsys):
+    def test_stats_without_cap_reads_runs_whole(self, capsys, monkeypatch):
         # The block driver never holds 121.  Read symbol by symbol, the
-        # default cap of 10^9 symbols took about 2 minutes to reach.
-        t0 = time.perf_counter()
+        # default cap of 10^9 symbols took about 2 minutes to reach; read
+        # by pieces, it is a few dozen Runs.  A Run counts as one symbol
+        # asked for, an array or a segment as its length.
+        pieces, segment = DriverStream.pieces, DriverStream.segment
+        asked = []
+
+        def ask(symbols):
+            asked.append(symbols)
+            assert sum(asked) <= 10 ** 4, "the driver was read symbol by symbol"
+
+        def counted_pieces(self, start, stop):
+            for pos, piece in pieces(self, start, stop):
+                ask(1 if isinstance(piece, Run) else len(piece))
+                yield pos, piece
+
+        def counted_segment(self, start, stop):
+            ask(stop - start)
+            return segment(self, start, stop)
+
+        monkeypatch.setattr(DriverStream, "pieces", counted_pieces)
+        monkeypatch.setattr(DriverStream, "segment", counted_segment)
         code, out, _ = run(capsys, "driver", "stats", "example4", "--stats", "3")
-        assert time.perf_counter() - t0 < 1.0
         assert code == 0
         assert out.splitlines()[-1] == "3,exceeded"
+        assert asked
 
     def test_emit_example4(self, capsys):
         code, out, _ = run(capsys, "driver", "emit", "example4", "--z", "1",
@@ -86,6 +105,20 @@ class TestCloud:
         assert code == 0
         assert "points: 128" in out
         assert "resolution:" in out
+        assert out.splitlines()[-3:] == ["cover radii: 0", "covering words: 0",
+                                         "outside counts: 0"]
+
+    def test_info_counts_memo_tables_after_slow_run(self, capsys, tmp_path):
+        # The slow preset's three blocks leave one covering word each (with
+        # its address depth m), the radii of its cover counts and the radii
+        # at which it counted the points outside the base map's ball.
+        cache = tmp_path / "cache"
+        assert run(capsys, "experiment", "run", "slow-power-z1", "--cache", str(cache))[0] == 0
+        (path,) = cache.glob("*.ifsc")
+        code, out, _ = run(capsys, "cloud", "info", str(path))
+        assert code == 0
+        assert out.splitlines()[-3:] == ["cover radii: 36", "covering words: 3 (m = 3 8 15)",
+                                         "outside counts: 9"]
 
 
 class TestDim:
@@ -168,19 +201,33 @@ def _rechecked(raw: bytes) -> bytes:
     return raw[:-32] + hashlib.sha256(raw[:-32]).digest()
 
 
+_HEAD = 4 + ifs._HEADER.size   # a cloud cache file's magic and header
+
+
 def _first_radius_nan(raw: bytes) -> bytes:
     """The first cover-size radius of a 1-d cloud cache file set to nan."""
     count = int.from_bytes(raw[12:20], "little")
-    at = 40 + 8 * count
+    at = _HEAD + 8 * count
     return _rechecked(raw[:at] + struct.pack("<d", math.nan) + raw[at + 8:])
 
 
 def _as_version_1(raw: bytes) -> bytes:
     """The cloud of a cache file in the version 1 layout: magic, version,
     dim, count, resolution, depth, then the points, and no cover sizes."""
-    _, dim, count, resolution, depth, _ = struct.unpack("<IIQdIQ", raw[4:40])
+    _, dim, count, resolution, depth, *_ = ifs._HEADER.unpack(raw[4:_HEAD])
     return (b"IFSC" + struct.pack("<IIQdI", 1, dim, count, resolution, depth)
-            + raw[40:40 + 8 * dim * count])
+            + raw[_HEAD:_HEAD + 8 * dim * count])
+
+
+def _as_version_2(raw: bytes) -> bytes:
+    """The cloud and cover sizes of a cache file in the version 2 layout:
+    magic, version, dim, count, resolution, depth, the number of radii, the
+    points, the (radius, size) pairs and the sha256, without the outside
+    counts and covering words."""
+    _, dim, count, resolution, depth, radii, *_ = ifs._HEADER.unpack(raw[4:_HEAD])
+    return _rechecked(b"IFSC" + struct.pack("<IIQdIQ", 2, dim, count, resolution, depth,
+                                            radii)
+                      + raw[_HEAD:_HEAD + 8 * dim * count + 16 * radii] + bytes(32))
 
 
 # MINIMAL's driver and [eps] section, which a slow driver replaces.
@@ -259,15 +306,14 @@ class TestBadInputExit2:
         assert "[driver] z" in err and "'one'" in err
 
     @pytest.mark.parametrize("z", ["-1", "0"])
-    def test_slow_z_out_of_range(self, capsys, config, z):
+    def test_slow_z_out_of_range(self, capsys, monkeypatch, config, z):
         # z = -1 used to parse; the run exited 2 only once the cloud was
         # built, about 1.2 s at this resolution.
         path = config(("preset = cantor", "preset = sierpinski"),
                       (_TO_SLOW, f"kind = slow\npsi = power\nz = {z}\n"),
                       ("x0 = 0; 1", "x0 = 0 0"), ("resolution = 0.001", "resolution = 0.0005"))
-        t0 = time.perf_counter()
+        _no_work(monkeypatch)
         code, _, err = run(capsys, "experiment", "run", path)
-        assert time.perf_counter() - t0 < 1.0
         assert code == 2
         assert "[driver] z" in err and "positive" in err
 
@@ -305,8 +351,6 @@ class TestBadInputExit2:
         # A write that failed partway used to leave a short cloud-*.ifsc,
         # and every later run exited 2 reading it; the OSError escaped as a
         # traceback.
-        from chaosgame import ifs
-
         def short_open(file, mode="r", *args, **kwargs):
             fh = open(file, mode, *args, **kwargs)
             if "w" in mode:
@@ -337,7 +381,8 @@ class TestBadInputExit2:
         (lambda b: b[:-40] + bytes([b[-40] ^ 1]) + b[-39:], "checksum mismatch"),
         (_first_radius_nan, "bad cover size in cloud cache: radius nan"),
         (_as_version_1, "unsupported cloud cache version 1"),
-    ], ids=["truncated", "bad-checksum", "non-numeric", "version"])
+        (_as_version_2, "unsupported cloud cache version 2"),
+    ], ids=["truncated", "bad-checksum", "non-numeric", "version", "version-2"])
     def test_garbled_cover_sizes(self, capsys, config, tmp_path, garble, message):
         path, cache = config(), tmp_path / "cache"
         assert run(capsys, "experiment", "run", path, "--cache", str(cache))[0] == 0
@@ -351,8 +396,6 @@ class TestBadInputExit2:
                                                             tmp_path, monkeypatch):
         # The run writes the cloud when it is built, and again with the cover
         # sizes it walked; a failed rewrite leaves the first file whole.
-        from chaosgame import ifs
-
         opened = []
 
         def failing_open(file, mode="r", *args, **kwargs):

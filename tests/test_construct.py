@@ -135,6 +135,29 @@ class TestBuildSigma:
         with pytest.raises(ValidationError, match="too small"):
             _sigma_oracle(cantor, cantor_cloud_coarse, 0.001, 1)
 
+    def test_memo_serves_only_its_own_ifs(self, cantor):
+        # Cantor with its maps swapped has the same attractor, cloud and
+        # alphabet but other words: a word memoised under one system must
+        # not serve the other.
+        swapped = cg.IfsSystem.create(cantor.maps[::-1])
+        cloud, m = cg.build_cloud(cantor, 1e-4), 4
+        d = cantor.lip_max ** m * (cloud.diam_upper + 1.0)
+        word = cg.build_sigma(cantor, cloud, d, m)
+        other = cg.build_sigma(swapped, cloud, d, m)
+        assert len(cloud.words) == 2
+        assert other.tolist() == _sigma_oracle(swapped, cloud, d, m) != word.tolist()
+        assert cg.build_sigma(cantor, cloud, d, m) is word
+
+    def test_memo_keeps_no_failed_walk(self, cantor):
+        # A word whose walk failed its own-ball check is not stored, so the
+        # same call fails again.
+        cloud = cg.build_cloud(cantor, 1e-4)
+        for _ in range(2):
+            with pytest.raises(ValidationError,
+                               match="cover radius d=0.001 is too small for depth m=1"):
+                cg.build_sigma(cantor, cloud, 0.001, 1)
+        assert cloud.words == {}
+
     def test_radius_too_small_plane(self):
         ifs = cg.sierpinski_ifs()
         cloud = cloud_at_depth(ifs, 5)

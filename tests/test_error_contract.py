@@ -159,11 +159,12 @@ def _read_patched(raw: bytearray, data, offsets, recheck: bool):
 def test_read_cloud_raises_only_package_errors(dim, data):
     raw = bytearray(_CLOUDS[dim])
     # Header: magic 0:4, version 4:8, dim 8:12, count 12:20, resolution
-    # 20:28, depth 28:32, radii 32:40; then the payload of float64
-    # coordinates, the cover sizes and the sha256.
+    # 20:28, depth 28:32, then the entries of each memo table: radii 32:40,
+    # outside counts 40:48, words 48:56; then the payload of float64
+    # coordinates, the memo tables and the sha256.
     if data.draw(st.booleans()):
         raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
-    offsets = st.sampled_from([4, 8, 12, 16, 20, 28, 32, 40])
+    offsets = st.sampled_from([4, 8, 12, 16, 20, 28, 32, 40, 48, 56])
     try:
         cloud = _read_patched(raw, data, offsets, data.draw(st.booleans()))
     except ChaosGameError:
@@ -183,15 +184,16 @@ def _covers_bytes():
 
 
 _COVERS_CLOUD, _COVERS = _covers_bytes()
+_POINTS_AT = 4 + cg.ifs._HEADER.size    # after the magic and the header
 
 
 @given(data=st.data())
 @settings(max_examples=200, deadline=None)
 def test_read_covers_raises_only_package_errors(data):
-    # The cover sizes: six (radius <f8, size <u8) pairs before the sha256.
+    # The cover sizes: six (radius <f8, size <u8) pairs after the points.
     raw = bytearray(_COVERS)
-    start = len(raw) - 32 - 16 * len(_COVERS_CLOUD.cover_sizes)
-    offsets = st.integers(start, len(raw) - 33)
+    start = _POINTS_AT + _COVERS_CLOUD.points.nbytes
+    offsets = st.integers(start, start + 16 * len(_COVERS_CLOUD.cover_sizes) - 1)
     try:
         cloud = _read_patched(raw, data, offsets, recheck=True)
     except ChaosGameError:
@@ -199,6 +201,43 @@ def test_read_covers_raises_only_package_errors(data):
     radii = list(cloud.cover_sizes)
     assert radii == sorted(set(radii)) and all(r > 0.0 for r in radii)
     assert all(1 <= n <= cloud.size for n in cloud.cover_sizes.values())
+
+
+def _tables_bytes():
+    """A 1-d cloud whose file holds covering words and outside counts, from
+    a two-block slow schedule, and the file's bytes."""
+    cloud = cloud_at_depth(cg.cantor_ifs(), 9)
+    cg.build_schedule(cg.cantor_ifs(), cloud, cg.power_rate(1.0), k_max=2)
+    assert cloud.words and cloud.outside_sizes
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.ifsc"
+        cg.write_cloud(path, cloud)
+        return cloud, path.read_bytes()
+
+
+_TABLES_CLOUD, _TABLES = _tables_bytes()
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_read_memo_tables_raises_only_package_errors(data):
+    # The outside counts, the word heads and the words' address indices lie
+    # between the cover sizes and the sha256; their entry counts at 40:56.
+    raw = bytearray(_TABLES)
+    start = (_POINTS_AT + _TABLES_CLOUD.points.nbytes
+             + 16 * len(_TABLES_CLOUD.cover_sizes))
+    offsets = st.integers(start, len(raw) - 33) | st.sampled_from([40, 48])
+    try:
+        cloud = _read_patched(raw, data, offsets, recheck=True)
+    except ChaosGameError:
+        return
+    for (fp, K, m, d), index in cloud.words.items():
+        assert len(fp) == 32 and K >= 1 and m >= 1 and d > 0.0
+        assert index.dtype == np.int64 and not index.flags.writeable
+        assert 1 <= index.size <= cloud.size
+        assert 0 <= index.min() and index.max() < K ** min(m, 64)   # K**m past any int64
+    for (fp, r), n in cloud.outside_sizes.items():
+        assert len(fp) == 32 and r > 0.0 and 1 <= n <= cloud.size
 
 
 _ENTRY = (st.floats(allow_nan=True, allow_infinity=True) | st.integers(-10, 10)
@@ -223,20 +262,25 @@ def test_affine_map_create_raises_only_package_errors(matrix, offset):
 
 def _cache_files():
     """The cloud cache file of _PLANE_MAPS (name, bytes) after one run, and
-    the same cloud in the version 1 layout (no cover sizes, no sha256)."""
+    the same cloud in the version 1 layout (no cover sizes, no sha256) and
+    in the version 2 layout (cover sizes, no other memo table)."""
     with tempfile.TemporaryDirectory() as tmp:
         run_experiment(parse_config(_PLANE_MAPS), cache_dir=tmp)
         (path,) = Path(tmp).iterdir()
         cloud, raw = cg.read_cloud(path), path.read_bytes()
     v1 = (b"IFSC" + struct.pack("<IIQdI", 1, 2, cloud.size, cloud.resolution,
                                 cloud.depth) + cloud.points.tobytes())
-    return path.name, raw, v1
+    v2 = (b"IFSC" + struct.pack("<IIQdIQ", 2, 2, cloud.size, cloud.resolution,
+                                cloud.depth, len(cloud.cover_sizes))
+          + cloud.points.tobytes()
+          + np.array(sorted(cloud.cover_sizes.items()), dtype="<f8,<u8").tobytes())
+    return path.name, raw, v1, v2 + hashlib.sha256(v2).digest()
 
 
-_CACHE_NAME, _CACHE_V2, _CACHE_V1 = _cache_files()
-_GARBLED = {"v2": _CACHE_V2, "v1": _CACHE_V1, "truncated": _CACHE_V2[:-9],
-            "trailing": _CACHE_V2 + b"\0", "flipped": _CACHE_V2[:60] + b"\xff" + _CACHE_V2[61:],
-            "junk": b"IFSC" + bytes(40), "empty": b""}
+_CACHE_NAME, _CACHE_V3, _CACHE_V1, _CACHE_V2 = _cache_files()
+_GARBLED = {"v3": _CACHE_V3, "v2": _CACHE_V2, "v1": _CACHE_V1, "truncated": _CACHE_V3[:-9],
+            "trailing": _CACHE_V3 + b"\0", "flipped": _CACHE_V3[:60] + b"\xff" + _CACHE_V3[61:],
+            "junk": b"IFSC" + bytes(cg.ifs._HEADER.size), "empty": b""}
 
 # Paths an argument may name: they are made afresh in a temporary directory.
 _PATH_KINDS = ["missing", "dir", "text", "config", "bad-config", "binary",
@@ -361,7 +405,7 @@ def test_cli_cache_file_errors_exit_2(cache, out):
     with tempfile.TemporaryDirectory() as tmp:
         code, err = _main(["experiment", "run", ("path", "config"),
                            "--cache", ("path", f"cache-{cache}"), *out], Path(tmp))
-    if cache == "v2":
+    if cache == "v3":
         assert code == 0 or (code == 2 and "--out" in err)
     else:
         assert code == 2 and f"{_CACHE_NAME}:" in err

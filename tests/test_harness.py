@@ -298,47 +298,86 @@ class TestPlaneDeterminism:
         assert warm["summary.txt"] == cold["summary.txt"]
 
 
+# SIERPINSKI with a slow driver: two blocks, so the schedule counts the
+# points outside the base map's ball as well as building two words.
+SIERPINSKI_SLOW = (SIERPINSKI[:SIERPINSKI.index("[driver]")]
+                   + "[driver]\nkind = slow\npsi = power\nz = 2.5\n\n"
+                   + SIERPINSKI[SIERPINSKI.index("[run]"):].replace("0.01", "0.005"))
+
+
+def _recorded(fn, name, calls):
+    def call(*args, **kwargs):
+        calls.append(name)
+        return fn(*args, **kwargs)
+    return call
+
+
 class TestCoverSizesInCloudFile:
-    """A cached cloud's file, cloud-<key>.ifsc, keeps its greedy-cover sizes
-    beside the points, so a warm run walks no radius of the cloud twice."""
+    """A cached cloud's file, cloud-<key>.ifsc, keeps its memo tables beside
+    the points, so a warm run walks no radius of the cloud twice and, with a
+    slow driver, builds no covering word and counts no outside points."""
 
     @staticmethod
     def _cloud_walks(monkeypatch, cfg, cache):
-        """Artifacts of a run on cache and the radii it walked on the cloud
-        itself (the slow driver's walks on its outside points left out)."""
+        """Artifacts of a run on cache, the radii it walked on the cloud
+        itself, and its calls of every greedy walk (build_sigma's centred
+        ones and the slow driver's on its outside points too) and of
+        build_sigma's address steps."""
         from tests.test_metrics import _walk_radii
 
-        radii = _walk_radii(monkeypatch)
+        radii, calls = _walk_radii(monkeypatch), []
+        for owner, name in ((cg.ifs, "_line_walk"), (cg.ifs, "_tree_walk"),
+                            (cg.construct, "_hutchinson_points"),
+                            (cg.construct, "_nearest_address")):
+            monkeypatch.setattr(owner, name, _recorded(getattr(owner, name), name, calls))
         report = run_experiment(cfg, cache_dir=cache)
         size = cg.read_cloud(next(cache.glob("*.ifsc"))).size
         monkeypatch.undo()
-        return report.artifacts, [r for n, r in radii if n == size]
+        return report.artifacts, [r for n, r in radii if n == size], calls
 
     @pytest.mark.parametrize("cfg", [load_preset("cantor-champernowne"),
                                      parse_config(SIERPINSKI),
-                                     load_preset("slow-power-z1")],
-                             ids=["cantor-champernowne", "2-d", "slow-power-z1"])
+                                     load_preset("slow-power-z1"),
+                                     parse_config(SIERPINSKI_SLOW)],
+                             ids=["cantor-champernowne", "2-d", "slow-power-z1", "2-d-slow"])
     def test_warm_run_walks_no_radius(self, monkeypatch, tmp_path, cfg):
-        cold, walked = self._cloud_walks(monkeypatch, cfg, tmp_path)
+        cold, walked, calls = self._cloud_walks(monkeypatch, cfg, tmp_path)
         (path,) = tmp_path.iterdir()
         assert walked and sorted(cg.read_cloud(path).cover_sizes) == sorted(walked)
-        warm, walked = self._cloud_walks(monkeypatch, cfg, tmp_path)
-        assert walked == []
-        cg.write_cloud(path, dataclasses.replace(cg.read_cloud(path)))   # no sizes
-        rewalk, walked = self._cloud_walks(monkeypatch, cfg, tmp_path)
+        assert ("_nearest_address" in calls) == (cfg.driver_kind == "slow")
+        warm, walked, calls = self._cloud_walks(monkeypatch, cfg, tmp_path)
+        assert walked == [] and calls == []
+        cg.write_cloud(path, dataclasses.replace(cg.read_cloud(path)))   # no memo
+        rewalk, walked, _ = self._cloud_walks(monkeypatch, cfg, tmp_path)
         assert walked and warm == rewalk
         # summary.txt of a 2-d cold run differs in the diam bracket alone
         # (TestPlaneDeterminism's expected failure).
         assert {k: v for k, v in warm.items() if k != "summary.txt"} == \
             {k: v for k, v in cold.items() if k != "summary.txt"}
 
+    def test_rewritten_when_only_words_and_outside_counts_grew(self, tmp_path):
+        # A file that holds every cover radius of the slow schedule but none
+        # of its words or outside counts gains them on the next run.
+        cfg = load_preset("slow-power-z1")
+        run_experiment(cfg, cache_dir=tmp_path)
+        (path,) = tmp_path.iterdir()
+        full = cg.read_cloud(path)
+        sizes_only = dataclasses.replace(full)
+        sizes_only.cover_sizes.update(full.cover_sizes)
+        cg.write_cloud(path, sizes_only)
+        run_experiment(cfg, cache_dir=tmp_path)
+        again = cg.read_cloud(path)
+        assert again.outside_sizes == full.outside_sizes and full.outside_sizes
+        assert {k: w.tolist() for k, w in again.words.items()} == \
+            {k: w.tolist() for k, w in full.words.items()}
+
     def test_shared_cloud_walks_no_cover_radius(self, monkeypatch, tmp_path):
         # cantor-debruijn reads the same cloud and eps ladder as
         # cantor-champernowne, so its cover.csv comes from the cloud file.
-        first, _ = self._cloud_walks(monkeypatch, load_preset("cantor-champernowne"),
-                                     tmp_path)
-        second, walked = self._cloud_walks(monkeypatch, load_preset("cantor-debruijn"),
-                                           tmp_path)
+        first, _, _ = self._cloud_walks(monkeypatch, load_preset("cantor-champernowne"),
+                                        tmp_path)
+        second, walked, _ = self._cloud_walks(monkeypatch, load_preset("cantor-debruijn"),
+                                              tmp_path)
         assert walked == []
         assert second["cover.csv"] == first["cover.csv"]
         assert second == run_experiment(load_preset("cantor-debruijn")).artifacts

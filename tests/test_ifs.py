@@ -456,6 +456,44 @@ def test_cover_sizes_round_trip_radii_exactly(sizes):
     assert loaded.points.tobytes() == cloud.points.tobytes()
 
 
+_FINGERPRINTS = st.binary(min_size=32, max_size=32) | st.sampled_from([bytes(32),
+                                                                        bytes(31) + b"\1"])
+
+
+@st.composite
+def _memo_word(draw):
+    """((IFS fingerprint, K, m, d), address indices) of a covering word."""
+    K, m = draw(st.integers(1, 4)), draw(st.integers(1, 70))
+    index = draw(st.lists(st.integers(0, min(K ** m, 2 ** 63) - 1),
+                          min_size=1, max_size=_SIZES_CLOUD.size))
+    return (draw(_FINGERPRINTS), K, m, draw(_RADII)), np.array(index, dtype=np.int64)
+
+
+@given(words=st.lists(_memo_word(), max_size=5),
+       outside=st.dictionaries(st.tuples(_FINGERPRINTS, _RADII),
+                               st.integers(1, _SIZES_CLOUD.size), max_size=10))
+@settings(max_examples=100, deadline=None)
+def test_memo_tables_round_trip_exactly(words, outside):
+    # Covering words and outside counts are stored in the cloud cache file
+    # beside the cover sizes.
+    cloud = dataclasses.replace(_SIZES_CLOUD)     # fresh, empty memo tables
+    cloud.words.update(words)
+    cloud.outside_sizes.update(outside)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.ifsc"
+        cg.write_cloud(path, cloud)
+        loaded = cg.read_cloud(path)
+    assert loaded.outside_sizes == outside and loaded.cover_sizes == {}
+    assert sorted((fp, r.hex()) for fp, r in loaded.outside_sizes) == \
+        sorted((fp, r.hex()) for fp, r in outside)
+    assert list(loaded.words) == sorted(cloud.words)
+    for key, index in cloud.words.items():
+        got = loaded.words[key]
+        assert got.dtype == np.int64 and not got.flags.writeable
+        assert got.tolist() == index.tolist()
+    assert sorted(k[3].hex() for k in loaded.words) == sorted(k[3].hex() for k in cloud.words)
+
+
 def _brute_diameter(points):
     diff = points[:, None, :] - points[None, :, :]
     return float(np.sqrt((diff ** 2).sum(axis=2)).max())
@@ -554,7 +592,7 @@ class TestCloudCache:
         """path's cloud cache file with its cover sizes replaced by the
         (radius, count) pairs sizes, in their order, and a fresh sha256."""
         raw = bytearray(path.read_bytes()[:-32])
-        del raw[40 + cg.read_cloud(path).points.nbytes:]
+        del raw[4 + cg.ifs._HEADER.size + cg.read_cloud(path).points.nbytes:]
         raw[32:40] = len(sizes).to_bytes(8, "little")
         raw += np.array(sizes, dtype=[("r", "<f8"), ("n", "<u8")]).tobytes()
         path.write_bytes(bytes(raw) + hashlib.sha256(raw).digest())

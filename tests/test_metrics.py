@@ -302,6 +302,29 @@ class TestLineRecoveryEngine:
         n = _check_minimal(cantor, make, [0.9], cantor_cloud_coarse, 0.05, cap=20000)
         assert n is not None and n > 10000
 
+    @pytest.mark.parametrize("lo,c_lo,hi,c_hi", [(0.5, 0.25, 0.75, 1.0),
+                                                 (0.31, 0.08, 0.35, 0.58)],
+                             ids=["dyadic", "rounded"])
+    def test_chunk_edges_exactly_eps_from_equal_cloud_values(self, lo, c_lo, hi, c_hi):
+        # The chunk's lowest point lies exactly eps above two equal cloud
+        # values and its highest exactly eps below two more (y - c rounds to
+        # -eps and to eps): those four are covered, and the nearest values
+        # beyond them only by the next chunk.  Checked against abs(p - y) <= eps
+        # on every pair.
+        eps = lo - c_lo
+        assert c_lo - lo == -eps and c_hi - hi == eps
+        beyond = [c_lo, c_hi]
+        for i, (y, way) in enumerate([(lo, -np.inf), (hi, np.inf)]):
+            while abs(beyond[i] - y) <= eps:
+                beyond[i] = float(np.nextafter(beyond[i], way))
+        values = np.array([beyond[0], c_lo, c_lo, (lo + hi) / 2, c_hi, c_hi, beyond[1]])
+        cover = metrics._LineCover(values, eps)
+        ys = np.array([hi, lo])
+        assert cover(ys, np.array([3, 4])) is None
+        assert cover.uncovered.tolist() == [
+            p for p in values.tolist() if not any(abs(p - y) <= eps for y in ys)] == beyond
+        assert cover(np.array(beyond), np.array([7, 8])) == 8
+
     def test_oracles_do_not_use_the_engine(self, monkeypatch, cantor,
                                            cantor_cloud_coarse):
         def unavailable(*args, **kwargs):
