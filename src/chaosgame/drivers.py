@@ -16,6 +16,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -61,6 +62,10 @@ class DriverStream:
     as its symbol and count, whatever its length; a read-only int64 array
     as it is; anything else as a copy, so every read of a position gives the
     same symbol.  pieces walks a window piece by piece; segment writes it out.
+
+    Several threads may read one stream.  Pieces are made under a lock, as
+    generators are not reentrant, and each is published in _pieces before
+    its end is in _ends, so a reader that sees an end also sees its piece.
     """
 
     def __init__(self, kind: str, alphabet_size: int, generator_factory, params=None):
@@ -71,6 +76,7 @@ class DriverStream:
         self._pieces: list = []   # int64 arrays and Runs, in stream order
         self._ends: list = []     # the position just past each piece
         self._len = 0
+        self._lock = threading.Lock()   # held while _fill runs the generator
 
     def _fill(self, n: int) -> None:
         while self._len < n:
@@ -88,7 +94,7 @@ class DriverStream:
                 size = item.size
             if size > 0:
                 self._len += size
-                self._pieces.append(item)
+                self._pieces.append(item)   # before its end: see the class
                 self._ends.append(self._len)
 
     def pieces(self, start: int, stop: int):
@@ -99,8 +105,9 @@ class DriverStream:
         i = bisect.bisect_right(self._ends, start)
         pos = start
         while pos < stop:
-            if i == len(self._pieces):
-                self._fill(pos + 1)
+            if i == len(self._ends):
+                with self._lock:
+                    self._fill(pos + 1)
                 i = bisect.bisect_right(self._ends, pos)
             piece, end = self._pieces[i], self._ends[i]
             upto = end if end < stop else stop

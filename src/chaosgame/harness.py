@@ -51,6 +51,8 @@ import configparser
 import hashlib
 import io
 import math
+import os
+import threading
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -67,6 +69,9 @@ from .metrics import (DimensionEstimate, box_dimension, covering_estimate, log_r
                       rate_ratio, recovery_time)
 
 SCHEMA_VERSION = 1
+# Records over a cloud this large run on every core (_in_order); below it a
+# record costs too little to pay for the hand-off between threads.
+_CONCURRENT_POINTS = 2 ** 15
 
 _IFS_FACTORIES = {
     "cantor": cantor_ifs,
@@ -484,6 +489,75 @@ def write_artifacts(out_dir, artifacts: dict) -> None:
         (out / fname).write_text(content)
 
 
+def _cores() -> int:
+    """The cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _in_order(fn, jobs: list, helpers: int) -> list:
+    """[fn(*job) for job in jobs], on this thread and `helpers` more.
+
+    This thread takes jobs from the front and the helpers from the back,
+    and each result is kept at its job's index.  A job that raises stops
+    the jobs after it but none before it; once every helper is joined, the
+    lowest-index error is raised, the one a plain loop would raise.  With
+    no helpers this thread runs every job in order.
+    """
+    results, errors = [None] * len(jobs), {}
+    state = threading.Condition()
+    front, back, busy = 0, len(jobs), helpers   # jobs [front, back) are not taken
+
+    def work(from_front: bool) -> None:
+        nonlocal front, back
+        while True:
+            with state:
+                if front >= back:
+                    return
+                if from_front:
+                    k, front = front, front + 1
+                else:
+                    k = back = back - 1
+            try:
+                results[k] = fn(*jobs[k])
+            except BaseException as exc:   # raised below, on the calling thread
+                with state:
+                    errors[k], back = exc, min(back, k)
+
+    def helper() -> None:
+        nonlocal busy
+        try:
+            work(False)
+        finally:
+            with state:
+                busy -= 1
+                state.notify()
+
+    def settle() -> None:
+        """Take no more jobs, and wait until every helper is done.  (An
+        interrupted Thread.join can leave a running thread marked stopped;
+        an interrupted wait here can be waited again.)"""
+        nonlocal back
+        with state:
+            back = min(back, front)
+            state.wait_for(lambda: busy == 0)
+
+    threads = [threading.Thread(target=helper) for _ in range(helpers)]
+    for t in threads:
+        t.start()
+    try:
+        work(True)
+        settle()
+    finally:   # after an interrupt, here or in settle, too
+        settle()
+        for t in threads:
+            t.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunReport:
     """Execute all phases; deterministic artifacts, optional file emission.
 
@@ -491,6 +565,10 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
     the analysis is done its cache file is rewritten if any of the cloud's
     memo tables grew: a radius, covering word or outside count that the
     file did not hold.
+
+    The recovery records, one per (eps, x0), share only read-only data and
+    the driver stream, so over a cloud of _CONCURRENT_POINTS or more they
+    run on every core (_in_order); they come back in the same order.
     """
     artifacts: dict = {}
     ifs = cfg.build_ifs()
@@ -509,11 +587,14 @@ def run_experiment(cfg: ExperimentConfig, out_dir=None, cache_dir=None) -> RunRe
         eps_values = cfg.eps_values()
     driver = make_driver(cfg, ifs, schedule)
 
-    records = []
-    for eps in eps_values:
-        for point in cfg.x0:
-            records.append(recovery_time(ifs, driver, np.array(point), eps,
-                                         cloud, cap=cfg.orbit_cap))
+    jobs = [(eps, point) for eps in eps_values for point in cfg.x0]
+    helpers = 0
+    if cloud.size >= _CONCURRENT_POINTS:
+        helpers = max(0, min(_cores() - 1, len(jobs) - 1))
+    if helpers and ifs.dim > 1:
+        cloud.grid   # built once, before the helpers read it
+    records = _in_order(lambda eps, point: recovery_time(
+        ifs, driver, np.array(point), eps, cloud, cap=cfg.orbit_cap), jobs, helpers)
 
     covers = tuple(covering_estimate(cloud, eps) for eps in eps_values)
     dimension = None

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import threading
 
 import numpy as np
 import pytest
@@ -219,6 +220,48 @@ class TestDriverStream:
         seg = list(d.segment(2, 5))
         assert seg == [1, 1, 1]
         assert list(d.segment(0, 3)) == [1, 2, 1]
+
+    def test_two_readers_at_once(self):
+        # Each next waits for the other reader to come in too, or for 0.2 s:
+        # two readers are inside _fill at once, and a stream that let both
+        # run the generator would fail with "generator already executing".
+        def stream():
+            barrier = threading.Barrier(2)
+
+            def gen():
+                for k in itertools.count():
+                    try:
+                        barrier.wait(timeout=0.2)
+                    except threading.BrokenBarrierError:
+                        pass
+                    yield np.full(1 + k % 5, 1 + k % 2)
+            return cg.DriverStream("waiting", 2, gen)
+
+        n = 3000
+        alone = stream().segment(0, n)
+        shared, out, errors = stream(), {}, []
+
+        def read(how):
+            try:
+                if how == "segment":
+                    out[how] = shared.segment(0, n)
+                else:
+                    out[how] = np.concatenate([
+                        np.full(p.count, p.symbol) if isinstance(p, cg.Run) else p
+                        for _, p in shared.pieces(0, n)])
+            except Exception as exc:   # re-raised on the test's thread
+                errors.append(exc)
+
+        readers = [threading.Thread(target=read, args=(how,))
+                   for how in ("segment", "pieces")]
+        for t in readers:
+            t.start()
+        for t in readers:
+            t.join()
+        if errors:
+            raise errors[0]
+        assert np.array_equal(out["segment"], alone)
+        assert np.array_equal(out["pieces"], alone)
 
 
 class TestWordCoverage:

@@ -3,15 +3,19 @@
 import dataclasses
 import hashlib
 import os
+import signal
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
 import chaosgame as cg
 from chaosgame.errors import ValidationError
-from chaosgame.harness import PRESETS, emit_config, load_preset, parse_config, \
+from chaosgame.cli import main
+from chaosgame.harness import PRESETS, _in_order, emit_config, load_preset, parse_config, \
     run_experiment
 
 MINIMAL = """\
@@ -290,12 +294,146 @@ class TestPlaneDeterminism:
             assert warm[name] == cold[name], name
 
     @pytest.mark.xfail(strict=True, reason=(
-        "ROADMAP item 5: cloud format v2 does not store diam_upper, and "
+        "ROADMAP item 5: cloud format v3 does not store diam_upper, and "
         "read_cloud recomputes it with another formula, so a warm cache "
         "changes the diam bracket in summary.txt"))
     def test_warm_cache_keeps_summary(self, runs):
         _, cold, warm = runs
         assert warm["summary.txt"] == cold["summary.txt"]
+
+
+# SIERPINSKI over 59,049 points, past the 2**15 at which records run on
+# every core.
+SIERPINSKI_LARGE = SIERPINSKI.replace("0.01", "0.001")
+
+
+def _record_threads(monkeypatch) -> list:
+    """The thread that ran each recovery_time call of run_experiment."""
+    threads, recovery_time = [], cg.harness.recovery_time
+
+    def record(*args, **kwargs):
+        threads.append(threading.get_ident())
+        return recovery_time(*args, **kwargs)
+    monkeypatch.setattr(cg.harness, "recovery_time", record)
+    return threads
+
+
+def _failing(eps: str) -> str:
+    """sierpinski-debruijn's 177,147-point cloud with [eps] list = eps: a
+    record fails where eps is below the cloud resolution, about 0.00049."""
+    text = PRESETS["sierpinski-debruijn"].replace("x0 = 0 0; 1 0", "x0 = 0 0")
+    return text[:text.index("a = 1")] + f"list = {eps}\n\n" + text[text.index("[run]"):]
+
+
+class TestConcurrentRecords:
+    """Over a cloud of 2**15 points or more, records run on every core the
+    process may use: the artifacts are the same bytes as on one core, and
+    a failing run raises the error that one core raises.  The runs set the
+    core count, so the helper path runs on any machine."""
+
+    @pytest.mark.parametrize("text, threads", [(SIERPINSKI_LARGE, 2), (MINIMAL, 1)],
+                             ids=["2-d", "1-d under the gate"])
+    def test_artifacts_identical(self, monkeypatch, tmp_path, text, threads):
+        cfg, ran = parse_config(text), _record_threads(monkeypatch)
+        runs = {}
+        for cores in (1, 2):
+            monkeypatch.setattr(cg.harness, "_cores", lambda: cores)
+            ran.clear()
+            cache = tmp_path / str(cores)
+            runs[cores] = [run_experiment(cfg, cache_dir=cache).artifacts,   # cold
+                           run_experiment(cfg, cache_dir=cache).artifacts]   # warm
+            assert len(set(ran)) == (1 if cores == 1 else threads)
+        assert runs[1] == runs[2]
+
+    @pytest.mark.skipif(not hasattr(os, "sched_getaffinity"), reason="no affinity set")
+    def test_cores_are_the_affinity_set(self):
+        assert cg.harness._cores() == len(os.sched_getaffinity(0))
+
+    @pytest.mark.parametrize("eps, named", [("0.1 0.0001", "eps=0.0001"),
+                                            ("0.1 0.0001 0.00005", "eps=0.0001")],
+                             ids=["last fails", "lowest index wins"])
+    def test_error_as_on_one_core(self, monkeypatch, eps, named):
+        cfg = parse_config(_failing(eps))
+        errors, ran = {}, _record_threads(monkeypatch)
+        for cores in (1, 2):
+            monkeypatch.setattr(cg.harness, "_cores", lambda: cores)
+            before = threading.active_count()
+            with pytest.raises(ValidationError) as exc:
+                run_experiment(cfg)
+            assert threading.active_count() == before
+            errors[cores] = str(exc.value)
+        assert errors[1] == errors[2]
+        assert errors[2].startswith(named + " must exceed the cloud resolution")
+        assert len(set(ran)) == 2   # the helper ran, on the second run
+
+    def test_cli_error_exits_2(self, monkeypatch, capsys, tmp_path):
+        monkeypatch.setattr(cg.harness, "_cores", lambda: 2)
+        path = tmp_path / "failing.ini"
+        path.write_text(_failing("0.1 0.0001"))
+        before = threading.active_count()
+        assert main(["experiment", "run", str(path)]) == 2
+        assert threading.active_count() == before
+        err = capsys.readouterr().err
+        assert err.startswith("error: eps=0.0001 must exceed") and "Traceback" not in err
+
+    def test_threads_joined_after_success(self, monkeypatch):
+        monkeypatch.setattr(cg.harness, "_cores", lambda: 2)
+        before = threading.active_count()
+        run_experiment(parse_config(_failing("0.1 0.05")))
+        assert threading.active_count() == before
+
+    def test_interrupt_joins_the_helpers(self):
+        # SIGINT reaches the calling thread while it waits for the helper's
+        # job; the helper still finishes that job before the interrupt
+        # leaves _in_order.
+        done = []
+
+        def job(k):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.1)
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                time.sleep(0.1)
+                done.append(k)
+            return k
+
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            _in_order(job, [(0,), (1,)], 1)
+        assert done == [1] and threading.active_count() == before
+
+    def test_results_in_job_order(self):
+        jobs = [(k,) for k in range(9)]
+        assert _in_order(lambda k: k * k, jobs, 2) == [k * k for k in range(9)]
+
+    def test_lowest_index_error_raised(self):
+        # The helpers fail first, on the last jobs; every job before the
+        # lowest failure still runs, and that failure is the one raised.
+        ran = []
+
+        def job(k):
+            ran.append(k)
+            if k >= 5:
+                raise ValueError(k)
+
+        with pytest.raises(ValueError, match="^5$"):
+            _in_order(job, [(k,) for k in range(9)], 2)
+        assert set(range(6)) <= set(ran)
+
+    def test_failure_stops_later_jobs(self):
+        # This thread's job 2 fails while the helper is still in job 8: the
+        # helper takes no job after it, and jobs 3..7 never run.
+        ran = []
+
+        def job(k):
+            if threading.current_thread() is not threading.main_thread():
+                time.sleep(0.2)
+            ran.append(k)
+            if k == 2:
+                raise ValueError(k)
+
+        with pytest.raises(ValueError, match="^2$"):
+            _in_order(job, [(k,) for k in range(9)], 1)
+        assert sorted(ran) == [0, 1, 2, 8]
 
 
 # SIERPINSKI with a slow driver: two blocks, so the schedule counts the

@@ -403,6 +403,25 @@ class TestPlaneRecoveryEngine:
         if eps > 1e-150:
             _check_minimal(ifs, make, x0, cloud, eps)
 
+    @pytest.mark.parametrize("budget", [1, 2 ** 10])
+    def test_queries_in_pieces_keep_n(self, monkeypatch, budget):
+        # A small _PAIRS cuts chunks into pieces, down to one orbit point
+        # each; the covering chunk is then queried whole again for first hits.
+        ifs = cg.sierpinski_ifs()
+        cloud = cg.build_cloud(ifs, 0.01)
+        cases = [(x0, eps) for x0 in ([0.0, 0.0], [0.3, 0.6]) for eps in (0.2, 0.05, 0.02)]
+        queries, pairs = [], metrics._PairCover._pairs
+        monkeypatch.setattr(metrics._PairCover, "_pairs",
+                            lambda self, ys: queries.append(len(ys)) or pairs(self, ys))
+        whole = [_check_minimal(ifs, lambda: cg.infinite_de_bruijn(3), x0, cloud, eps)
+                 for x0, eps in cases]
+        unsplit = len(queries)
+        queries.clear()
+        monkeypatch.setattr(metrics, "_PAIRS", budget)
+        assert [cg.recovery_time(ifs, cg.infinite_de_bruijn(3), x0, eps, cloud).n
+                for x0, eps in cases] == whole
+        assert len(queries) > unsplit
+
     @pytest.mark.parametrize("last", [127, 128, 129, 384, 385, 896, 897])
     def test_last_hit_at_chunk_edges(self, last):
         # A run of the first map pulls the orbit to its fixed point 0; the
