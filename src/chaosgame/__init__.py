@@ -12,8 +12,8 @@ from .construct import (BaseMapChoice, RateFunction, Schedule, ScheduleEntry,
 from .drivers import (DriverStream, Run, Word, alpha, champernowne,
                       champernowne_coverage_bound, de_bruijn_word,
                       example4_block_start, example4_driver, example4_k0,
-                      extend_de_bruijn, infer_order, infinite_de_bruijn,
-                      is_de_bruijn, literal_driver, random_driver, word_coverage)
+                      infinite_de_bruijn, is_de_bruijn, literal_driver,
+                      random_driver, word_coverage)
 from .errors import (CapExceededError, ChaosGameError, InternalInvariantError,
                      ValidationError)
 from .harness import (PRESETS, ExperimentConfig, RunReport, emit_config,

@@ -14,6 +14,7 @@ step k + 1.
 from __future__ import annotations
 
 import bisect
+import decimal
 import itertools
 import math
 import threading
@@ -220,17 +221,6 @@ def is_de_bruijn(word: Word, m: int) -> bool:
     return bool((np.bincount(codes, minlength=K ** m) == 1).all())
 
 
-def infer_order(word: Word) -> int:
-    """Order m with len == K^m + m - 1, validated exhaustively."""
-    K = word.alphabet_size
-    m = 1
-    while K ** m + m - 1 < len(word):
-        m += 1
-    if K ** m + m - 1 != len(word) or not is_de_bruijn(word, m):
-        raise ValidationError("input is not a noncyclic de Bruijn word")
-    return m
-
-
 def alpha(K: int) -> int:
     """de Bruijn extension step: 1 for K >= 3, 2 for K = 2."""
     if K < 2:
@@ -309,16 +299,6 @@ def _extend(symbols: tuple, K: int, M: int) -> Word:
     return out
 
 
-def extend_de_bruijn(word: Word) -> Word:
-    """Extend a de Bruijn word of order m to order m + alpha(K), K its
-    alphabet size, keeping the input as a prefix."""
-    K = word.alphabet_size
-    M = infer_order(word) + alpha(K)
-    if K ** M > DEFAULT_WORD_BUDGET:
-        raise CapExceededError(f"extension to order {M} exceeds budget")
-    return _extend(word.symbols, K, M)
-
-
 def infinite_de_bruijn(K: int) -> DriverStream:
     """Inductive limit of extending de Bruijn words.
 
@@ -377,7 +357,24 @@ def _first_window(holds, z: float) -> int:
 
 
 def example4_block_start(k: int, z: float) -> int:
-    return int(np.floor(k * 2.0 ** (k * z)))
+    """floor(k 2^e), e = k z rounded to a float, exactly: isqrt(k^2 2^{2e})
+    where e is an integer or a half, else in decimal with 40 digits past the
+    integer part.  CapExceededError for e >= 1024, past the float range, or
+    for a value within 10^-20 of an integer, which those digits cannot floor
+    for certain."""
+    e = k * z
+    if not e < 1024:
+        raise CapExceededError(f"block start {k} * 2^{e!r} is past 2^1024")
+    if (2 * e).is_integer():
+        return math.isqrt(k * k << int(2 * e))
+    with decimal.localcontext() as ctx:
+        ctx.prec = int(e * math.log10(2) + math.log10(k)) + 40
+        value = k * decimal.Decimal(2) ** decimal.Decimal(e)
+    start = int(value)
+    if min(value - start, start + 1 - value) < decimal.Decimal("1e-20"):
+        raise CapExceededError(f"block start floor({k} * 2^{e!r}) is too close to an "
+                               f"integer to certify")
+    return start
 
 
 def example4_driver(z: float) -> DriverStream:

@@ -578,36 +578,32 @@ def read_cloud(path) -> AttractorCloud:
         raise ValidationError(f"{path}: cloud cache checksum mismatch")
     if not (resolution >= 0.0 and np.isfinite(resolution) and np.isfinite(data).all()):
         raise ValidationError(f"{path}: cloud cache holds non-finite or negative values")
-    sizes, outside = sizes.tolist(), outside.tolist()
-    last = 0.0
-    for r, n in sizes:                  # radii > 0, ascending, each once
-        if not (r > last and 1 <= n <= count):
-            raise ValidationError(f"{path}: bad cover size in cloud cache: "
-                                  f"radius {r!r}, count {n}")
-        last = r
-    last = ()
-    for fp, r, n in outside:            # keys ascending, each once
-        if not ((fp, r) > last and r > 0.0 and 1 <= n <= count):
-            raise ValidationError(f"{path}: bad outside count in cloud cache: "
-                                  f"radius {r!r}, count {n}")
-        last = (fp, r)
+    sizes, outside, heads = sizes.tolist(), outside.tolist(), heads.tolist()
     index = index.astype(np.int64)     # a copy: the words keep no view of raw
     index.flags.writeable = False
-    table, last, start = {}, (), 0
-    for fp, K, m, d, length in heads.tolist():
-        word = table[fp, K, m, d] = index[start:start + length]
-        start += length
-        if not ((fp, K, m, d) > last and K >= 1 and m >= 1 and d > 0.0
-                and 1 <= length <= count and word.min() >= 0
-                and int(word.max()) < K ** min(m, 64)):
-            raise ValidationError(f"{path}: bad covering word in cloud cache: "
-                                  f"K {K}, m {m}, d {d!r}, {length} indices")
-        last = (fp, K, m, d)
+    words = np.split(index, np.cumsum([n for *_, n in heads])[:-1])
+
+    def check(table, what, fine):
+        """One rule for every memo table: each row is (*key, count), the keys
+        ascend, so each is there once, 1 <= count <= the points, and
+        fine(i, *row) holds for row i."""
+        last = ()
+        for i, row in enumerate(table):
+            if not (row[:-1] > last and 1 <= row[-1] <= count and fine(i, *row)):
+                raise ValidationError(f"{path}: bad {what.format(*row)}")
+            last = row[:-1]
+
+    check(sizes, "cover size in cloud cache: radius {0!r}, count {1}", lambda i, r, n: r > 0.0)
+    check(outside, "outside count in cloud cache: radius {1!r}, count {2}",
+          lambda i, fp, r, n: r > 0.0)
+    check(heads, "covering word in cloud cache: K {1}, m {2}, d {3!r}, {4} indices",
+          lambda i, fp, K, m, d, n: (K >= 1 and m >= 1 and d > 0.0 and words[i].min() >= 0
+                                     and int(words[i].max()) < K ** min(m, 64)))
     with np.errstate(over="ignore"):   # an overflowing diameter is rejected below
         cloud = AttractorCloud.from_points(data.copy(), resolution=resolution, depth=depth)
     if not np.isfinite(cloud.diam_upper):
         raise ValidationError(f"{path}: cloud cache diameter is not finite")
     cloud.cover_sizes.update(sizes)
     cloud.outside_sizes.update(((fp, r), n) for fp, r, n in outside)
-    cloud.words.update(table)
+    cloud.words.update((head[:-1], word) for head, word in zip(heads, words))
     return cloud

@@ -114,11 +114,12 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
     point, the test cKDTree applies; as in 1-d, when eps**2 is subnormal it
     compares rounded subnormal squares.  The pairs within eps between a
     kd-tree over the cloud points and a kd-tree over the chunk's orbit
-    points are found in one query, and pairs whose cloud point is already
-    covered are dropped.  The fresh pairs mark their cloud points covered;
-    on the chunk that covers every remaining point, each keeps its first
-    orbit point.  The tree is first cloud.grid, built on first use; once a
-    quarter of its points are left uncovered, it is rebuilt over just those.
+    points are found piece by piece (see _PairCover), and pairs whose cloud
+    point is already covered are dropped.  The fresh pairs mark their cloud
+    points covered; on the piece that covers every remaining point, each
+    keeps its first orbit point.  The tree is first cloud.grid, built on
+    first use; once a quarter of its points are left uncovered, it is
+    rebuilt over just those.
     """
     if not eps > cloud.resolution:
         raise ValidationError(f"eps={eps:g} must exceed the cloud resolution "
@@ -368,14 +369,15 @@ class _PairCover:
     least n at which every cloud point is covered, or None.
 
     A chunk whose pairs, at the last query's rate per orbit point and tree
-    point, would pass _PAIRS is queried in pieces that are each expected to
-    stay under it; only the chunk that covers every remaining point needs
-    first hits, and it is queried whole again.  A pair of a point already
-    covered marks nothing: the hits are masked by the uncovered points, and
-    first hits are read only at those.  (On ladder-sierpinski's 177k-point
-    cloud, two records at once on 2 cores, the pieces took the peak RSS
-    from about 101 MB to 94 MB at an unchanged wall time; pieces of 2**15
-    pairs were about 25% slower.)
+    point, would pass _PAIRS is queried in pieces, in orbit order, that are
+    each expected to stay under it; the budget sizes every query, the one
+    that gives n included.  A pair of a point already covered marks
+    nothing.  The piece that covers every remaining point gives n, the
+    last of their first hits in it: each point an earlier piece covered was
+    hit earlier.  (On ladder-sierpinski's 177k-point cloud, two records at
+    once on 2 cores, the pieces took the peak RSS from about 101 MB to
+    94 MB at an unchanged wall time; pieces of 2**15 pairs were about 25%
+    slower.)
     """
 
     def __init__(self, cloud: AttractorCloud, eps: float):
@@ -386,27 +388,22 @@ class _PairCover:
         self.rate = 0.0   # the last query's pairs per orbit point per tree point
 
     def __call__(self, ys: np.ndarray, at: np.ndarray):
-        n = len(ys)
-        pieces = min(n, 1 + int(self.rate * n * self.grid.n) // _PAIRS)
-        hit = np.zeros(self.uncovered.size, dtype=bool)
-        found = 0
-        for part in np.array_split(ys, pieces):
+        pieces = min(len(ys), 1 + int(self.rate * len(ys) * self.grid.n) // _PAIRS)
+        for part, ats in zip(np.array_split(ys, pieces), np.array_split(at, pieces)):
             pairs = self._pairs(part)
+            self.rate = len(pairs) / (len(part) * self.grid.n)
+            hit = np.zeros(self.uncovered.size, dtype=bool)
             hit[pairs["i"]] = True
-            found += len(pairs)
-        self.rate = found / (n * self.grid.n)
-        hit &= self.uncovered
-        count = int(np.count_nonzero(hit))
-        if count == self.left:
-            if pieces > 1:
-                pairs = self._pairs(ys)
-            first = np.full(self.uncovered.size, n, dtype=np.intp)
-            np.minimum.at(first, pairs["i"], pairs["j"])
-            return int(at[first[hit].max()])
-        self.uncovered[hit] = False
-        self.left -= count
-        if 4 * self.left <= self.uncovered.size:
-            self._shrink()
+            hit &= self.uncovered
+            count = int(np.count_nonzero(hit))
+            if count == self.left:
+                first = np.full(self.uncovered.size, len(part), dtype=np.intp)
+                np.minimum.at(first, pairs["i"], pairs["j"])
+                return int(ats[first[hit].max()])
+            self.uncovered[hit] = False
+            self.left -= count
+            if 4 * self.left <= self.uncovered.size:
+                self._shrink()
         return None
 
     def _pairs(self, ys: np.ndarray) -> np.ndarray:

@@ -628,6 +628,12 @@ class TestBadInputExit2:
         code, out, _ = run(capsys, "driver", "emit", "example4", "-n", "5", "--z", "20")
         assert (code, out.strip()) == (0, "22222")
 
+    def test_example4_block_start_past_float_range(self, capsys):
+        # The first block start, 2 * 2^1200, used to end in OverflowError.
+        code, _, err = run(capsys, "driver", "emit", "example4", "-n", "5", "--z", "600")
+        assert code == 3
+        assert "past 2^1024" in err
+
     @pytest.mark.parametrize("a,r,why", [
         ("5", "0.5", "the radii were >= 1"),
         ("1e-7", "0.5", "the schedule fell below twice the cloud resolution"),

@@ -3,6 +3,7 @@
 import functools
 import hashlib
 import itertools
+import math
 import threading
 
 import numpy as np
@@ -11,8 +12,24 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaosgame as cg
-from chaosgame.drivers import DRIVER_KINDS
+from chaosgame.drivers import DRIVER_KINDS, _extend
 from chaosgame.errors import CapExceededError, ValidationError
+
+
+def infer_order(word):
+    """Order m with len == K^m + m - 1, validated exhaustively."""
+    K, m = word.alphabet_size, 1
+    while K ** m + m - 1 < len(word):
+        m += 1
+    assert K ** m + m - 1 == len(word) and cg.is_de_bruijn(word, m)
+    return m
+
+
+def extend_de_bruijn(word):
+    """Extend a de Bruijn word of order m to order m + alpha(K), K its
+    alphabet size, keeping the input as a prefix."""
+    K = word.alphabet_size
+    return _extend(word.symbols, K, infer_order(word) + cg.alpha(K))
 
 
 class TestWord:
@@ -86,13 +103,13 @@ class TestDeBruijn:
 
     def test_extension_preserves_prefix(self):
         w2 = cg.de_bruijn_word(2, 2)
-        w4 = cg.extend_de_bruijn(w2)
+        w4 = extend_de_bruijn(w2)
         assert len(w4) == 2 ** 4 + 4 - 1
         assert w4.symbols[:len(w2)] == w2.symbols
         assert cg.is_de_bruijn(w4, 4)
 
         w1 = cg.de_bruijn_word(3, 1)
-        w2b = cg.extend_de_bruijn(w1)
+        w2b = extend_de_bruijn(w1)
         assert len(w2b) == 3 ** 2 + 2 - 1
         assert w2b.symbols[:len(w1)] == w1.symbols
         assert cg.is_de_bruijn(w2b, 2)
@@ -126,16 +143,16 @@ class TestInfiniteDeBruijn:
 
     @pytest.mark.parametrize("K", [2, 3, 4])
     def test_prefix_is_the_public_extension_chain(self, K):
-        # The stream extends its words at its own order without the public
-        # extend_de_bruijn; both must give the same words, through every
-        # order whose word fits in 2**16 symbols.
+        # The stream extends its words at its own order; extending each word
+        # to the next order from its length alone must give the same words,
+        # through every order whose word fits in 2**16 symbols.
         d, w = cg.infinite_de_bruijn(K), cg.de_bruijn_word(K, 2 if K == 2 else 1)
         while True:
             assert np.array_equal(d.segment(0, len(w)), w.symbols)
-            m = cg.infer_order(w) + cg.alpha(K)
+            m = infer_order(w) + cg.alpha(K)
             if K ** m + m - 1 > 2 ** 16:
                 break
-            w = cg.extend_de_bruijn(w)
+            w = extend_de_bruijn(w)
 
     def test_k2_odd_order_bound(self):
         # n_i(3) <= 2^4 + 3 (the prefix realizing order 4 covers order 3)
@@ -170,6 +187,16 @@ class TestExample4:
             for k in range(2 * k0, 2 * k0 + 30):
                 end = cg.example4_block_start(k, z) + k
                 assert end <= cg.example4_block_start(k + 1, z)
+
+    def test_block_start_is_the_exact_floor(self):
+        # floor(k 2^{kz}) in integers: a floor of the float k * 2.0**(k*z)
+        # was one too high at z = 0.5 from k = 91 on.  z = 0.25 at odd k
+        # goes through the decimal path.
+        for k in range(1, 131):
+            assert cg.example4_block_start(k, 1.0) == k << k
+            assert cg.example4_block_start(k, 0.5) == math.isqrt(k * k << k)
+            assert cg.example4_block_start(k, 0.25) == math.isqrt(math.isqrt(k ** 4 << k))
+        assert cg.example4_block_start(91, 0.5) == 4527997673436291
 
     def test_z_positive_required(self):
         with pytest.raises(ValidationError):

@@ -406,7 +406,7 @@ class TestPlaneRecoveryEngine:
     @pytest.mark.parametrize("budget", [1, 2 ** 10])
     def test_queries_in_pieces_keep_n(self, monkeypatch, budget):
         # A small _PAIRS cuts chunks into pieces, down to one orbit point
-        # each; the covering chunk is then queried whole again for first hits.
+        # each.
         ifs = cg.sierpinski_ifs()
         cloud = cg.build_cloud(ifs, 0.01)
         cases = [(x0, eps) for x0 in ([0.0, 0.0], [0.3, 0.6]) for eps in (0.2, 0.05, 0.02)]
@@ -421,6 +421,26 @@ class TestPlaneRecoveryEngine:
         assert [cg.recovery_time(ifs, cg.infinite_de_bruijn(3), x0, eps, cloud).n
                 for x0, eps in cases] == whole
         assert len(queries) > unsplit
+
+    @pytest.mark.parametrize("eps, n", [(0.5, 3), (0.25, 9)])
+    def test_pieces_query_each_orbit_point_once(self, monkeypatch, eps, n):
+        # At coarse eps the chunk that completes the cover is cut into
+        # pieces; the pieces query the chunk's orbit points in orbit order,
+        # each once, and the piece that covers the last points gives n.
+        ifs = cg.sierpinski_ifs()
+        cloud = cg.build_cloud(ifs, 0.01)
+        assert cloud.size == 2187
+        chunks, queried = [], []
+        call, pairs = metrics._PairCover.__call__, metrics._PairCover._pairs
+        monkeypatch.setattr(metrics._PairCover, "__call__",
+                            lambda self, ys, at: chunks.append(ys) or call(self, ys, at))
+        monkeypatch.setattr(metrics._PairCover, "_pairs",
+                            lambda self, ys: queried.append(ys) or pairs(self, ys))
+        x0 = [0.3, 0.2]
+        assert _check_minimal(ifs, lambda: cg.infinite_de_bruijn(3), x0, cloud, eps) == n
+        orbit, seen = np.concatenate(chunks), np.concatenate(queried)
+        assert len(queried[-1]) < len(chunks[-1])    # the last chunk came in pieces
+        assert np.array_equal(seen, orbit[:len(seen)])
 
     @pytest.mark.parametrize("last", [127, 128, 129, 384, 385, 896, 897])
     def test_last_hit_at_chunk_edges(self, last):
