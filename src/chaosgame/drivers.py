@@ -299,25 +299,68 @@ def _extend(symbols: tuple, K: int, M: int) -> Word:
     return out
 
 
+class _RealizedOrders:
+    """The pieces of infinite_de_bruijn(K) over its realized orders, made once
+    per process and shared by every stream of that K.
+
+    Piece 0 is the de Bruijn word of the first order, and each further piece
+    extends the word by alpha(K) orders.  The pieces are read-only int64
+    arrays, which DriverStream keeps without a copy.  A piece is made under
+    the memo's own lock when the first stream reads it, and published only
+    once made: an extension that raises leaves the memo as it was, so every
+    reader of that piece makes it again and meets the same error.  The
+    realized orders M have K^M <= DEFAULT_WORD_BUDGET, so the memo holds at
+    most that many symbols plus M - 1, 8 bytes each; the worst case is K = 2,
+    orders up to 24, about 134 MB.
+    """
+
+    def __init__(self, K: int):
+        self.K = K
+        self.order = 0          # of the word the pieces spell; 0 before piece 0
+        self.pieces: list = []
+        self.lock = threading.Lock()
+
+    def piece(self, i: int):
+        """Piece i (made if need be), or None past the last realized order."""
+        with self.lock:
+            if i == len(self.pieces):
+                K, M = self.K, self.order
+                if M == 0:
+                    M, symbols = (1 if K >= 3 else 2), ()
+                    longer = de_bruijn_word(K, M).symbols
+                elif K ** (M + alpha(K)) <= DEFAULT_WORD_BUDGET:
+                    M, symbols = M + alpha(K), tuple(np.concatenate(self.pieces).tolist())
+                    longer = _extend(symbols, K, M).symbols
+                else:
+                    return None
+                new = np.array(longer[len(symbols):], dtype=np.int64)
+                new.flags.writeable = False
+                self.pieces.append(new)
+                self.order = M
+            return self.pieces[i]
+
+
+_REALIZED: dict = {}    # K -> _RealizedOrders
+
+
 def infinite_de_bruijn(K: int) -> DriverStream:
     """Inductive limit of extending de Bruijn words.
 
     Realized orders: 1, 2, 3, ... for K >= 3; 2, 4, 6, ... for K = 2.
     Once an extension would exceed DEFAULT_WORD_BUDGET words the stream
     continues with the Champernowne concatenation so it stays infinite.
+    The realized orders are made once per process (_RealizedOrders).
     """
     if K < 2:
         raise ValidationError("alphabet size must be >= 2")
 
     def gen():
-        M = 1 if K >= 3 else 2
-        symbols = de_bruijn_word(K, M).symbols
-        yield symbols
-        while K ** (M + alpha(K)) <= DEFAULT_WORD_BUDGET:
-            M += alpha(K)
-            longer = _extend(symbols, K, M).symbols
-            yield longer[len(symbols):]
-            symbols = longer
+        realized = _REALIZED.setdefault(K, _RealizedOrders(K))   # atomic: one memo per K
+        for i in itertools.count():
+            piece = realized.piece(i)
+            if piece is None:
+                break
+            yield piece
         # Disjunctive tail beyond the realized orders.
         yield from _champernowne_blocks(K)
 

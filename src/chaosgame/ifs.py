@@ -282,8 +282,17 @@ def _diameter(points: np.ndarray) -> float:
 
 
 def _lexsort_points(points: np.ndarray) -> np.ndarray:
-    order = np.lexsort(points.T[::-1])
-    return points[order]
+    """points with their rows in lexicographic order, by a stable sort; rows
+    already in order (as in every cache file) come back as they are, found
+    by one pass over adjacent rows, since a stable sort of them is the
+    identity, ties through -0.0 == 0.0 included."""
+    a, b = points[:-1], points[1:]
+    ordered = a[:, -1] <= b[:, -1]
+    for c in range(points.shape[1] - 2, -1, -1):
+        ordered = (a[:, c] < b[:, c]) | ((a[:, c] == b[:, c]) & ordered)
+    if ordered.all():
+        return points
+    return points[np.lexsort(points.T[::-1])]
 
 
 def _line_walk(values: list, r: float, centres=None) -> list:
@@ -306,9 +315,13 @@ def _line_walk(values: list, r: float, centres=None) -> list:
 
 
 def _kdtree(points, **kw):
-    """cKDTree(points, **kw), imported on first use: scipy loads once a tree is needed."""
+    """cKDTree(points, **kw) with sliding-midpoint splits, imported on first
+    use: scipy loads once a tree is needed.  Every query here tests each
+    point or pair on its own coordinates, so the tree's shape changes no
+    result; on self-similar clouds sliding-midpoint trees are quicker to
+    build and to query than median-split ones."""
     from scipy.spatial import cKDTree
-    return cKDTree(points, **kw)
+    return cKDTree(points, balanced_tree=False, **kw)
 
 
 def _greedy_walk(pts: np.ndarray, cloud: AttractorCloud | None = None):
@@ -401,7 +414,7 @@ class AttractorCloud:
     @classmethod
     def from_points(cls, points, resolution: float, depth: int = 0,
                     diam_upper: float | None = None) -> "AttractorCloud":
-        points = _lexsort_points(_point_set(points))
+        points = _lexsort_points(np.array(_point_set(points)))   # the cloud's own copy
         if points.shape[0] == 0:
             raise ValidationError("a cloud needs at least one point")
         diam_lower = _diameter(points)
@@ -600,7 +613,7 @@ def read_cloud(path) -> AttractorCloud:
           lambda i, fp, K, m, d, n: (K >= 1 and m >= 1 and d > 0.0 and words[i].min() >= 0
                                      and int(words[i].max()) < K ** min(m, 64)))
     with np.errstate(over="ignore"):   # an overflowing diameter is rejected below
-        cloud = AttractorCloud.from_points(data.copy(), resolution=resolution, depth=depth)
+        cloud = AttractorCloud.from_points(data, resolution=resolution, depth=depth)
     if not np.isfinite(cloud.diam_upper):
         raise ValidationError(f"{path}: cloud cache diameter is not finite")
     cloud.cover_sizes.update(sizes)

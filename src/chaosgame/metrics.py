@@ -371,13 +371,19 @@ class _PairCover:
     A chunk whose pairs, at the last query's rate per orbit point and tree
     point, would pass _PAIRS is queried in pieces, in orbit order, that are
     each expected to stay under it; the budget sizes every query, the one
-    that gives n included.  A pair of a point already covered marks
-    nothing.  The piece that covers every remaining point gives n, the
-    last of their first hits in it: each point an earlier piece covered was
-    hit earlier.  (On ladder-sierpinski's 177k-point cloud, two records at
-    once on 2 cores, the pieces took the peak RSS from about 101 MB to
-    94 MB at an unchanged wall time; pieces of 2**15 pairs were about 25%
-    slower.)
+    that gives n included.  While the rate is 0 (no query yet, or the last
+    one found no pair) it foretells nothing, so the next piece is the
+    first max(1, _PAIRS // tree points) orbit points left, which cannot
+    return more than max(_PAIRS, tree points) pairs; its pairs set the rate
+    for the rest.  (A whole chunk sent on a zero rate can be huge: from
+    x0 = (5, 5) at eps = 0.5 on the 177k-point Sierpinski cloud, the first
+    128-point chunk holds 13.6M pairs, a 462 MB peak.)  A pair of a point
+    already covered marks nothing.  The piece that covers every remaining
+    point gives n, the last of their first hits in it: each point an
+    earlier piece covered was hit earlier.  (On ladder-sierpinski's
+    177k-point cloud, two records at once on 2 cores, the pieces took the
+    peak RSS from about 101 MB to 94 MB at an unchanged wall time; pieces
+    of 2**15 pairs were about 25% slower.)
     """
 
     def __init__(self, cloud: AttractorCloud, eps: float):
@@ -388,8 +394,14 @@ class _PairCover:
         self.rate = 0.0   # the last query's pairs per orbit point per tree point
 
     def __call__(self, ys: np.ndarray, at: np.ndarray):
-        pieces = min(len(ys), 1 + int(self.rate * len(ys) * self.grid.n) // _PAIRS)
-        for part, ats in zip(np.array_split(ys, pieces), np.array_split(at, pieces)):
+        lo = 0
+        while lo < len(ys):
+            left = len(ys) - lo
+            if self.rate:
+                size = -(-left // min(left, 1 + int(self.rate * left * self.grid.n) // _PAIRS))
+            else:
+                size = max(1, _PAIRS // self.grid.n)
+            part, ats, lo = ys[lo:lo + size], at[lo:lo + size], lo + size
             pairs = self._pairs(part)
             self.rate = len(pairs) / (len(part) * self.grid.n)
             hit = np.zeros(self.uncovered.size, dtype=bool)
@@ -409,8 +421,12 @@ class _PairCover:
     def _pairs(self, ys: np.ndarray) -> np.ndarray:
         """The pairs (i in the tree, j in ys) within eps."""
         # Small leaves keep the chunk's bounding boxes tight, so the
-        # dual-tree query prunes more: on the 177k-point Sierpinski cloud
-        # it ran about 1.5x faster than with the default leaf size of 16.
+        # dual-tree query prunes more: on ladder-sierpinski's 177k-point
+        # cloud the queries ran about 1.3x faster than with the default
+        # leaf size of 16 (1.5x when the trees split at medians).  Both
+        # trees split at sliding midpoints (_kdtree), which fit the
+        # self-similar cloud better than median splits; each pair is
+        # tested on its own two points, so no pair depends on the shape.
         return self.grid.sparse_distance_matrix(_kdtree(ys, leafsize=2), self.eps,
                                                 output_type="ndarray")
 

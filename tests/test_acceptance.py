@@ -79,6 +79,35 @@ def test_criterion_01_block_driver_recovery_formulas(halving,
                + (f"; mismatches {failures}" if failures else ""))
 
 
+def test_criterion_01_block_driver_formulas_at_paper_scale(halving):
+    # Runs are skipped whole, so paper scale costs milliseconds: from x0 = 1
+    # at z = 1 the formula floor(j 2^j) + k - 1 = (j << j) + k - 1 holds
+    # for every k up to 57, the last at which n fits in an int64.  At k = 58
+    # the recovery's block starts past 2**63 - 1, which raises
+    # CapExceededError.
+    from chaosgame.harness import _exact_attractor_cloud
+
+    t0 = time.perf_counter()
+    cloud = _exact_attractor_cloud(2.0 ** -58)
+    driver, first = cg.example4_driver(1.0), 2 * cg.example4_k0(1.0)
+    failures = []
+    for k in range(3, 58):
+        j = max(k, first)
+        got = cg.recovery_time(halving, driver, [1.0], 2.0 ** -k, cloud, cap=2 ** 64).n
+        if got != (j << j) + k - 1:
+            failures.append((k, got, (j << j) + k - 1))
+    try:
+        cg.recovery_time(halving, driver, [1.0], 2.0 ** -58, cloud, cap=2 ** 64)
+        capped = False
+    except cg.CapExceededError:
+        capped = True
+    elapsed = time.perf_counter() - t0
+    ok = not failures and capped and elapsed < 1.0
+    report(ok, "block-driver recovery times match floor(j 2^j) + k - 1 (x0=1, z=1) "
+               f"for k=3..57 and k=58 raises CapExceededError ({elapsed:.2f}s)"
+               + (f"; mismatches {failures}" if failures else ""))
+
+
 def test_criterion_02_concatenation_driver_word_bound():
     t0 = time.perf_counter()
     ok = True

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import itertools
 import math
+import sys
 import threading
 
 import numpy as np
@@ -12,8 +13,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import chaosgame as cg
+from chaosgame import drivers
 from chaosgame.drivers import DRIVER_KINDS, _extend
-from chaosgame.errors import CapExceededError, ValidationError
+from chaosgame.errors import CapExceededError, InternalInvariantError, ValidationError
 
 
 def infer_order(word):
@@ -153,6 +155,78 @@ class TestInfiniteDeBruijn:
             if K ** m + m - 1 > 2 ** 16:
                 break
             w = extend_de_bruijn(w)
+
+    @pytest.mark.parametrize("K, n", [(2, 2 ** 16 + 15), (3, 3 ** 9 + 8)])
+    def test_fresh_streams_at_once(self, monkeypatch, K, n):
+        # Threads (more than there are cores) read fresh streams of one K
+        # from an empty memo at once, switching often: one makes each word,
+        # the others wait for it, and each gets the symbols of a one-thread
+        # read.  The memo's pieces are read-only and every stream keeps
+        # them without a copy.
+        monkeypatch.setattr(drivers, "_REALIZED", {})
+        alone = cg.infinite_de_bruijn(K).segment(0, n)
+        monkeypatch.setattr(drivers, "_REALIZED", {})
+        streams = [cg.infinite_de_bruijn(K) for _ in range(4)]
+        barrier, out, errors = threading.Barrier(len(streams)), {}, []
+
+        def read(i):
+            try:
+                barrier.wait(timeout=10)
+                out[i] = streams[i].segment(0, n)
+            except Exception as exc:   # re-raised on the test's thread
+                errors.append(exc)
+
+        readers = [threading.Thread(target=read, args=(i,)) for i in range(len(streams))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for t in readers:
+                t.start()
+            for t in readers:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in readers)
+        if errors:
+            raise errors[0]
+        assert all(np.array_equal(out[i], alone) for i in range(len(streams)))
+        memo = drivers._REALIZED[K].pieces
+        assert sum(p.size for p in memo) == n
+        assert all(p.dtype == np.int64 and not p.flags.writeable for p in memo)
+        for stream in streams:
+            assert all(a is b for a, b in zip(stream._pieces, memo, strict=True))
+
+    def test_words_are_made_once_per_process(self, monkeypatch):
+        n = 3 ** 8 + 7
+        first = cg.infinite_de_bruijn(3).segment(0, n)
+
+        def fail(symbols, K, M):
+            raise AssertionError("the word was made again")
+
+        monkeypatch.setattr(drivers, "_extend", fail)
+        assert np.array_equal(cg.infinite_de_bruijn(3).segment(0, n), first)
+
+    def test_failed_extension_leaves_the_memo_as_it_was(self, monkeypatch):
+        monkeypatch.setattr(drivers, "_REALIZED", {})
+        made = _extend
+
+        def fail_at_4(symbols, K, M):
+            if M == 4:
+                raise InternalInvariantError("extension not found")
+            return made(symbols, K, M)
+
+        monkeypatch.setattr(drivers, "_extend", fail_at_4)
+        n = 3 ** 4 + 3
+        for _ in range(2):     # every reader meets the same error
+            with pytest.raises(InternalInvariantError, match="extension not found"):
+                cg.infinite_de_bruijn(3).segment(0, n)
+            assert drivers._REALIZED[3].order == 3
+            assert sum(p.size for p in drivers._REALIZED[3].pieces) == 3 ** 3 + 2
+        monkeypatch.setattr(drivers, "_extend", made)
+        w = cg.de_bruijn_word(3, 1)
+        for _ in range(3):
+            w = extend_de_bruijn(w)
+        assert np.array_equal(cg.infinite_de_bruijn(3).segment(0, n), w.symbols)
 
     def test_k2_odd_order_bound(self):
         # n_i(3) <= 2^4 + 3 (the prefix realizing order 4 covers order 3)

@@ -316,6 +316,13 @@ class TestFromPoints:
         with pytest.raises(ValidationError, match="at least one point"):
             cg.AttractorCloud.from_points([], 0.0)
 
+    def test_cloud_keeps_its_own_copy_of_sorted_points(self):
+        # Rows already in order are not re-sorted, but still copied.
+        pts = np.array([[0.0, 0.0], [1.0, 0.0]])
+        cloud = cg.AttractorCloud.from_points(pts, resolution=0.0)
+        pts[0, 0] = 5.0
+        assert cloud.points.tolist() == [[0.0, 0.0], [1.0, 0.0]]
+
 
 _SIGNED_ROWS = st.integers(1, 3).flatmap(lambda d: st.lists(
     st.lists(st.sampled_from([0.0, -0.0, 0.5, -1.0, 5e-324]), min_size=d, max_size=d),
@@ -340,6 +347,36 @@ def test_dedupe_drops_the_exact_duplicates_np_unique_drops(rows):
     assert moved == 0.0
     assert out.tobytes() == np.array(kept).tobytes()
     assert np.array_equal(out, np.unique(pts, axis=0))
+
+
+@given(rows=_SIGNED_ROWS, rng=st.randoms(use_true_random=False))
+@settings(max_examples=300, deadline=None)
+def test_lexsort_returns_rows_in_order_as_they_are(rows, rng):
+    # Rows in lexicographic order come back as the same array, ties through
+    # -0.0 == 0.0 included: a stable lexsort would not move them.  Other
+    # rows get the bits of the stable lexsort.
+    from chaosgame.ifs import _lexsort_points
+
+    rng.shuffle(rows)
+    pts = np.array(rows)
+    want = pts[np.lexsort(pts.T[::-1])]
+    got = _lexsort_points(pts)
+    assert got.tobytes() == want.tobytes()
+    assert (got is pts) == (want.tobytes() == pts.tobytes())
+    assert _lexsort_points(want) is want
+
+
+def test_lexsort_of_tied_and_shuffled_rows():
+    from chaosgame.ifs import _lexsort_points
+
+    tied = np.array([[0.0, 0.5], [-0.0, 0.5], [0.0, 1.0], [-0.0, 1.0]])
+    assert _lexsort_points(tied) is tied
+    swapped = tied[[1, 2, 0, 3]]          # 1.0 before 0.5 in the tie of the first column
+    assert _lexsort_points(swapped).tobytes() == tied[[1, 0, 2, 3]].tobytes()
+    cloud = cg.build_cloud(cg.sierpinski_ifs(), 0.05)
+    shuffled = np.random.default_rng(0).permutation(cloud.points)
+    assert _lexsort_points(shuffled).tobytes() == cloud.points.tobytes()
+    assert _lexsort_points(cloud.points) is cloud.points
 
 
 def _pair_greedy(points, threshold):

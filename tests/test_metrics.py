@@ -476,6 +476,37 @@ class TestPlaneRecoveryEngine:
         n = _check_minimal(ifs, make, [0.9, -0.7], cloud, 0.1, cap=20000)
         assert n is not None and n > 10000
 
+    @pytest.mark.parametrize("budget", [2 ** 10, metrics._PAIRS])
+    def test_zero_rate_query_stays_in_budget(self, monkeypatch, budget):
+        # From (5, 5) the first orbit points lie more than eps from the
+        # cloud, so the first queries find no pair and leave the rate at 0.
+        # The chunk after them used to go out whole on that rate.  Now a
+        # query at rate 0 holds max(1, _PAIRS // tree points) orbit points,
+        # so it returns at most max(_PAIRS, tree points) pairs.
+        ifs = cg.sierpinski_ifs()
+        cloud = cg.build_cloud(ifs, 0.01)
+        make = lambda: cg.infinite_de_bruijn(3)   # noqa: E731
+        want = cg.recovery_time(ifs, make(), [5.0, 5.0], 0.5, cloud).n
+        queries, pairs = [], metrics._PairCover._pairs
+
+        def counted(self, ys):
+            found = pairs(self, ys)
+            queries.append((self.rate, len(ys), len(found), self.grid.n))
+            return found
+
+        monkeypatch.setattr(metrics, "_PAIRS", budget)
+        monkeypatch.setattr(metrics._PairCover, "_pairs", counted)
+        assert _check_minimal(ifs, make, [5.0, 5.0], cloud, 0.5) == want
+        blind = [q for q in queries if q[0] == 0]
+        assert blind[0][2] == 0
+        for _, points, found, n in blind:
+            assert points <= max(1, budget // n) and found <= max(budget, n)
+        # Rate-sized pieces may pass the bound, as the orbit nears the
+        # attractor, but stay well below the first chunk queried whole.
+        orbit = cg.run_orbit(ifs, make(), [5.0, 5.0], 128)[1:]
+        whole = len(pairs(metrics._PairCover(cloud, 0.5), orbit))
+        assert max(found for _, _, found, _ in queries) < whole / 4
+
 
 def _two_point_case(dim):
     """A system whose first map pins the orbit at 0 bit for bit (by
@@ -911,6 +942,87 @@ class TestPlaneCovering:
         est = cg.covering_estimate(part, 0.01)
         assert (est.lower, est.upper) == (50, 50)
         assert np.array_equal(part.grid.data, part.points)
+
+
+# Dyadic lattice coordinates put cloud points exactly eps from orbit points
+# (eps = 0.125 k, or 0.625 from a 3-4-5 triangle); 0.125 * sqrt(2) squares to
+# either side of its lattice pairs' squared distance.
+_LATTICE = st.integers(-4, 4).map(lambda k: k * 0.125)
+_PLANE_POINTS = st.lists(st.tuples(_LATTICE, _LATTICE), min_size=1, max_size=30) | st.lists(
+    st.tuples(_LATTICE | st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=30)
+_LATTICE_EPS = st.sampled_from([0.125, 0.25, 0.375, 0.625, 0.125 * math.sqrt(2)]) | st.floats(
+    0.01, 1.0)
+
+
+def _median_tree(points, **kw):
+    return cKDTree(points, **kw)     # scipy's default: median splits
+
+
+def _pair_cover_n(points, ys, eps, cuts, budget, tree):
+    """_PairCover's n over ys, fed in chunks of the sizes in cuts (the rest
+    last), with every tree made by tree."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cg.ifs, "_kdtree", tree)
+        mp.setattr(metrics, "_kdtree", tree)
+        mp.setattr(metrics, "_PAIRS", budget)
+        cover = metrics._PairCover(cg.AttractorCloud.from_points(points, resolution=0.0), eps)
+        lo = 0
+        for size in [*cuts, len(ys)]:
+            if lo < len(ys):
+                n = cover(ys[lo:lo + size], np.arange(lo, min(lo + size, len(ys))))
+                if n is not None:
+                    return n
+            lo += size
+        return None
+
+
+@given(cloud=_PLANE_POINTS, orbit=_PLANE_POINTS, eps=_LATTICE_EPS,
+       cuts=st.lists(st.integers(1, 8), max_size=5), budget=st.sampled_from([1, 16, 2 ** 16]))
+@settings(max_examples=200, deadline=None)
+def test_pair_cover_needs_no_tree_shape(cloud, orbit, eps, cuts, budget):
+    # n is the largest first hit, sum((p - y)**2) <= eps**2, over the cloud
+    # points, on sliding-midpoint trees (_kdtree), median-split trees and by
+    # brute force; small budgets cut the chunks into pieces and shrink trees.
+    pts, ys = np.array(cloud), np.array(orbit)
+    gap = pts[:, None, :] - ys[None, :, :]
+    within = (gap * gap).sum(axis=2) <= eps * eps
+    want = int(within.argmax(axis=1).max()) if within.any(axis=1).all() else None
+    for tree in (cg.ifs._kdtree, _median_tree):
+        assert _pair_cover_n(pts, ys, eps, cuts, budget, tree) == want
+
+
+@given(points=_PLANE_POINTS, r=_LATTICE_EPS)
+@settings(max_examples=200, deadline=None)
+def test_tree_walk_needs_no_tree_shape(points, r):
+    # The greedy r-cover's targets: each is the first point that no earlier
+    # target's ball, sum((p - c)**2) <= r**2, holds.
+    from chaosgame.ifs import _kdtree, _tree_walk
+
+    pts = np.array(points)
+    covered, want = np.zeros(len(pts), dtype=bool), []
+    for i in range(len(pts)):
+        if not covered[i]:
+            want.append(i)
+            gap = pts - pts[i]
+            covered |= (gap * gap).sum(axis=1) <= r * r
+    assert _tree_walk(_kdtree(pts), pts, r) == want
+    assert _tree_walk(_median_tree(pts), pts, r) == want
+
+
+def test_every_tree_splits_at_sliding_midpoints(monkeypatch):
+    # The cloud's tree, the pair cover's chunk and shrink trees, thinning
+    # and the greedy walk all build their trees through _kdtree.
+    import scipy.spatial
+
+    made, tree = [], scipy.spatial.cKDTree
+    monkeypatch.setattr(scipy.spatial, "cKDTree",
+                        lambda points, **kw: made.append(kw) or tree(points, **kw))
+    ifs = cg.sierpinski_ifs()
+    cloud = cg.build_cloud(ifs, 0.01)
+    assert cg.recovery_time(ifs, cg.infinite_de_bruijn(3), [0.3, 0.2], 0.05, cloud).n
+    cg.covering_estimate(cloud.points, 0.05)
+    assert len(made) > 3
+    assert all(kw.get("balanced_tree") is False for kw in made)
 
 
 def _walk_radii(monkeypatch):
