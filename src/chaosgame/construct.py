@@ -20,7 +20,8 @@ import numpy as np
 
 from .drivers import DriverStream, Run, _champernowne_blocks
 from .errors import CapExceededError, InternalInvariantError, ValidationError
-from .ifs import AttractorCloud, IfsSystem, _greedy_walk, _hutchinson_points, _kdtree, fixed_point
+from .ifs import (AttractorCloud, IfsSystem, _greedy_walk, _hutchinson_points, _kdtree,
+                  _line_gap, fixed_point)
 from .metrics import _range_min, _window, covering_estimate
 
 DEFAULT_ADDRESS_BUDGET = 2 ** 24
@@ -198,10 +199,7 @@ def _nearest_address(addr: np.ndarray, pts: np.ndarray) -> np.ndarray:
     if addr.shape[1] == 1:
         srt, first = np.unique(addr[:, 0], return_index=True)   # each value's lowest index
         p = pts[:, 0]
-        j = np.searchsorted(srt, p)
-        tol = np.minimum(np.abs(p - srt[np.maximum(j - 1, 0)]),
-                         np.abs(srt[np.minimum(j, srt.size - 1)] - p)) * (1.0 + 1e-12)
-        return _range_min(first, *_window(srt, p, tol))
+        return _range_min(first, *_window(srt, p, _line_gap(srt, p) * (1.0 + 1e-12)))
     tree, n = _kdtree(addr), addr.shape[0]
     dist, idx = tree.query(pts, k=range(1, min(8, n) + 1))
     tol = dist[:, 0] * (1.0 + 1e-12)

@@ -16,6 +16,7 @@ import hashlib
 import math
 import os
 import struct
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -354,6 +355,15 @@ def _tree_walk(tree, pts: np.ndarray, r: float, centres=None) -> list:
     return targets
 
 
+def _line_gap(srt: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Per value of q, abs(y - q) for the nearer y of its two neighbours in
+    the nonempty ascending array srt: the distance to srt's nearest value,
+    in floating point too, as y - q rounds monotonically in y."""
+    j = np.searchsorted(srt, q)
+    return np.minimum(np.abs(srt[np.maximum(j - 1, 0)] - q),
+                      np.abs(srt[np.minimum(j, srt.size - 1)] - q))
+
+
 def _dedupe(points: np.ndarray, threshold: float) -> tuple:
     """(kept, moved): the lexicographically-first point of every cluster of
     radius threshold, and the largest distance from a dropped point to the
@@ -382,10 +392,8 @@ def _dedupe(points: np.ndarray, threshold: float) -> tuple:
         return points, 0.0
     drop[near[_greedy_walk(points[near])(threshold)]] = False
     kept = points[~drop]
-    if points.shape[1] == 1:            # k[j - 1] < q < k[j]: the first point is kept
-        k, q = np.r_[kept[:, 0], np.inf], points[drop, 0]
-        j = np.searchsorted(k, q)
-        gap = np.minimum(q - k[j - 1], k[j] - q)
+    if points.shape[1] == 1:
+        gap = _line_gap(kept[:, 0], points[drop, 0])
         return kept, float(np.sqrt((gap * gap).max()))
     return kept, float(_kdtree(kept).query(points[drop])[0].max())
 
@@ -515,12 +523,13 @@ def write_cloud(path, cloud: AttractorCloud) -> None:
     floats round-trip exactly.
 
     Identical clouds serialize byte-identically.  The bytes go to a
-    temporary file in path's directory, which then replaces path: an
-    interrupted write leaves no short file at path, and of two writers at
-    once the last to rename wins, leaving its whole file.  A change that
-    changes what a table holds for its key must change _FORMAT_VERSION: to
-    the greedy walks, the address rule (construct._nearest_address), the
-    base-map rule (construct._base_and_outside) or its _MIN_OUTSIDE.
+    temporary file in path's directory, named by process and thread, which
+    then replaces path: an interrupted write leaves no short file at path,
+    and of two writers at once, in one process or two, the last to rename
+    wins, leaving its whole file.  A change that changes what a table holds
+    for its key must change _FORMAT_VERSION: to the greedy walks, the
+    address rule (construct._nearest_address), the base-map rule
+    (construct._base_and_outside) or its _MIN_OUTSIDE.
     """
     pts = np.ascontiguousarray(cloud.points, dtype="<f8")
     sizes = np.array(sorted(cloud.cover_sizes.items()), dtype=_SIZES)
@@ -530,7 +539,7 @@ def write_cloud(path, cloud: AttractorCloud) -> None:
     heads = np.array([(*key, cloud.words[key].size) for key in keys], dtype=_WORDS)
     index = np.concatenate([np.empty(0, "<i8"), *(cloud.words[key] for key in keys)])
     head, name = os.path.split(os.fspath(path))
-    tmp = os.path.join(head, f".{name}.{os.getpid()}.tmp")
+    tmp = os.path.join(head, f".{name}.{os.getpid()}.{threading.get_ident()}.tmp")
     digest = hashlib.sha256()
     try:
         with open(tmp, "wb") as fh:

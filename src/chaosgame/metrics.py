@@ -19,13 +19,13 @@ import numpy as np
 
 from .drivers import Run
 from .errors import CapExceededError, ValidationError
-from .ifs import (AttractorCloud, IfsSystem, _as_vector, _greedy_walk, _kdtree, _point_set,
-                  _row_sums, run_orbit)
+from .ifs import (AttractorCloud, IfsSystem, _as_vector, _greedy_walk, _kdtree, _line_gap,
+                  _point_set, _row_sums, run_orbit)
 
 DEFAULT_ORBIT_CAP = 10 ** 7
 _FIRST_CHUNK = 128
 _CHUNK = 8192
-_LAST_INDEX = 2 ** 63 - 1   # the last orbit index an int64 holds
+_LAST_INDEX = 2 ** 63 - 1   # the last orbit index stepped: every n fits an int64
 _LANES = 256        # lanes a long chunk is cut into
 _WARM = 64         # symbols stepped before each lane to guess its start
 _LANE_MIN = 4096   # the shortest chunk stepped in lanes
@@ -78,25 +78,25 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
 
     The orbit is generated from driver.pieces.  Array pieces are gathered
     into chunks read with driver.segment, which grow from _FIRST_CHUNK to
-    _CHUNK symbols, so a small n steps few points.  A Run is stepped with
-    its map until f(x) == x and the rest of it is skipped whole, so a block
-    of 10**12 equal symbols costs no more than its first steps; a Run that
-    never reaches such a point is stepped in full.  Each stepped part is
+    _CHUNK symbols, so a small n steps few points.  Every symbol of an array
+    gives an orbit point.  A Run is stepped with its map until f(x) == x and
+    the rest of it is skipped whole, so a block of 10**12 equal symbols costs
+    no more than its first steps; a Run that never reaches such a point is
+    stepped in full.  Skipping loses nothing: a repeated point covers nothing
+    that its first copy, earlier in the orbit, did not, so no first hit, and
+    not n, can fall on it.  (The test is float equality, under which +0 and
+    -0 are equal: a repeat can differ from x only in the sign of a zero
+    coordinate, so every distance is unchanged.)  Each stepped part is
     checked against the still-uncovered cloud points, and the returned n is
     the exact deterministic minimum.  An orbit index past 2**63 - 1 raises
     CapExceededError.
 
     The orbit is stepped in plain floats with AffineMap's arithmetic
-    (on_floats).  Inside an array a step with f(x) == x adds no point and x
-    keeps its bits: a repeated point covers nothing that its first copy,
-    earlier in the orbit, did not, so no first hit, and not n, can fall on
-    it.  The test is float equality, under which +0 and -0 are equal: a
-    repeat can differ from x only in the sign of a zero coordinate, so every
-    distance is unchanged.  Each point keeps its orbit index, and a first
-    hit is read back through those indices.  A long chunk is stepped in
-    lanes (see _stepper): numpy steps every lane
-    at once with elementwise ufuncs only, and each lane's guessed start is
-    checked bit for bit, so the points are the same as one at a time.
+    (on_floats).  A point's orbit index is its part's first index plus its
+    position in the part.  A long chunk is stepped in lanes (see _stepper):
+    numpy steps every lane at once with elementwise ufuncs only, and each
+    lane's guessed start is checked bit for bit, so the points are the same
+    as one at a time.
 
     In 1-d an orbit point y covers a cloud point p when abs(y - p) <= eps in
     floating point.  A cKDTree ball query applies the same test as long as
@@ -137,15 +137,15 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
     size = _FIRST_CHUNK
 
     def advance(symbols, count):
-        """Step count symbols (an array, or a Run) from pos; n or None."""
+        """Step count symbols (an array, or a Run) from pos: (points, n or None)."""
         nonlocal x, pos, size
         if pos + count > _LAST_INDEX:
             raise CapExceededError(f"orbit index {pos + count} is past 2**63 - 1")
-        points, at, x = step(x, symbols)
+        points, x = step(x, symbols)
         first, pos, size = pos + 1, pos + count, min(2 * size, _CHUNK)
-        return len(points), cover(points, first + at) if len(points) else None
+        return len(points), cover(points, first) if len(points) else None
 
-    n = cover(np.array([x]), np.array([0]))
+    n = cover(np.array([x]), 0)
     walk = driver.pieces(0, cap)
     while n is None:
         try:
@@ -166,8 +166,8 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
             end = start + piece.count
             while n is None and pos < end:
                 count = min(size, end - pos)
-                kept, n = advance(Run(piece.symbol, count), count)
-                if kept < count:        # f(x) == x: the rest of the Run repeats x
+                stepped, n = advance(Run(piece.symbol, count), count)
+                if stepped < count:     # f(x) == x: the rest of the Run repeats x
                     pos = end
             stop = pos
     return RecoveryRecord(eps=float(eps), n=None if n is None else int(n), x0=x0,
@@ -175,59 +175,52 @@ def recovery_time(ifs: IfsSystem, driver, x0, eps: float,
 
 
 def _stepper(ifs: IfsSystem):
-    """step(x, symbols) -> (points, at, x): the orbit from x (a float in 1-d,
-    a tuple of floats in d dimensions) and the offsets in symbols of the
-    steps that gave the points.  symbols is an int array, or a Run, which is
-    stepped until f(x) == x and no further.  Inside an array a step with
-    f(x) == x gives no point and x keeps its bits.
+    """step(x, symbols) -> (points, x): the orbit from x (a float in 1-d, a
+    tuple of floats in d dimensions) and its last point.  symbols is an int
+    array, whose every symbol gives a point, or a Run, which is stepped
+    until f(x) == x and no further.
 
-    An array of at least _LANE_MIN symbols is cut into _LANES lanes.  Each
-    lane's start is guessed by stepping the _WARM symbols before it from x:
-    contractions driven by the same symbols forget their start (Diaconis &
-    Freedman, SIAM Review 41, 1999).  All lanes then step together, and each guess is checked bit for
-    bit against the previous lane's end; a lane that fails is stepped again
-    from that end, at most _PASSES times, and the rest of the chunk is
-    stepped one symbol at a time.  The lanes form each coordinate with
-    _row_sums on per-lane coefficient columns, elementwise ufuncs only (no
-    BLAS, no fused multiply-add), so every value has the bits on_floats
-    gives it.
+    An array of at least _LANE_MIN symbols is cut into _LANES lanes.  Lane 0
+    starts at x; each later lane's start is guessed by stepping the _WARM
+    symbols before it from x: contractions driven by the same symbols forget
+    their start (Diaconis & Freedman, SIAM Review 41, 1999).  All lanes then
+    step together, and each guess is checked bit for bit against the
+    previous lane's end; a lane that fails is stepped again from that end,
+    at most _PASSES times, and the rest of the chunk is stepped one symbol
+    at a time.  The lanes form each coordinate with _row_sums on per-lane
+    coefficient columns, elementwise ufuncs only (no BLAS, no fused
+    multiply-add), so every value has the bits on_floats gives it.
     """
     maps, K, d = [None, *(m.on_floats for m in ifs.maps)], len(ifs.maps), ifs.dim
-    # Per row i, (m_i0, m_i1, ...) and o_i by symbol; symbol 0 is the
-    # identity, which holds x, so it pads lanes without changing a bit.
+    # Per row i, (m_i0, m_i1, ...) and o_i by symbol.  Symbol 0, the
+    # identity, pads the warm-up before lane 0 and the end of the last
+    # lanes; it may turn -0.0 into +0.0, so no padded state is a point.
     mats = np.array([np.eye(d), *(m.matrix for m in ifs.maps)])
     offsets = np.array([np.zeros(d), *(m.offset for m in ifs.maps)])
     table = [(list(mats[:, i].T), offsets[:, i]) for i in range(d)]
 
     def lanes(S, start):
         """Step lane b from start[:, b] on the symbols S[:, b]: the states
-        (len(S) + 1, d, lanes) and which steps held x, (len(S), lanes)."""
+        (len(S) + 1, d, lanes)."""
         # Per row i, per step t: ((m_i0, m_i1, ...), o_i) as columns over lanes.
         cols = [list(zip(zip(*(c[S] for c in row)), o[S])) for row, o in table]
         states = np.empty((len(S) + 1, *start.shape))
-        held = np.empty(S.shape, dtype=bool)
         states[0], x = start, list(start)
-        for t, rows in enumerate(zip(*cols)):
-            y, same = _row_sums(rows, x), held[t]
-            np.equal(y[0], x[0], out=same)
-            for a, b in zip(y[1:], x[1:]):
-                same &= a == b
-            for a, b in zip(y, x):
-                np.copyto(a, b, where=same)       # y == x holds x, bits and all
-            states[t + 1], x = y, y
-        return states, held
+        for t, rows in enumerate(zip(*cols), 1):
+            states[t] = x = _row_sums(rows, x)
+        return states
 
     def in_lanes(x, symbols):
-        """(states, kept, count, x): the state after each of the first count
-        symbols, stepped in lanes, which of them are points, and the last."""
+        """The (count, d) states after the first count symbols, stepped in lanes."""
         n, B, W = len(symbols), _LANES, _WARM
         L = -(-n // B)
         padded = np.zeros(W + B * L, dtype=np.int64)
         padded[W:W + n] = symbols
-        S = np.concatenate([padded[np.arange(W)[:, None] + L * np.arange(B)],
-                            padded[W:].reshape(B, L).T])
-        states, held = lanes(S, np.repeat(np.array(x, ndmin=1)[:, None], B, axis=1))
-        states, held = states[W:], held[W:]      # lane b starts at states[0, :, b]
+        start = np.repeat(np.array(x, ndmin=1)[:, None], B, axis=1)
+        start = lanes(padded[np.arange(W)[:, None] + L * np.arange(B)], start)[-1]
+        start[:, 0] = x
+        S = padded[W:].reshape(B, L).T
+        states = lanes(S, start)                 # lane b starts at states[0, :, b]
         bits = states.view(np.int64)
         ok = np.ones(B, dtype=bool)
         for rerun in range(_PASSES + 1):
@@ -235,10 +228,9 @@ def _stepper(ifs: IfsSystem):
             bad = np.flatnonzero(~ok)
             if bad.size == 0 or rerun == _PASSES:
                 break
-            states[:, :, bad], held[:, bad] = lanes(S[W:, bad], states[-1][:, bad - 1])
+            states[:, :, bad] = lanes(S[:, bad], states[-1][:, bad - 1])
         done = B if bad.size == 0 else int(bad[0])
-        after = states[1:, :, :done].transpose(2, 0, 1).reshape(done * L, d)[:n]
-        return after, ~held[:, :done].T.ravel()[:n], min(n, done * L), states[-1][:, done - 1]
+        return states[1:, :, :done].transpose(2, 0, 1).reshape(done * L, d)[:n]
 
     def step(x, symbols):
         if isinstance(symbols, Run):
@@ -251,30 +243,18 @@ def _stepper(ifs: IfsSystem):
                     break
                 x = y
                 out.append(y)
-            return np.array(out), np.arange(len(out)), x
+            return np.array(out), x
         if symbols.min() < 1 or symbols.max() > K:
             raise ValidationError(f"invalid symbol in driver chunk, alphabet is 1..{K}")
-        n, done, points, ats = len(symbols), 0, [], []
-        if n >= _LANE_MIN:
-            states, kept, done, end = in_lanes(x, symbols)
-            x = float(end[0]) if d == 1 else tuple(end.tolist())
-            points.append(states[kept, 0] if d == 1 else states[kept])
-            ats.append(np.flatnonzero(kept))
-        out, held = [], []
-        for i, s in enumerate(memoryview(symbols)[done:], done):
-            y = maps[s](x)
-            if y == x:
-                held.append(i)
-            else:
-                x = y
-                out.append(y)
-        at = np.arange(done, n)
-        if held:
-            at = np.delete(at, np.array(held) - done)
-        if not points:
-            return np.array(out), at, x
-        points.append(np.array(out).reshape(-1, d) if d > 1 else np.array(out))
-        return np.concatenate(points), np.concatenate([*ats, at]), x
+        head = in_lanes(x, symbols) if len(symbols) >= _LANE_MIN else np.empty((0, d))
+        if len(head):           # the lanes end at their last point
+            x = float(head[-1, 0]) if d == 1 else tuple(head[-1].tolist())
+        out = []
+        for s in memoryview(symbols)[len(head):]:
+            x = maps[s](x)
+            out.append(x)
+        points = np.concatenate([head, np.array(out).reshape(-1, d)])
+        return (points[:, 0] if d == 1 else points), x
 
     return step
 
@@ -282,16 +262,16 @@ def _stepper(ifs: IfsSystem):
 class _LineCover:
     """Coverage of a 1-d cloud, chunk by chunk, without per-hit lists.
 
-    Calling it with a chunk of orbit points ys and their ascending orbit
-    indices at marks the cloud points they cover, and returns the least n
-    at which every cloud point is covered, or None.
+    Calling it with a chunk of orbit points ys and the orbit index first of
+    ys[0] marks the cloud points they cover, and returns the least n at
+    which every cloud point is covered, or None.
     """
 
     def __init__(self, values: np.ndarray, eps: float):
         self.eps = eps
         self.uncovered = np.sort(values)
 
-    def __call__(self, ys: np.ndarray, at: np.ndarray):
+    def __call__(self, ys: np.ndarray, first: int):
         eps, p = self.eps, self.uncovered
         srt = np.sort(ys)
         # Only cloud points within eps of the chunk's range can be hit: from
@@ -301,14 +281,10 @@ class _LineCover:
         a = bisect.bisect_left(p, True, key=lambda y: not y - lo < -eps)
         b = bisect.bisect_left(p, True, key=lambda y: not y - hi <= eps)
         near = p[a:b]
-        # The orbit points on either side of a cloud point are the nearest
-        # in floating point too: y - p rounds monotonically in y.
-        j = np.searchsorted(srt, near)
-        hit = ((np.abs(srt[np.minimum(j, srt.size - 1)] - near) <= eps)
-               | (np.abs(srt[np.maximum(j - 1, 0)] - near) <= eps))
+        hit = _line_gap(srt, near) <= eps
         if hit.all() and near.size == p.size:
             lo, hi = _window(srt, near, eps)
-            return int(at[_range_min(np.argsort(ys, kind="stable"), lo, hi).max()])
+            return first + int(_range_min(np.argsort(ys, kind="stable"), lo, hi).max())
         self.uncovered = np.concatenate([p[:a], near[~hit], p[b:]])
         return None
 
@@ -393,7 +369,7 @@ class _PairCover:
         self.left = cloud.size
         self.rate = 0.0   # the last query's pairs per orbit point per tree point
 
-    def __call__(self, ys: np.ndarray, at: np.ndarray):
+    def __call__(self, ys: np.ndarray, first: int):
         lo = 0
         while lo < len(ys):
             left = len(ys) - lo
@@ -401,7 +377,7 @@ class _PairCover:
                 size = -(-left // min(left, 1 + int(self.rate * left * self.grid.n) // _PAIRS))
             else:
                 size = max(1, _PAIRS // self.grid.n)
-            part, ats, lo = ys[lo:lo + size], at[lo:lo + size], lo + size
+            part, start, lo = ys[lo:lo + size], first + lo, lo + size
             pairs = self._pairs(part)
             self.rate = len(pairs) / (len(part) * self.grid.n)
             hit = np.zeros(self.uncovered.size, dtype=bool)
@@ -409,9 +385,9 @@ class _PairCover:
             hit &= self.uncovered
             count = int(np.count_nonzero(hit))
             if count == self.left:
-                first = np.full(self.uncovered.size, len(part), dtype=np.intp)
-                np.minimum.at(first, pairs["i"], pairs["j"])
-                return int(ats[first[hit].max()])
+                hits = np.full(self.uncovered.size, len(part), dtype=np.intp)
+                np.minimum.at(hits, pairs["i"], pairs["j"])
+                return start + int(hits[hit].max())
             self.uncovered[hit] = False
             self.left -= count
             if 4 * self.left <= self.uncovered.size:

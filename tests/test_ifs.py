@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from pathlib import Path
 
@@ -137,9 +138,8 @@ for system, x in ((line, 0.1), (ifs, (0.1, 0.2))):
     metrics._LANE_MIN = len(symbols) + 1
     one_by_one = metrics._stepper(system)(x, symbols)
     metrics._LANE_MIN = lane_min
-    for points, at, end in (lanes, one_by_one):
-        chunks.append(hashlib.sha256(points.tobytes() + at.tobytes()
-                                     + repr(end).encode()).hexdigest())
+    for points, end in (lanes, one_by_one):
+        chunks.append(hashlib.sha256(points.tobytes() + repr(end).encode()).hexdigest())
 print(hashlib.sha256(cloud.points.tobytes()).hexdigest(),
       hashlib.sha256(orbit.tobytes()).hexdigest(), rec.n,
       *(m.lip.hex() for m in (*ifs.maps, odd)), *chunks)
@@ -616,6 +616,31 @@ class TestCloudCache:
         assert (loaded.points == cloud.points).all()
         assert loaded.resolution == cloud.resolution
         assert loaded.depth == cloud.depth
+
+    def test_threads_writing_one_path(self, tmp_path, cantor):
+        # Two threads of one process used to share one temporary file: one
+        # thread's rename then failed (FileNotFoundError), or the file held
+        # bytes of both clouds and failed its checksum.
+        clouds = [cg.build_cloud(cantor, 1e-3), cloud_at_depth(cantor, 6)]
+        path, errors = tmp_path / "c.ifsc", []
+
+        def write(cloud, start):
+            start.wait(timeout=60)
+            try:
+                cg.write_cloud(path, cloud)
+            except Exception as exc:   # asserted on the test's thread
+                errors.append(exc)
+
+        for _ in range(50):
+            start = threading.Barrier(2)
+            threads = [threading.Thread(target=write, args=(c, start)) for c in clouds]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            assert not any(t.is_alive() for t in threads) and errors == []
+            assert cg.read_cloud(path).points.tobytes() in [c.points.tobytes() for c in clouds]
+            assert os.listdir(tmp_path) == ["c.ifsc"]
 
     def test_byte_identical(self, tmp_path, cantor):
         a, b = tmp_path / "a.ifsc", tmp_path / "b.ifsc"

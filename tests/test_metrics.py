@@ -294,7 +294,7 @@ class TestLineRecoveryEngine:
     def test_fixed_point_run_is_filled(self, cantor, cantor_cloud_coarse):
         # Each run of 5000 first Cantor maps pins the orbit at 0 bit for bit
         # after about 680 steps; the rest of the run is still stepped, and
-        # each of its steps holds x and gives no point.  At
+        # each of its steps gives a point equal to x.  At
         # eps = 0.05 only the periodic tail after the second run completes
         # the cover, more than 10,000 steps in.
         word = (1,) * 5000 + (2,) * 3 + (1,) * 5000 + (2, 1, 2, 2) * 200
@@ -320,10 +320,10 @@ class TestLineRecoveryEngine:
         values = np.array([beyond[0], c_lo, c_lo, (lo + hi) / 2, c_hi, c_hi, beyond[1]])
         cover = metrics._LineCover(values, eps)
         ys = np.array([hi, lo])
-        assert cover(ys, np.array([3, 4])) is None
+        assert cover(ys, 3) is None
         assert cover.uncovered.tolist() == [
             p for p in values.tolist() if not any(abs(p - y) <= eps for y in ys)] == beyond
-        assert cover(np.array(beyond), np.array([7, 8])) == 8
+        assert cover(np.array(beyond), 7) == 8
 
     def test_oracles_do_not_use_the_engine(self, monkeypatch, cantor,
                                            cantor_cloud_coarse):
@@ -433,7 +433,7 @@ class TestPlaneRecoveryEngine:
         chunks, queried = [], []
         call, pairs = metrics._PairCover.__call__, metrics._PairCover._pairs
         monkeypatch.setattr(metrics._PairCover, "__call__",
-                            lambda self, ys, at: chunks.append(ys) or call(self, ys, at))
+                            lambda self, ys, first: chunks.append(ys) or call(self, ys, first))
         monkeypatch.setattr(metrics._PairCover, "_pairs",
                             lambda self, ys: queried.append(ys) or pairs(self, ys))
         x0 = [0.3, 0.2]
@@ -459,8 +459,8 @@ class TestPlaneRecoveryEngine:
     def test_fixed_point_run_is_filled(self):
         # The first map's orbit from (0.9, -0.7) reaches its fixed point
         # (2, 0) bit for bit after 63 steps; the rest of each run of 5000
-        # first maps is still stepped, and each of its steps holds x and gives
-        # no point.  At eps = 0.1 only the Champernowne tail after the
+        # first maps is still stepped, and each of its steps gives a point
+        # equal to x.  At eps = 0.1 only the Champernowne tail after the
         # second run completes the cover, more than 10,000 steps in.
         rot = [[0.5, 0.25], [-0.25, 0.5]]
         ifs = cg.IfsSystem.create([cg.AffineMap.create(rot, [1.0, 0.5]),
@@ -528,7 +528,8 @@ def _literal(word, K=2):
 
 @pytest.mark.parametrize("dim", [1, 2])
 class TestSkippedRuns:
-    """Runs held at a fixed point are skipped; the engine still gives the
+    """Long stretches of one symbol, held at a fixed point, inside literal
+    (array) drivers: every symbol is stepped and the engine gives the
     oracle's n.  Chunks cover orbit points 1..128, 129..384, ..., 3969..8064,
     8065..16256, 16257..24448, and so on in steps of 8,192."""
 
@@ -558,25 +559,10 @@ class TestSkippedRuns:
         assert rec.n is None
         assert _check_minimal(ifs, make, x0, cloud, 0.01, cap=10 ** 6) is None
 
-    def test_held_chunks_make_no_cover_call(self, dim, monkeypatch):
-        # 100,000 symbols make 18 chunks; every chunk after the orbit
-        # reaches 0 and before the last one adds no point.
-        calls = []
-        for name in ("_LineCover", "_PairCover"):
-            class Counting(getattr(metrics, name)):
-                def __call__(self, ys, at):
-                    calls.append(len(ys))
-                    return super().__call__(ys, at)
-            monkeypatch.setattr(metrics, name, Counting)
-        ifs, x0, cloud = _two_point_case(dim)
-        word = (1,) * 99999 + (2,)
-        assert cg.recovery_time(ifs, _literal(word)(), x0, 0.01, cloud).n == 100000
-        assert len(calls) <= 8 and calls[-1] == 1
-
 
 def test_two_cycle_run_is_stepped_in_full():
     # x -> a x + b reaches a float 2-cycle (p, q one ulp apart) and never
-    # f(x) == x, so a run of it is stepped to its end.
+    # f(x) == x, so a Run of it is stepped to its end.
     ifs = cg.IfsSystem.create([cg.scalar_map(-0.7427631926750511, -0.10101787042252375),
                                cg.scalar_map(0.5, 0.5)])
     f = ifs.maps[0].on_floats
@@ -585,9 +571,8 @@ def test_two_cycle_run_is_stepped_in_full():
         p = f(p)
     q = f(p)
     assert p != q and f(q) == p
-    points, at, x = metrics._stepper(ifs)(0.9, np.ones(20001, dtype=np.int64))
-    assert len(points) == 20001 and np.array_equal(at, np.arange(20001))
-    assert x == q
+    points, x = metrics._stepper(ifs)(0.9, cg.Run(1, 20001))
+    assert len(points) == 20001 and x == q
     # eps below the gap between p and q: the cloud needs both, then the
     # second map's image of them.
     cloud = cg.AttractorCloud.from_points([[p], [q], [0.5 * p + 0.5]], resolution=0.0)
@@ -625,21 +610,28 @@ _PIECE = st.sampled_from([1, 2, 3, 127, 128, 129, 255, 256, 257, 383, 384, 385, 
 
 @st.composite
 def _pieces_case(draw):
-    """A 1-d or 2-d recovery case whose driver mixes Runs and arrays; in 1-d
-    the first map is sometimes the one whose Runs end in a 2-cycle."""
-    if draw(st.booleans()):
-        ifs, _, x0, cloud = draw(_line_recovery_case())
-        if draw(st.booleans()):
-            ifs = cg.IfsSystem.create([_TWO_CYCLE, *ifs.maps[1:]])
-    else:
-        ifs, _, x0, cloud = draw(_plane_recovery_case())
+    """A 1-d or 2-d recovery case whose driver mixes Runs and arrays, and the
+    same driver with every Run written out as an array.  The first map is
+    sometimes constant, so that f(x) == x from its second symbol on, inside
+    Runs and arrays alike; in 1-d it is sometimes the one whose Runs end in
+    a 2-cycle."""
+    line = draw(st.booleans())
+    ifs, _, x0, cloud = draw(_line_recovery_case() if line else _plane_recovery_case())
+    first = draw(st.sampled_from(["drawn", "constant", "two-cycle"][:3 if line else 2]))
+    if first != "drawn":
+        f = ifs.maps[0]
+        f = _TWO_CYCLE if line and first == "two-cycle" else cg.AffineMap.create(
+            np.zeros_like(f.matrix), f.offset)
+        ifs = cg.IfsSystem.create([f, *ifs.maps[1:]])
     K = len(ifs.maps)
     run = st.builds(cg.Run, st.integers(1, K), _PIECE)
     array = st.builds(lambda seed, n: tuple(np.random.default_rng(seed).integers(1, K + 1, n)
                                             .tolist()), st.integers(0, 99), _PIECE)
     items = draw(st.lists(run | array, min_size=1, max_size=6))
-    length = sum(item.count if isinstance(item, cg.Run) else len(item) for item in items)
-    return ifs, _stream(items, K), x0, cloud, length
+    written = [(item.symbol,) * item.count if isinstance(item, cg.Run) else item
+               for item in items]
+    length = sum(len(item) for item in written)
+    return ifs, _stream(items, K), _stream(written, K), x0, cloud, length
 
 
 @given(case=_pieces_case(), prefix=st.integers(100, 10000), pick=st.integers(0, 10 ** 6))
@@ -648,13 +640,15 @@ def test_runs_and_arrays_minimal(case, prefix, pick):
     # eps is the distance from one cloud point to its nearest point of an
     # orbit prefix, which puts that cloud point on the ball's boundary, or
     # just above the largest such distance, so the prefix covers the cloud
-    # and n falls anywhere in the stream.
-    ifs, make, x0, cloud, length = case
+    # and n falls anywhere in the stream.  A Run is skipped from its first
+    # f(x) == x on, and an array is stepped in full: both give the minimum.
+    ifs, make, written, x0, cloud, length = case
     orbit = cg.run_orbit(ifs, make(), x0, min(prefix, length))
     dist = cKDTree(orbit).query(cloud.points)[0]
     eps = float(dist[pick % dist.size] if pick % 2 else dist.max() * (1 + 1e-12))
     if eps > 1e-150:
-        _check_minimal(ifs, make, x0, cloud, eps, cap=30000)
+        n = _check_minimal(ifs, make, x0, cloud, eps, cap=30000)
+        assert _check_minimal(ifs, written, x0, cloud, eps, cap=30000) == n
 
 
 class TestHugeRuns:
@@ -662,8 +656,8 @@ class TestHugeRuns:
 
     def test_orbit_index_past_int64(self):
         # The Run pins the orbit at 0 and is skipped whole; the array after
-        # it starts at orbit index 2**63 + 1, which an int64 cannot hold, so
-        # without the check pos + 1 + at raises OverflowError.
+        # it starts at orbit index 2**63 + 1, past the last index stepped,
+        # so that every n fits an int64.
         ifs, x0, cloud = _two_point_case(1)
         make = _stream([cg.Run(1, 2 ** 63), (2, 1)], 2)
         with pytest.raises(CapExceededError, match="past 2\\*\\*63 - 1"):
@@ -685,10 +679,10 @@ class TestHugeRuns:
             step = stepper(ifs)
 
             def counted(x, symbols):
-                points, at, x = step(x, symbols)
+                points, x = step(x, symbols)
                 run = isinstance(symbols, cg.Run)
                 stepped.append(min(len(points) + 1, symbols.count) if run else len(symbols))
-                return points, at, x
+                return points, x
             return counted
 
         monkeypatch.setattr(metrics, "_stepper", counting)
@@ -703,26 +697,15 @@ class TestHugeRuns:
         assert sum(stepped) <= words + 2 * 2000
 
 
-def _run_by_run_stepper(ifs):
-    """Oracle for metrics._stepper: the chunk cut into runs of equal symbols
-    up front, each run stepped until it ends or f(x) == x."""
-    maps = [m.on_floats for m in ifs.maps]
-
-    def step(x, symbols):
-        bounds = [0, *(np.flatnonzero(np.diff(symbols)) + 1).tolist(), len(symbols)]
-        out, kept = [], np.ones(len(symbols), dtype=bool)
-        for lo, hi in zip(bounds, bounds[1:]):
-            f = maps[int(symbols[lo]) - 1]
-            for i in range(lo, hi):
-                y = f(x)
-                if y == x:
-                    kept[i:hi] = False
-                    break
-                x = y
-                out.append(x)
-        return np.array(out), np.flatnonzero(kept), x
-
-    return step
+def _one_at_a_time(ifs, x, symbols):
+    """Oracle for metrics._stepper on an array: (points, x) from run_orbit
+    on a literal driver of the same symbols, which steps one symbol at a
+    time with AffineMap (the same bits batched or in floats, on_floats)."""
+    word = cg.Word(tuple(symbols.tolist()), len(ifs.maps))
+    orbit = cg.run_orbit(ifs, cg.literal_driver(word), np.atleast_1d(x), len(symbols))[1:]
+    if ifs.dim == 1:
+        return orbit[:, 0], float(orbit[-1, 0])
+    return orbit, tuple(orbit[-1].tolist())
 
 
 _STEP_COEF = st.sampled_from([0.0, 0.5, -0.5]) | st.floats(-0.6, 0.6)
@@ -755,19 +738,19 @@ def _step_case(draw):
 @given(case=_step_case(), cut=st.floats(0.0, 1.0))
 @settings(max_examples=200, deadline=None)
 def test_stepper_matches_run_by_run_oracle(case, cut):
-    # The chunk is also stepped in two parts, x carried across, so that
+    # Every symbol of an array gives a point, also where f(x) == x.  The
+    # chunk is also stepped in two parts, x carried across, so that
     # fixed-point runs fall inside a chunk and at its end.
     ifs, x0, symbols = case
-    step, oracle = metrics._stepper(ifs), _run_by_run_stepper(ifs)
+    step = metrics._stepper(ifs)
     split = int(cut * len(symbols))
     for parts in ([symbols], [symbols[:split], symbols[split:]]):
         x, y = x0, x0
         for part in parts:
             if len(part) == 0:
                 continue
-            (got, at, x), (want, at_want, y) = step(x, part), oracle(y, part)
+            (got, x), (want, y) = step(x, part), _one_at_a_time(ifs, y, part)
             assert got.tobytes() == want.tobytes() and got.shape == want.shape
-            assert np.array_equal(at, at_want)
             assert repr(x) == repr(y)
 
 
@@ -808,16 +791,15 @@ def _lane_case(draw):
 def test_lanes_match_run_by_run_oracle(case, cut):
     ifs, x0, symbols = case
     assert len(symbols) >= metrics._LANE_MIN
-    step, oracle = metrics._stepper(ifs), _run_by_run_stepper(ifs)
+    step = metrics._stepper(ifs)
     split = max(metrics._LANE_MIN, int(cut * len(symbols)))
     for parts in ([symbols], [symbols[:split], symbols[split:]]):
         x, y = x0, x0
         for part in parts:
             if len(part) == 0:
                 continue
-            (got, at, x), (want, at_want, y) = step(x, part), oracle(y, part)
-            assert got.tobytes() == want.tobytes() and len(got) == len(want)
-            assert np.array_equal(at, at_want)
+            (got, x), (want, y) = step(x, part), _one_at_a_time(ifs, y, part)
+            assert got.tobytes() == want.tobytes() and got.shape == want.shape
             assert repr(x) == repr(y)
 
 
@@ -841,31 +823,33 @@ def test_lanes_that_never_coalesce_fall_back(dim, monkeypatch):
 
     monkeypatch.setattr(metrics, "_row_sums", counted)
     symbols = np.random.default_rng(5).integers(1, 3, 8192)
-    got, at, x = metrics._stepper(ifs)(x0, symbols)
-    want, at_want, y = _run_by_run_stepper(ifs)(x0, symbols)
-    assert got.tobytes() == want.tobytes()
-    assert np.array_equal(at, at_want) and repr(x) == repr(y)
+    got, x = metrics._stepper(ifs)(x0, symbols)
+    want, y = _one_at_a_time(ifs, x0, symbols)
+    assert got.tobytes() == want.tobytes() and repr(x) == repr(y)
     reruns = [n for n in lanes if n < metrics._LANES]
     assert reruns and max(reruns) > 1      # every failed lane was run again
 
 
 @pytest.mark.parametrize("dim", [1, 2])
 def test_lanes_keep_the_bits_of_a_held_zero(dim):
-    # With the offset -0.0 and a negative coefficient a map sends 0.0 to
-    # -0.0, which equals it, so the step holds x and 0.0 keeps its sign:
-    # the orbit from 0.0 adds no point and ends at 0.0, not -0.0.
+    # With the offset -0.0 the maps send zeros to zeros of either sign
+    # (in 1-d, 0.0 to -0.0 and back): the orbit from -0.0 stays at zero,
+    # each point with the sign one-at-a-time stepping gives it.  Lane 0
+    # starts at x itself and the lanes end at their last point, so no
+    # identity padding step (1 * -0.0 + 0.0 = +0.0) changes a sign.
     if dim == 1:
-        maps, x0 = [cg.scalar_map(-0.5, -0.0), cg.scalar_map(1 / 3, -0.0)], 0.0
+        maps, x0 = [cg.scalar_map(-0.5, -0.0), cg.scalar_map(1 / 3, -0.0)], -0.0
     else:
         maps = [cg.AffineMap.create([[-0.5, 0.25], [0.25, -0.5]], [-0.0, -0.0]),
                 cg.AffineMap.create([[1 / 3, 0.0], [0.0, -1 / 3]], [-0.0, -0.0])]
-        x0 = (0.0, 0.0)
+        x0 = (-0.0, -0.0)
     ifs = cg.IfsSystem.create(maps)
     symbols = np.random.default_rng(7).integers(1, 3, 8192)
-    got, at, x = metrics._stepper(ifs)(x0, symbols)
-    want, at_want, y = _run_by_run_stepper(ifs)(x0, symbols)
-    assert len(got) == len(at) == len(want) == len(at_want) == 0
-    assert repr(x) == repr(y) == repr(x0)
+    got, x = metrics._stepper(ifs)(x0, symbols)
+    want, y = _one_at_a_time(ifs, x0, symbols)
+    assert got.tobytes() == want.tobytes() and got.shape == want.shape
+    assert repr(x) == repr(y)
+    assert not got.any() and np.signbit(got).any()
 
 
 def _tree_greedy(points, r):
@@ -969,7 +953,7 @@ def _pair_cover_n(points, ys, eps, cuts, budget, tree):
         lo = 0
         for size in [*cuts, len(ys)]:
             if lo < len(ys):
-                n = cover(ys[lo:lo + size], np.arange(lo, min(lo + size, len(ys))))
+                n = cover(ys[lo:lo + size], lo)
                 if n is not None:
                     return n
             lo += size
